@@ -310,7 +310,7 @@ func BenchmarkImputeL1(b *testing.B) {
 // widens with l (O(d·L·log L) vs O(d·l·L)).
 func BenchmarkImputeFastExtraction(b *testing.B) {
 	cfg := benchScale.Spec(experiments.DSSBR1d).Cfg
-	cfg.FastExtraction = true
+	cfg.Profiler = core.ProfilerFFT
 	s, refs := benchWindows(b, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -337,7 +337,7 @@ func BenchmarkImputeLongPatternNaive(b *testing.B) {
 func BenchmarkImputeLongPatternFFT(b *testing.B) {
 	cfg := benchScale.Spec(experiments.DSSBR1d).Cfg
 	cfg.PatternLength = 144
-	cfg.FastExtraction = true
+	cfg.Profiler = core.ProfilerFFT
 	s, refs := benchWindows(b, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -417,9 +417,8 @@ func benchEngineTick(b *testing.B, cfg tkcm.Config) {
 // BenchmarkEngineTickProfilers contrasts the extraction strategies on the
 // streaming hot path at the paper's default pattern length (l = 72) and a
 // year-of-hours window (L = 8760): the per-tick cost drops from the naive
-// O(d·l·L) recompute to incremental maintenance, and the demand-driven
-// default ("incremental") defers even that until a stream is consulted,
-// unlike the eager PR 1-style variant.
+// O(d·l·L) recompute to incremental maintenance, which the demand-driven
+// profiler defers until a stream is consulted.
 func BenchmarkEngineTickProfilers(b *testing.B) {
 	for _, kind := range []tkcm.ProfilerKind{tkcm.ProfilerNaive, tkcm.ProfilerFFT, tkcm.ProfilerIncremental} {
 		b.Run(kind.String(), func(b *testing.B) {
@@ -427,18 +426,14 @@ func BenchmarkEngineTickProfilers(b *testing.B) {
 			benchEngineTick(b, cfg)
 		})
 	}
-	b.Run("incremental-eager", func(b *testing.B) {
-		cfg := tkcm.Config{K: 5, PatternLength: 72, D: 3, WindowLength: 8760,
-			Profiler: tkcm.ProfilerIncremental, EagerProfiler: true}
-		benchEngineTick(b, cfg)
-	})
 }
 
 // BenchmarkEngineWide streams the wide-engine scenario (W = 256 streams,
 // 5% missing per tick, shared reference pool — the same generator behind
 // `tkcm-bench -experiment wide`) through the public engine at the
-// demand-driven default in throughput mode. The full eager-vs-lazy sweep,
-// including W = 1024, runs via the tkcm-bench experiment.
+// demand-driven default in throughput mode. The full sweep, with and
+// without diagnostics and including W = 1024, runs via the tkcm-bench
+// experiment.
 func BenchmarkEngineWide(b *testing.B) {
 	const width = 256
 	sc, err := experiments.NewWideScenario(width, 0.05)
@@ -554,39 +549,3 @@ func BenchmarkShardTick(b *testing.B) { benchcases.ShardTick(b) }
 // the delta over BenchmarkShardTick is the cost a cold tenant's first tick
 // pays.
 func BenchmarkShardTickCold(b *testing.B) { benchcases.ShardTickCold(b) }
-
-// BenchmarkEngineTickBatch measures bulk ingest through TickBatch at the
-// default (incremental) configuration.
-func BenchmarkEngineTickBatch(b *testing.B) {
-	cfg := tkcm.Config{K: 5, PatternLength: 72, D: 3, WindowLength: 4032}
-	eng, err := tkcm.NewEngine(cfg, []string{"s", "r1", "r2", "r3"}, map[string]tkcm.ReferenceSet{
-		"s": {Stream: "s", Candidates: []string{"r1", "r2", "r3"}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp := benchScale.Spec(experiments.DSSBR1d)
-	frame := sp.Generate()
-	rows := make([][]float64, frame.Len())
-	for t := range rows {
-		rows[t] = []float64{
-			frame.Series[0].Values[t],
-			frame.Series[1].Values[t],
-			frame.Series[2].Values[t],
-			frame.Series[3].Values[t],
-		}
-		if t >= cfg.WindowLength && t%5 == 0 {
-			rows[t][0] = tkcm.Missing
-		}
-	}
-	if _, _, err := eng.TickBatch(rows[:cfg.WindowLength]); err != nil {
-		b.Fatal(err)
-	}
-	batch := rows[cfg.WindowLength:]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.TickBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

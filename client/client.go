@@ -90,10 +90,6 @@ type Config struct {
 	WeightedMean bool `json:"weighted_mean,omitempty"`
 	// SkipDiagnostics drops per-imputation diagnostics for throughput.
 	SkipDiagnostics bool `json:"skip_diagnostics,omitempty"`
-	// Float32Profiles stores the engine's profile aggregates in float32 —
-	// half the profile memory traffic for imputed values within 1e-6 of the
-	// float64 engine. The precision is fixed for the tenant's lifetime.
-	Float32Profiles bool `json:"float32_profiles,omitempty"`
 }
 
 // CreateTenantRequest describes a tenant to create.

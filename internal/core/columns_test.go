@@ -68,15 +68,13 @@ func columnsTestEngine(t *testing.T, cfg Config, width int) *Engine {
 // TestTickColumnsMatchesTick: columnar ingest must be bit-identical to
 // ticking the same rows one by one — outputs, results, and statistics — for
 // arbitrary missing patterns (including entirely missing ticks) and arbitrary
-// batch boundaries, in both the lazy and eager incremental modes.
+// batch boundaries, under the incremental and the naive profiler.
 func TestTickColumnsMatchesTick(t *testing.T) {
 	const width, n, warm = 8, 420, 140
 	base := Config{K: 2, PatternLength: 6, D: 2, WindowLength: 96, Profiler: ProfilerIncremental}
-	eager := base
-	eager.EagerProfiler = true
 	naive := base
 	naive.Profiler = ProfilerNaive
-	for name, cfg := range map[string]Config{"lazy": base, "eager": eager, "naive": naive} {
+	for name, cfg := range map[string]Config{"lazy": base, "naive": naive} {
 		t.Run(name, func(t *testing.T) {
 			for _, batch := range []int{1, 7, 64, n} {
 				colEng := columnsTestEngine(t, cfg, width)
@@ -198,70 +196,5 @@ func TestTickColumnsZeroAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("sparse batch with SkipDiagnostics: %v allocs per TickColumns, want 0", avg)
-	}
-}
-
-// TestEngineFloat32ProfilesEquivalence is the float32 ranking-equivalence
-// gate: with profile aggregates stored as float32 (one fresh rounding per
-// candidate per tick, float64 accumulators underneath) the imputed values
-// must stay within 1e-6 of both the float64 incremental engine and the naive
-// reference implementation. Anchor aggregation runs in float64 in both modes,
-// so any imputed-value difference can only come from a flipped candidate
-// ranking — the property the gate bounds.
-func TestEngineFloat32ProfilesEquivalence(t *testing.T) {
-	base := Config{K: 3, PatternLength: 7, D: 2, WindowLength: 3 * 48, Norm: L2}
-	naive := base
-	naive.Profiler = ProfilerNaive
-	f64 := base
-	f64.Profiler = ProfilerIncremental
-	f32 := f64
-	f32.Float32Profiles = true
-	for _, seed := range []uint64{1, 2, 3, 17, 99, 1234, 77777} {
-		vals := wideScenario(t, []Config{naive, f64, f32}, []string{"naive", "inc-f64", "inc-f32"}, seed)
-		for x := 1; x < len(vals); x++ {
-			if len(vals[x]) != len(vals[0]) {
-				t.Fatalf("seed %d: imputation count diverged", seed)
-			}
-		}
-		for i := range vals[0] {
-			if d := math.Abs(vals[2][i] - vals[0][i]); d > 1e-6 {
-				t.Fatalf("seed %d: f32 vs naive imputation %d differs by %g (> 1e-6)", seed, i, d)
-			}
-			if d := math.Abs(vals[2][i] - vals[1][i]); d > 1e-6 {
-				t.Fatalf("seed %d: f32 vs f64 imputation %d differs by %g (> 1e-6)", seed, i, d)
-			}
-		}
-	}
-}
-
-// TestTickBatchDelegatesColumnar: TickBatch (the row-major compatibility
-// shim) must agree with direct TickColumns ingest and preserve its historical
-// partial-failure contract: rows before the first invalid one are applied and
-// returned, and the error names the failing row.
-func TestTickBatchDelegatesColumnar(t *testing.T) {
-	cfg := Config{K: 2, PatternLength: 3, D: 2, WindowLength: 16}
-	eng := columnsTestEngine(t, cfg, 4)
-	rows := [][]float64{
-		{1, 2, 3, 4},
-		{5, 6, 7, 8},
-		{9, math.Inf(1), 11, 12},
-		{13, 14, 15, 16},
-	}
-	outs, ress, err := eng.TickBatch(rows)
-	if err == nil || !strings.Contains(err.Error(), "batch row 2") {
-		t.Fatalf("error %v does not name row 2", err)
-	}
-	if len(outs) != 2 || len(ress) != 2 {
-		t.Fatalf("got %d completed rows, want 2", len(outs))
-	}
-	if eng.Seq() != 2 {
-		t.Fatalf("seq %d after partial batch, want 2", eng.Seq())
-	}
-	for t2, row := range outs {
-		for i, v := range row {
-			if v != rows[t2][i] {
-				t.Fatalf("row %d[%d] = %v, want %v", t2, i, v, rows[t2][i])
-			}
-		}
 	}
 }

@@ -119,29 +119,6 @@ type Config struct {
 	// same tick as a reference — see Engine.Tick). Call Engine.Close to
 	// stop the pool when discarding an engine.
 	Workers int
-	// EagerProfiler restores the maintain-every-stream-every-tick behavior
-	// of the incremental profiler: aggregates of all streams are updated on
-	// every tick (O(L) per stream per tick). The default (false) is
-	// demand-driven: recording a tick is O(1) per stream and aggregates are
-	// caught up only when a stream is consulted as a reference, so on wide
-	// stream sets with sparse missingness untouched streams cost nothing.
-	// Both modes produce identical imputations; the knob exists for
-	// workloads where nearly every stream is referenced every tick and for
-	// A/B measurement.
-	EagerProfiler bool
-	// Float32Profiles stores the incremental profiler's derived profile
-	// aggregates — the per-stream contribution vectors summed into every
-	// dissimilarity profile — as float32 instead of float64, halving the
-	// memory traffic of the per-tick profile assembly loops. The maintained
-	// diagonal accumulators and all imputation arithmetic (anchor selection,
-	// Def. 4 aggregation) stay float64, so only the final per-candidate
-	// rounding differs: rankings agree with the float64 engine within the
-	// 1e-6 equivalence gate the tests enforce. The flag only affects the
-	// streaming engine's incremental profiler (the default under L2);
-	// stateless profilers and non-L2 norms ignore it. Snapshots record the
-	// flag, and a snapshot taken in one precision refuses to restore into a
-	// config expecting the other (RestoreEngineWithConfig).
-	Float32Profiles bool
 	// SkipDiagnostics skips allocating the per-imputation Result (anchors,
 	// anchor values, dissimilarities, ε) on the engine tick path: Tick then
 	// reports every imputed value in its completed row but leaves all
@@ -149,13 +126,6 @@ type Config struct {
 	// the imputed values. One-shot Impute/ImputeWindow calls always build
 	// full diagnostics.
 	SkipDiagnostics bool
-	// FastExtraction computes the L2 dissimilarity profile via FFT
-	// cross-correlation in O(d·L·log L) instead of the naive O(d·l·L) —
-	// the Sec. 8 future-work optimization of the pattern extraction phase.
-	//
-	// Deprecated: FastExtraction is an alias for Profiler =
-	// ProfilerFFT, honored only while Profiler is ProfilerAuto.
-	FastExtraction bool
 }
 
 // DefaultConfig returns the calibrated defaults of Sec. 7.2: d = 3 reference

@@ -20,8 +20,7 @@ import (
 // the incremental profiler with demand-driven state: recording a tick costs
 // O(1) per stream and profile aggregates are caught up only for streams
 // actually consulted as references, so per-tick cost scales with the missing
-// work, not the stream count (Config.EagerProfiler restores per-tick
-// maintenance of every stream). With Config.Workers > 1, the per-stream
+// work, not the stream count. With Config.Workers > 1, the per-stream
 // imputations of one tick fan out across a persistent worker pool.
 type Engine struct {
 	cfg  Config
@@ -68,13 +67,11 @@ type Engine struct {
 	pool    *tickPool
 	// Columnar batch state, reused across TickColumns calls: the completed
 	// output columns, the per-tick result rows, the per-tick missing counts,
-	// the gather scratch for ticks that need the scalar path, and TickBatch's
-	// row→column transpose scratch.
+	// and the gather scratch for ticks that need the scalar path.
 	colOut         Columns
 	colRes         [][]*Result
 	missingPerTick []int32
 	rowScratch     []float64
-	batchCols      Columns
 	// Stats accumulates counters for observability.
 	Stats EngineStats
 }
@@ -110,8 +107,6 @@ func NewEngine(cfg Config, names []string, refs map[string]ReferenceSet) (*Engin
 		e.prof = FFTProfiler{}
 	case ProfilerIncremental:
 		e.inc = NewIncrementalProfiler(cfg.PatternLength, len(names), cfg.WindowLength)
-		e.inc.SetEager(cfg.EagerProfiler)
-		e.inc.SetFloat32(cfg.Float32Profiles)
 		e.prof = e.inc
 	default:
 		e.prof = NaiveProfiler{}
@@ -176,7 +171,7 @@ func (e *Engine) ValidateRow(row []float64) error {
 // cold-start filled, or imputed with Config.SkipDiagnostics set).
 //
 // The returned slices are owned by the engine and valid until the next call
-// to Tick or TickBatch; callers that retain them across ticks must copy.
+// to Tick or TickColumns; callers that retain them across ticks must copy.
 // A steady-state tick with no missing values performs no allocations.
 //
 // With Config.Workers > 1 and several streams missing at once, the
@@ -222,7 +217,7 @@ func (e *Engine) tickApplied(row []float64, out []float64, results []*Result) {
 			continue
 		}
 		e.last[i] = v
-		e.advanceState(i)
+		e.advanceState(i, out)
 	}
 	e.missing = missing
 	if len(missing) == 0 {
@@ -237,14 +232,13 @@ func (e *Engine) tickApplied(row []float64, out []float64, results []*Result) {
 
 // Columns is a stream-major batch of ticks: Columns[i][t] holds stream i's
 // measurement at the t-th tick of the batch (NaN = missing). All columns
-// must have equal length — the batch's tick count. The layout is the
-// transpose of TickBatch's row-major [][]float64 and is what the columnar
-// ingest path (TickColumns) consumes without further shuffling.
+// must have equal length — the batch's tick count. It is the layout the
+// columnar ingest path (TickColumns) consumes without further shuffling.
 type Columns [][]float64
 
 // TickColumns ingests a batch of ticks in stream-major layout, producing
 // exactly the same state, imputed values, and statistics as ticking the rows
-// one by one (bit-identical in every profiler mode). Runs of complete ticks —
+// one by one (bit-identical under every profiler). Runs of complete ticks —
 // the steady state of a healthy feed — are bulk-appended: one contiguous copy
 // per stream into the window ring and the incremental profiler's history,
 // skipping all per-tick dispatch; the profiler's demand-driven aggregates
@@ -255,7 +249,7 @@ type Columns [][]float64
 //
 // It returns the completed columns and the per-tick results (indexed
 // [tick][stream], nil entries as in Tick). Both are engine-owned and valid
-// until the next Tick/TickBatch/TickColumns call. The whole batch is
+// until the next Tick/TickColumns call. The whole batch is
 // validated up front — on error no state is mutated. A steady-state batch
 // with no missing values performs no allocations.
 func (e *Engine) TickColumns(cols Columns) (Columns, [][]*Result, error) {
@@ -366,72 +360,15 @@ func (e *Engine) TickColumns(cols Columns) (Columns, [][]*Result, error) {
 	return out, res, nil
 }
 
-// TickBatch consumes a batch of row-major rows, preserving Tick's semantics
-// tick for tick, and returns the completed rows and per-row results (copied
-// out of the engine-owned batch buffers, so they stay valid indefinitely).
-// It is a compatibility shim over TickColumns: the longest valid prefix of
-// rows is transposed into the engine's column scratch and ingested through
-// the columnar path, so batched ingest enjoys the bulk-append fast path while
-// remaining bit-identical to per-row Tick calls. On a row that fails
-// validation it returns the rows completed so far together with the failing
-// row's index wrapped in the error, exactly as the historical per-row loop
-// did.
-func (e *Engine) TickBatch(rows [][]float64) ([][]float64, [][]*Result, error) {
-	n := 0
-	var rowErr error
-	for n < len(rows) {
-		if err := e.ValidateRow(rows[n]); err != nil {
-			rowErr = fmt.Errorf("core: batch row %d: %w", n, err)
-			break
-		}
-		n++
-	}
-	width := e.w.Width()
-	cols := e.batchCols
-	for len(cols) < width {
-		cols = append(cols, nil)
-	}
-	cols = cols[:width]
-	for i := range cols {
-		if cap(cols[i]) < n {
-			cols[i] = make([]float64, n)
-		}
-		cols[i] = cols[i][:n]
-	}
-	e.batchCols = cols
-	for t := 0; t < n; t++ {
-		row := rows[t]
-		for i := range cols {
-			cols[i][t] = row[i]
-		}
-	}
-	colOut, colRes, err := e.TickColumns(cols)
-	if err != nil {
-		// Unreachable: the prefix was validated row by row. Surface it
-		// defensively instead of masking a bug.
-		return nil, nil, err
-	}
-	outs := make([][]float64, 0, n)
-	ress := make([][]*Result, 0, n)
-	for t := 0; t < n; t++ {
-		outRow := make([]float64, width)
-		for i := 0; i < width; i++ {
-			outRow[i] = colOut[i][t]
-		}
-		outs = append(outs, outRow)
-		ress = append(ress, append([]*Result(nil), colRes[t]...))
-	}
-	return outs, ress, rowErr
-}
-
-// advanceState feeds stream i's now-final value for the current tick into
-// the incremental profiler (no-op for stateless profilers). It must run
-// exactly once per stream per tick, after the stream's value is final.
-func (e *Engine) advanceState(i int) {
+// advanceState feeds stream i's now-final value for the current tick —
+// out[i] of the completed row — into the incremental profiler (no-op for
+// stateless profilers). It must run exactly once per stream per tick, after
+// the stream's value is final.
+func (e *Engine) advanceState(i int, out []float64) {
 	if e.inc == nil {
 		return
 	}
-	e.inc.Advance(i, e.w.Stream(i).Newest())
+	e.inc.AdvanceBulk(i, out[i:i+1])
 }
 
 // imputeMissingSerial is the classic tick: missing streams are imputed in
@@ -452,7 +389,7 @@ func (e *Engine) imputeMissingSerial(missing []int, out []float64, results []*Re
 			e.Stats.ReferenceErrors++
 			out[i] = e.coldFill(i)
 		}
-		e.advanceState(i)
+		e.advanceState(i, out)
 	}
 }
 
@@ -475,7 +412,7 @@ func (e *Engine) imputeMissingParallel(missing []int, out []float64, results []*
 		if err != nil {
 			e.Stats.ReferenceErrors++
 			out[i] = e.coldFill(i)
-			e.advanceState(i)
+			e.advanceState(i, out)
 			continue
 		}
 		j := -1
@@ -529,7 +466,7 @@ func (e *Engine) imputeMissingParallel(missing []int, out []float64, results []*
 			e.Stats.ReferenceErrors++
 			out[i] = e.coldFill(i)
 		}
-		e.advanceState(i)
+		e.advanceState(i, out)
 	}
 }
 

@@ -261,20 +261,17 @@ func cloneRefs(refs map[string]ReferenceSet) map[string]ReferenceSet {
 }
 
 // TestEngineLazyEagerNaiveEquivalence: on randomized wide/sparse missing
-// patterns, the demand-driven incremental engine, the eager incremental
-// engine (PR 1 behavior), and the naive-profiler engine must produce
-// identical imputations within 1e-6 — the end-to-end guarantee of the lazy
-// catch-up refactor.
+// patterns, the demand-driven incremental engine and the naive-profiler
+// engine must produce identical imputations within 1e-6 — the end-to-end
+// guarantee of the lazy catch-up.
 func TestEngineLazyEagerNaiveEquivalence(t *testing.T) {
 	base := Config{K: 3, PatternLength: 7, D: 2, WindowLength: 3 * 48, Norm: L2}
 	lazy := base
 	lazy.Profiler = ProfilerIncremental
-	eager := lazy
-	eager.EagerProfiler = true
 	naive := base
 	naive.Profiler = ProfilerNaive
 	f := func(seed uint64) bool {
-		vals := wideScenario(t, []Config{naive, eager, lazy}, []string{"naive", "eager", "lazy"}, seed)
+		vals := wideScenario(t, []Config{naive, lazy}, []string{"naive", "lazy"}, seed)
 		for x := 1; x < len(vals); x++ {
 			if len(vals[x]) != len(vals[0]) {
 				return false
@@ -283,13 +280,6 @@ func TestEngineLazyEagerNaiveEquivalence(t *testing.T) {
 				if math.Abs(vals[x][i]-vals[0][i]) > 1e-6 {
 					return false
 				}
-			}
-		}
-		// Lazy and eager run the same arithmetic (modulo rebuild points) and
-		// must agree with each other especially tightly.
-		for i := range vals[1] {
-			if math.Abs(vals[2][i]-vals[1][i]) > 1e-9 {
-				return false
 			}
 		}
 		return true

@@ -45,7 +45,7 @@ func TestFFTProfileOnRunningExample(t *testing.T) {
 	}
 }
 
-// TestImputeFastExtraction: the public Impute with FastExtraction produces
+// TestImputeFastExtraction: the public Impute with the FFT profiler produces
 // the same value as the naive path on the running example.
 func TestImputeFastExtraction(t *testing.T) {
 	s := append([]float64(nil), table2S...)
@@ -55,7 +55,7 @@ func TestImputeFastExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.FastExtraction = true
+	cfg.Profiler = ProfilerFFT
 	fast, err := Impute(cfg, s, [][]float64{table2R1, table2R2})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestImputeFastExtractionRandom(t *testing.T) {
 		s[89] = math.NaN()
 		cfg := Config{K: 3, PatternLength: 5, D: 2, WindowLength: 90, Norm: L2}
 		plain, err1 := Impute(cfg, s, refs)
-		cfg.FastExtraction = true
+		cfg.Profiler = ProfilerFFT
 		fast, err2 := Impute(cfg, s, refs)
 		if (err1 == nil) != (err2 == nil) {
 			return false

@@ -48,10 +48,8 @@ func profileWindowBench(b *testing.B, targets, d int, shared bool) {
 	}
 	p := NewIncrementalProfiler(l, width, L)
 	data := randomRefs(23, width, 2*L)
-	for n := 0; n < L; n++ {
-		for i := 0; i < width; i++ {
-			p.Advance(i, data[i][n])
-		}
+	for i := 0; i < width; i++ {
+		p.AdvanceBulk(i, data[i][:L])
 	}
 	refSets := make([][]int, targets)
 	for t := range refSets {
@@ -70,7 +68,7 @@ func profileWindowBench(b *testing.B, targets, d int, shared bool) {
 	for i := 0; i < b.N; i++ {
 		n := L + i%L
 		for s := 0; s < width; s++ {
-			p.Advance(s, data[s][n])
+			p.AdvanceBulk(s, data[s][n:n+1])
 		}
 		for _, refs := range refSets {
 			p.ProfileWindow(refs, dst)

@@ -13,8 +13,7 @@ type ProfilerKind int
 const (
 	// ProfilerAuto picks the fastest correct implementation for the call
 	// site: the incremental profiler in the streaming engine under the L2
-	// norm, the FFT profiler for one-shot slice imputations when
-	// FastExtraction is set, and the naive profiler otherwise.
+	// norm, and the naive profiler otherwise.
 	ProfilerAuto ProfilerKind = iota
 	// ProfilerNaive is the paper's Def. 2 loop: O(d·l·L) per profile,
 	// supports every norm.
@@ -26,10 +25,8 @@ const (
 	// consecutive engine ticks (a STOMP-style diagonal update). State is
 	// demand-driven: recording a tick is O(1) per stream, and a stream's
 	// aggregates are caught up only when it is consulted as a reference, so
-	// untouched streams cost nothing (Config.EagerProfiler restores the
-	// maintain-every-stream-every-tick behavior). Outside the engine
-	// (one-shot slice imputation, non-L2 norms) it falls back to the FFT or
-	// naive profiler.
+	// untouched streams cost nothing. Outside the engine (one-shot slice
+	// imputation, non-L2 norms) it falls back to the FFT or naive profiler.
 	ProfilerIncremental
 )
 
@@ -123,12 +120,12 @@ const incRebuildEvery = 8192
 // The history lives in a contiguous backing of capacity 2L, slid with
 // amortized-O(1) compaction (shifted to the front when the right edge is
 // reached), so the hot loops run over plain slices. Aggregates are
-// demand-driven: Advance only appends, and sync catches the aggregates up to
-// the current tick when the stream is actually consulted — replaying the
-// deferred diagonal updates tick by tick when that is cheaper, rebuilding
-// from scratch otherwise. syncStart/syncM record the window geometry at the
-// last sync so the replay can reconstruct every intermediate window directly
-// from the backing.
+// demand-driven: AdvanceBulk only appends, and sync catches the aggregates
+// up to the current tick when the stream is actually consulted — replaying
+// the deferred diagonal updates tick by tick when that is cheaper,
+// rebuilding from scratch otherwise. syncStart/syncM record the window
+// geometry at the last sync so the replay can reconstruct every
+// intermediate window directly from the backing.
 type incStreamState struct {
 	hist  []float64 // backing, len 2L; window = hist[start : start+m]
 	start int
@@ -151,28 +148,22 @@ type incStreamState struct {
 	// contrib caches the stream's profile contribution vector
 	// energy[j] + eq − 2·cross[j] for the tick it was computed at, so ticks
 	// whose missing streams share reference streams compute it once.
-	// contrib32 is its float32 twin, used instead of contrib when the
-	// profiler runs with Float32Profiles: the vector is still computed in
-	// float64 from the float64 accumulators (one fresh rounding per entry,
-	// no accumulated drift) but stored and summed as float32, halving the
-	// memory traffic of every profile assembly that reads it.
 	contrib     []float64
-	contrib32   []float32
 	contribTick int
 }
 
 // IncrementalProfiler maintains per-stream profile aggregates inside the
 // engine, replacing the O(d·l·L) per-tick recompute with demand-driven
-// incremental maintenance. It is stateful: the engine calls Advance exactly
-// once per stream per tick, after that stream's value for the tick is final,
-// and assembles profiles for any reference subset via ProfileWindow.
+// incremental maintenance. It is stateful: the engine feeds every stream's
+// finalized values through AdvanceBulk in tick order — one value per tick on
+// the scalar tick path, whole runs on the columnar path — and assembles
+// profiles for any reference subset via ProfileWindow.
 //
-// Advance is O(1): it only appends to the stream's history. A stream's
-// aggregates are caught up when it is first consulted in a tick, choosing
-// the cheaper of replaying the t deferred diagonal updates (O(t·L)) and a
-// full rebuild (O(l·L)), so per-tick engine cost scales with the streams
-// that actually serve as references, not with the total width. SetEager
-// restores the maintain-everything-every-tick behavior.
+// AdvanceBulk only appends to the stream's history. A stream's aggregates
+// are caught up when it is first consulted in a tick, choosing the cheaper
+// of replaying the t deferred diagonal updates (O(t·L)) and a full rebuild
+// (O(l·L)), so per-tick engine cost scales with the streams that actually
+// serve as references, not with the total width.
 //
 // The aggregates are per stream, not per target, and each consulted stream's
 // contribution vector is computed at most once per tick, so every imputation
@@ -184,8 +175,6 @@ type IncrementalProfiler struct {
 	l       int
 	winLen  int
 	maxCand int
-	eager   bool
-	f32     bool
 	states  []*incStreamState
 	fallbak FFTProfiler
 }
@@ -204,20 +193,6 @@ func NewIncrementalProfiler(l, width, winLen int) *IncrementalProfiler {
 	return p
 }
 
-// SetEager switches between demand-driven catch-up (false, the default) and
-// the eager mode that syncs every stream's aggregates on every Advance.
-func (p *IncrementalProfiler) SetEager(eager bool) { p.eager = eager }
-
-// SetFloat32 switches the derived profile aggregates (the per-stream
-// contribution vectors and their assembly) to float32 storage — see
-// Config.Float32Profiles. The maintained diagonal accumulators stay float64
-// either way. Toggle only before the first tick.
-func (p *IncrementalProfiler) SetFloat32(f32 bool) { p.f32 = f32 }
-
-// Float32 reports whether the profiler stores its derived profile aggregates
-// as float32.
-func (p *IncrementalProfiler) Float32() bool { return p.f32 }
-
 // Name implements Profiler.
 func (p *IncrementalProfiler) Name() string { return "incremental" }
 
@@ -227,58 +202,16 @@ func (p *IncrementalProfiler) Profile(refs [][]float64, l int, norm Norm, dst []
 	return p.fallbak.Profile(refs, l, norm, dst)
 }
 
-// Advance absorbs one tick of stream i whose finalized value (observed or
-// imputed) is v. It must be called exactly once per stream per engine tick,
-// in tick order. It is O(1): aggregate maintenance is deferred until the
-// stream is consulted (unless SetEager(true)).
-func (p *IncrementalProfiler) Advance(i int, v float64) {
-	st := p.states[i]
-	L := p.winLen
-	if st.hist == nil {
-		st.hist = make([]float64, 2*L)
-	}
-	st.ticks++
-	if st.m == L {
-		// Slide: compact the backing when the right edge is reached, then
-		// append v. Values left of the window stay addressable, so deferred
-		// diagonal updates can be replayed against them.
-		if st.start+st.m == len(st.hist) {
-			copy(st.hist, st.hist[st.start:st.start+st.m])
-			// The whole history shifted down by `start`; keep the sync
-			// anchor pointing at the same values (it goes negative when the
-			// sync point predates the surviving values, which sync detects).
-			st.syncStart -= st.start
-			st.start = 0
-		}
-		st.hist[st.start+st.m] = v
-		st.start++
-	} else {
-		st.hist[st.start+st.m] = v
-		st.m++
-	}
-	if st.aggOK {
-		st.deferred++
-	}
-	if p.eager {
-		p.sync(st)
-	}
-}
-
-// AdvanceBulk absorbs a run of ticks of stream i whose finalized values are
-// vs (oldest first) — exactly equivalent to calling Advance once per value,
-// but the history append happens in at most a few contiguous copies instead
-// of per-element stores, and the deferral counters are bumped once per run.
-// This is the columnar ingest path: demand-driven catch-up makes the deferred
-// diagonal updates identical whether the ticks arrived one by one or in bulk,
-// so batched and unbatched engines stay bit-identical. Eager mode falls back
-// to per-value Advance, which syncs after every tick by contract.
+// AdvanceBulk absorbs a run of ticks of stream i whose finalized values
+// (observed or imputed) are vs, oldest first. Every tick of every stream
+// passes through it exactly once, in tick order: the scalar tick hands it a
+// one-value run, the columnar path and restore whole runs. The history append
+// happens in at most a few contiguous copies, and the backing compacts only
+// when its right edge is reached, so the compaction points — and with them
+// sync's deferred replay — are the same however the ticks were split into
+// runs: batched and unbatched engines stay bit-identical. Aggregate
+// maintenance is deferred until the stream is consulted.
 func (p *IncrementalProfiler) AdvanceBulk(i int, vs []float64) {
-	if p.eager {
-		for _, v := range vs {
-			p.Advance(i, v)
-		}
-		return
-	}
 	st := p.states[i]
 	L := p.winLen
 	if st.hist == nil {
@@ -301,8 +234,11 @@ func (p *IncrementalProfiler) AdvanceBulk(i int, vs []float64) {
 			continue
 		}
 		// Steady state: append after the window, compacting the backing when
-		// the right edge is reached — the same points at which per-value
-		// Advance compacts, so sync's replay window geometry is identical.
+		// the right edge is reached. Values left of the window stay
+		// addressable until then, so deferred diagonal updates can be
+		// replayed against them; the compaction shifts the whole history down
+		// by start, and the sync anchor moves with it (going negative when the
+		// sync point predates the surviving values, which sync detects).
 		room := len(st.hist) - (st.start + st.m)
 		if room == 0 {
 			copy(st.hist, st.hist[st.start:st.start+st.m])
@@ -337,7 +273,7 @@ func (p *IncrementalProfiler) sync(st *incStreamState) {
 	}
 	if st.energy == nil {
 		// Aggregate storage is allocated on first consult, not on first
-		// Advance, so never-referenced streams only pay for their history.
+		// AdvanceBulk, so never-referenced streams only pay for their history.
 		st.energy = make([]float64, len(st.hist))
 		st.cross = make([]float64, 0, p.maxCand)
 	}
@@ -508,53 +444,13 @@ func (p *IncrementalProfiler) syncContrib(st *incStreamState) []float64 {
 	return st.contrib
 }
 
-// syncContrib32 is syncContrib's Float32Profiles twin: the contribution
-// vector is computed in float64 from the float64 accumulators but stored as
-// float32 — one fresh rounding per entry per tick, never accumulated — so
-// every profile assembly that reads it moves half the bytes.
-func (p *IncrementalProfiler) syncContrib32(st *incStreamState) []float32 {
-	p.sync(st)
-	nCand := len(st.cross)
-	if st.contribTick == st.ticks && len(st.contrib32) == nCand {
-		return st.contrib32
-	}
-	if cap(st.contrib32) < nCand {
-		n := p.maxCand
-		if n < nCand {
-			n = nCand
-		}
-		st.contrib32 = make([]float32, n)
-	}
-	st.contrib32 = st.contrib32[:nCand]
-	contrib := st.contrib32[:nCand:nCand]
-	energy := st.energy[st.estart : st.estart+nCand : st.estart+nCand]
-	cross := st.cross[:nCand:nCand]
-	eq := st.eq
-	j := 0
-	for ; j+4 <= nCand; j += 4 {
-		contrib[j] = float32(energy[j] + eq - 2*cross[j])
-		contrib[j+1] = float32(energy[j+1] + eq - 2*cross[j+1])
-		contrib[j+2] = float32(energy[j+2] + eq - 2*cross[j+2])
-		contrib[j+3] = float32(energy[j+3] + eq - 2*cross[j+3])
-	}
-	for ; j < nCand; j++ {
-		contrib[j] = float32(energy[j] + eq - 2*cross[j])
-	}
-	st.contribTick = st.ticks
-	return st.contrib32
-}
-
 // Prepare catches up every referenced stream and fills its per-tick
 // contribution cache. The engine calls it serially before fanning a tick's
 // imputations out across workers, so the concurrent ProfileWindow calls are
 // pure reads of the cached vectors.
 func (p *IncrementalProfiler) Prepare(refIdx []int) {
 	for _, ri := range refIdx {
-		if p.f32 {
-			p.syncContrib32(p.states[ri])
-		} else {
-			p.syncContrib(p.states[ri])
-		}
+		p.syncContrib(p.states[ri])
 	}
 }
 
@@ -568,9 +464,6 @@ func (p *IncrementalProfiler) Prepare(refIdx []int) {
 func (p *IncrementalProfiler) ProfileWindow(refIdx []int, dst []float64) []float64 {
 	if len(refIdx) == 0 {
 		panic("core: ProfileWindow needs at least one reference stream")
-	}
-	if p.f32 {
-		return p.profileWindow32(refIdx, dst)
 	}
 	first := p.states[refIdx[0]]
 	c0 := p.syncContrib(first)
@@ -609,70 +502,13 @@ func (p *IncrementalProfiler) ProfileWindow(refIdx []int, dst []float64) []float
 	return dst
 }
 
-// profileWindow32 assembles the profile from float32 contribution vectors:
-// the d-way sum loads half the bytes of the float64 path, accumulating into
-// the caller-owned float64 dst (so concurrent workers stay race-free after
-// Prepare, exactly like the float64 path). Same contract as ProfileWindow.
-func (p *IncrementalProfiler) profileWindow32(refIdx []int, dst []float64) []float64 {
-	first := p.states[refIdx[0]]
-	c0 := p.syncContrib32(first)
-	nCand := len(c0)
-	tick := first.ticks
-	if dst == nil {
-		dst = make([]float64, nCand)
-	}
-	dst = dst[:nCand:nCand]
-	c0 = c0[:nCand:nCand]
-	j := 0
-	for ; j+4 <= nCand; j += 4 {
-		dst[j] = float64(c0[j])
-		dst[j+1] = float64(c0[j+1])
-		dst[j+2] = float64(c0[j+2])
-		dst[j+3] = float64(c0[j+3])
-	}
-	for ; j < nCand; j++ {
-		dst[j] = float64(c0[j])
-	}
-	for _, ri := range refIdx[1:] {
-		st := p.states[ri]
-		c := p.syncContrib32(st)
-		if st.ticks != tick || len(c) != nCand {
-			panic(fmt.Sprintf("core: incremental state for stream %d out of sync (tick %d/%d, candidates %d/%d)",
-				ri, st.ticks, tick, len(c), nCand))
-		}
-		c = c[:nCand:nCand]
-		j := 0
-		for ; j+4 <= nCand; j += 4 {
-			dst[j] += float64(c[j])
-			dst[j+1] += float64(c[j+1])
-			dst[j+2] += float64(c[j+2])
-			dst[j+3] += float64(c[j+3])
-		}
-		for ; j < nCand; j++ {
-			dst[j] += float64(c[j])
-		}
-	}
-	for j, v := range dst {
-		if v < 0 {
-			v = 0 // guard rounding below zero
-		}
-		dst[j] = math.Sqrt(v)
-	}
-	return dst
-}
-
 // sliceProfiler resolves the profiler used for one-shot slice imputations
-// (Impute). The deprecated FastExtraction flag is an alias for ProfilerFFT.
+// (Impute): FFT for the kinds that ask for a fast L2 path, naive otherwise.
 func (c Config) sliceProfiler() Profiler {
 	switch c.Profiler {
-	case ProfilerNaive:
-		return NaiveProfiler{}
 	case ProfilerFFT, ProfilerIncremental:
 		return FFTProfiler{}
 	default:
-		if c.FastExtraction {
-			return FFTProfiler{}
-		}
 		return NaiveProfiler{}
 	}
 }
@@ -683,11 +519,7 @@ func (c Config) sliceProfiler() Profiler {
 func (c Config) engineProfilerKind() ProfilerKind {
 	k := c.Profiler
 	if k == ProfilerAuto {
-		if c.FastExtraction {
-			k = ProfilerFFT
-		} else {
-			k = ProfilerIncremental
-		}
+		k = ProfilerIncremental
 	}
 	if c.Norm != L2 && k != ProfilerNaive {
 		return ProfilerNaive

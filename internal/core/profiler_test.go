@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -64,7 +63,7 @@ func TestIncrementalProfilerMatchesNaive(t *testing.T) {
 	for n := 0; n < ticks; n++ {
 		for i, b := range bufs {
 			b.Push(data[i][n])
-			p.Advance(i, data[i][n])
+			p.AdvanceBulk(i, data[i][n:n+1])
 		}
 		m := bufs[0].Len()
 		if m < 2*l {
@@ -104,7 +103,7 @@ func TestIncrementalProfilerSubsetAssembly(t *testing.T) {
 	for n := 0; n < 3*L; n++ {
 		for i, b := range bufs {
 			b.Push(data[i][n])
-			p.Advance(i, data[i][n])
+			p.AdvanceBulk(i, data[i][n:n+1])
 		}
 	}
 	for _, subset := range [][]int{{0}, {2}, {1, 3}, {3, 0, 2}} {
@@ -264,70 +263,6 @@ func TestEngineNonL2FallsBackToNaive(t *testing.T) {
 	}
 }
 
-// TestTickBatchMatchesTick: batch ingest is tick-for-tick identical to the
-// loop it replaces.
-func TestTickBatchMatchesTick(t *testing.T) {
-	cfg := Config{K: 2, PatternLength: 6, D: 1, WindowLength: 96}
-	mk := func() *Engine {
-		eng, err := NewEngine(cfg, []string{"s", "r"}, map[string]ReferenceSet{
-			"s": {Stream: "s", Candidates: []string{"r"}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	a, b := mk(), mk()
-	rows := make([][]float64, 300)
-	for i := range rows {
-		ph := 2 * math.Pi * float64(i) / 48
-		sv := math.Sin(ph)
-		if i > 200 && i%9 == 0 {
-			sv = math.NaN()
-		}
-		rows[i] = []float64{sv, math.Cos(ph)}
-	}
-	outs, ress, err := a.TickBatch(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != len(rows) || len(ress) != len(rows) {
-		t.Fatalf("batch returned %d/%d rows, want %d", len(outs), len(ress), len(rows))
-	}
-	for i, row := range rows {
-		out, res, err := b.Tick(append([]float64(nil), row...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range out {
-			if out[j] != outs[i][j] {
-				t.Fatalf("row %d stream %d: batch %v != tick %v", i, j, outs[i][j], out[j])
-			}
-		}
-		if (res[0] == nil) != (ress[i][0] == nil) {
-			t.Fatalf("row %d: result presence differs", i)
-		}
-	}
-	if a.Stats != b.Stats {
-		t.Fatalf("stats diverge: %+v vs %+v", a.Stats, b.Stats)
-	}
-}
-
-// TestTickBatchWidthError: a malformed row aborts the batch with its index.
-func TestTickBatchWidthError(t *testing.T) {
-	eng, err := NewEngine(Config{K: 2, PatternLength: 3, D: 1, WindowLength: 30}, []string{"s", "r"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, _, err := eng.TickBatch([][]float64{{1, 2}, {3}})
-	if err == nil {
-		t.Fatal("want error for short row")
-	}
-	if len(outs) != 1 {
-		t.Fatalf("completed rows = %d, want 1", len(outs))
-	}
-}
-
 // TestParseProfilerKind round-trips every kind and rejects junk.
 func TestParseProfilerKind(t *testing.T) {
 	for _, k := range []ProfilerKind{ProfilerAuto, ProfilerNaive, ProfilerFFT, ProfilerIncremental} {
@@ -368,32 +303,6 @@ func TestImputeWindowHonorsProfilerConfig(t *testing.T) {
 		}
 		if math.Abs(res.Value-want.Value) > profileTol {
 			t.Fatalf("%v imputed %v, want %v", kind, res.Value, want.Value)
-		}
-	}
-}
-
-// BenchmarkIncrementalAdvance contrasts the demand-driven O(1) Advance
-// (aggregates caught up only on consult) with the eager per-tick
-// maintenance it replaced as the engine default.
-func BenchmarkIncrementalAdvance(b *testing.B) {
-	for _, eager := range []bool{false, true} {
-		mode := "lazy"
-		if eager {
-			mode = "eager"
-		}
-		for _, L := range []int{4032, 8760} {
-			b.Run(fmt.Sprintf("%s/L%d", mode, L), func(b *testing.B) {
-				data := randomRefs(5, 1, 2*L)[0]
-				p := NewIncrementalProfiler(72, 1, L)
-				p.SetEager(eager)
-				for n := 0; n < L; n++ {
-					p.Advance(0, data[n])
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.Advance(0, data[L+i%L])
-				}
-			})
 		}
 	}
 }

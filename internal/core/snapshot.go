@@ -34,8 +34,14 @@ import (
 // uvarint-length prefixed UTF-8.
 //
 // Version 1 and 2 images — a single varint payload with the window values
-// inlined after the retained count, under one trailing CRC; v1 additionally
-// predates Config.Float32Profiles — still restore through the legacy path.
+// inlined after the retained count, under one trailing CRC; v1's config
+// lacks the last flag byte — still restore through the legacy path.
+//
+// The config encodes three retired engine flags (eager profiler
+// maintenance, the FFT alias for one-shot imputation, float32 profile
+// aggregates) as one byte each, so the layout stays that of every earlier
+// image. Snapshot writes them as zero; restore reads and ignores them, so an
+// image that had any of them set restores as the default engine.
 //
 // The incremental profiler's aggregates are deliberately NOT serialized:
 // they are demand-driven derived state (see IncrementalProfiler), exactly
@@ -63,7 +69,7 @@ func snapAlignUp(n int) int { return (n + snapAlign - 1) &^ (snapAlign - 1) }
 
 // Snapshot writes a versioned binary image of the engine's state — config,
 // reference sets, retained windows, counters — to w, restorable with
-// RestoreEngine. It must not run concurrently with Tick or TickBatch (take
+// RestoreEngine. It must not run concurrently with Tick or TickColumns (take
 // snapshots between ticks; a single-goroutine owner, like a serving shard,
 // satisfies this for free).
 func (e *Engine) Snapshot(w io.Writer) error {
@@ -161,21 +167,6 @@ func (e *Engine) encodeSnapMeta(enc *snapEncoder) {
 // subsequent imputations match an uninterrupted engine to within the
 // incremental profiler's rebuild tolerance (~1e-9).
 func RestoreEngine(r io.Reader) (*Engine, error) {
-	return restoreEngine(r, nil)
-}
-
-// RestoreEngineWithConfig restores a Snapshot image like RestoreEngine but
-// additionally checks the image against the configuration the caller intends
-// to serve it under: a snapshot taken with Float32Profiles set refuses to
-// restore into a config expecting float64 profile aggregates, and vice versa,
-// with a clear error in both directions. The two precisions produce slightly
-// different rankings, so silently flipping modes across a restart would break
-// the serving layer's equivalence guarantees.
-func RestoreEngineWithConfig(r io.Reader, want Config) (*Engine, error) {
-	return restoreEngine(r, &want)
-}
-
-func restoreEngine(r io.Reader, expect *Config) (*Engine, error) {
 	var hdr [snapHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("core: restore: reading header: %w", err)
@@ -192,7 +183,7 @@ func restoreEngine(r io.Reader, expect *Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: restore: implausible payload length %d", n)
 	}
 	if version >= 3 {
-		return restoreV3Stream(r, int(n), expect)
+		return restoreV3Stream(r, int(n))
 	}
 
 	// Legacy v1/v2: one varint payload, window values inlined, one CRC.
@@ -209,7 +200,7 @@ func restoreEngine(r io.Reader, expect *Config) (*Engine, error) {
 	}
 
 	dec := &snapDecoder{b: payload}
-	m, err := decodeSnapMeta(dec, version, expect)
+	m, err := decodeSnapMeta(dec, version)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +226,7 @@ func restoreEngine(r io.Reader, expect *Config) (*Engine, error) {
 // restoreV3Stream reads a v3 image section by section from r — meta, its
 // CRC, the alignment padding, then the window region — with every read
 // bounded by a validated length before its buffer is allocated.
-func restoreV3Stream(r io.Reader, metaLen int, expect *Config) (*Engine, error) {
+func restoreV3Stream(r io.Reader, metaLen int) (*Engine, error) {
 	meta := make([]byte, metaLen)
 	if _, err := io.ReadFull(r, meta); err != nil {
 		return nil, fmt.Errorf("core: restore: reading meta: %w", err)
@@ -247,7 +238,7 @@ func restoreV3Stream(r io.Reader, metaLen int, expect *Config) (*Engine, error) 
 	if want, got := binary.LittleEndian.Uint32(crc[:]), crc32.ChecksumIEEE(meta); want != got {
 		return nil, fmt.Errorf("core: restore: meta checksum mismatch (snapshot corrupt)")
 	}
-	m, windowOff, err := parseV3Meta(meta, expect)
+	m, windowOff, err := parseV3Meta(meta)
 	if err != nil {
 		return nil, err
 	}
@@ -284,10 +275,6 @@ func restoreV3Stream(r io.Reader, metaLen int, expect *Config) (*Engine, error) 
 // cheap; data is not retained after the call returns. Older images go
 // through the streaming path.
 func RestoreEngineBytes(data []byte) (*Engine, error) {
-	return restoreEngineBytes(data, nil)
-}
-
-func restoreEngineBytes(data []byte, expect *Config) (*Engine, error) {
 	if len(data) < snapHeaderLen+4 {
 		return nil, fmt.Errorf("core: restore: image too short (%d bytes)", len(data))
 	}
@@ -298,19 +285,22 @@ func restoreEngineBytes(data []byte, expect *Config) (*Engine, error) {
 	if version < snapVersionMin || version > snapVersion {
 		return nil, fmt.Errorf("core: restore: unsupported snapshot version %d (want %d..%d)", version, snapVersionMin, snapVersion)
 	}
-	if version < 3 {
-		return restoreEngine(bytes.NewReader(data), expect)
-	}
+	// The header's length (the v3 meta section, or the whole v1/v2 payload)
+	// must fit the image before the streaming path allocates a buffer of
+	// that size.
 	metaLen := binary.LittleEndian.Uint64(data[12:20])
 	if metaLen > uint64(len(data)-snapHeaderLen-4) {
-		return nil, fmt.Errorf("core: restore: meta length %d exceeds the %d-byte image", metaLen, len(data))
+		return nil, fmt.Errorf("core: restore: section length %d exceeds the %d-byte image", metaLen, len(data))
+	}
+	if version < 3 {
+		return RestoreEngine(bytes.NewReader(data))
 	}
 	meta := data[snapHeaderLen : snapHeaderLen+int(metaLen)]
 	crcOff := snapHeaderLen + int(metaLen)
 	if want, got := binary.LittleEndian.Uint32(data[crcOff:]), crc32.ChecksumIEEE(meta); want != got {
 		return nil, fmt.Errorf("core: restore: meta checksum mismatch (snapshot corrupt)")
 	}
-	m, windowOff, err := parseV3Meta(meta, expect)
+	m, windowOff, err := parseV3Meta(meta)
 	if err != nil {
 		return nil, err
 	}
@@ -342,9 +332,9 @@ func restoreEngineBytes(data []byte, expect *Config) (*Engine, error) {
 // page-aligned, strictly after the metaCRC, with less than one page of
 // padding — so regions cannot overlap the meta section, and a region offset
 // cannot be inflated to smuggle unchecked bytes into the image.
-func parseV3Meta(meta []byte, expect *Config) (*snapMeta, int, error) {
+func parseV3Meta(meta []byte) (*snapMeta, int, error) {
 	dec := &snapDecoder{b: meta}
-	m, err := decodeSnapMeta(dec, snapVersion, expect)
+	m, err := decodeSnapMeta(dec, snapVersion)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -396,13 +386,9 @@ type snapMeta struct {
 // beyond its own size. The CRC only catches accidental corruption, never
 // crafted images, and the public restore API must return errors — never
 // panic or OOM.
-func decodeSnapMeta(dec *snapDecoder, version uint32, expect *Config) (*snapMeta, error) {
+func decodeSnapMeta(dec *snapDecoder, version uint32) (*snapMeta, error) {
 	m := &snapMeta{}
 	m.cfg = dec.decodeConfig(version)
-	if expect != nil && dec.err == nil && m.cfg.Float32Profiles != expect.Float32Profiles {
-		return nil, fmt.Errorf("core: restore: snapshot uses %s profile aggregates but the target config expects %s (set Config.Float32Profiles to match the image, or re-snapshot in the new precision)",
-			profilePrecision(m.cfg.Float32Profiles), profilePrecision(expect.Float32Profiles))
-	}
 	// Bound the decoded dimensions before any size computed from them is
 	// allocated or handed to the window constructor. The window's rings are
 	// allocated eagerly (WindowLength floats per stream) and Workers sizes
@@ -563,18 +549,10 @@ func (e *snapEncoder) encodeConfig(c Config) {
 	e.int(int64(c.Profiler))
 	e.int(int64(c.Workers))
 	e.bool(c.WeightedMean)
-	e.bool(c.EagerProfiler)
+	e.bool(false) // retired: eager profiler
 	e.bool(c.SkipDiagnostics)
-	e.bool(c.FastExtraction)
-	e.bool(c.Float32Profiles) // v2+
-}
-
-// profilePrecision names a profile-aggregate precision for error messages.
-func profilePrecision(f32 bool) string {
-	if f32 {
-		return "float32"
-	}
-	return "float64"
+	e.bool(false) // retired: FFT alias
+	e.bool(false) // retired: float32 profiles (v2+)
 }
 
 // snapDecoder parses a payload with a sticky error: after the first failure
@@ -684,11 +662,11 @@ func (d *snapDecoder) decodeConfig(version uint32) Config {
 	c.Profiler = ProfilerKind(d.int())
 	c.Workers = int(d.int())
 	c.WeightedMean = d.bool()
-	c.EagerProfiler = d.bool()
+	d.bool() // retired: eager profiler
 	c.SkipDiagnostics = d.bool()
-	c.FastExtraction = d.bool()
+	d.bool() // retired: FFT alias
 	if version >= 2 {
-		c.Float32Profiles = d.bool()
+		d.bool() // retired: float32 profiles
 	}
 	return c
 }

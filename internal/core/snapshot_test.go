@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -113,100 +112,20 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreFloat32 is the float32 twin of the round-trip test: an
-// engine running with Float32Profiles snapshotted mid-stream and restored
-// must match the uninterrupted engine on every subsequent completed row. The
-// restore must go through RestoreEngineWithConfig with a matching precision.
-func TestSnapshotRestoreFloat32(t *testing.T) {
-	const width, warm, tail = 5, 150, 120
-	cfg := snapTestConfig()
-	cfg.Float32Profiles = true
-	orig, err := NewEngine(cfg, snapTestNames(width), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer orig.Close()
-	var row []float64
-	for tk := 0; tk < warm; tk++ {
-		row = snapTestRow(tk, width, row)
-		if _, _, err := orig.Tick(row); err != nil {
-			t.Fatalf("tick %d: %v", tk, err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := orig.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreEngineWithConfig(bytes.NewReader(buf.Bytes()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if !restored.Config().Float32Profiles {
-		t.Fatal("restored engine lost the Float32Profiles flag")
-	}
-	var row2 []float64
-	for tk := warm; tk < warm+tail; tk++ {
-		row = snapTestRow(tk, width, row)
-		row2 = append(row2[:0], row...)
-		outA, _, errA := orig.Tick(row)
-		outB, _, errB := restored.Tick(row2)
-		if errA != nil || errB != nil {
-			t.Fatalf("tick %d: orig err %v, restored err %v", tk, errA, errB)
-		}
-		for i := range outA {
-			if d := math.Abs(outA[i] - outB[i]); !(d <= 1e-6) {
-				t.Fatalf("tick %d stream %d: orig %v, restored %v (|Δ|=%g)", tk, i, outA[i], outB[i], d)
-			}
-		}
-	}
-	if orig.Stats.Imputations == 0 {
-		t.Fatal("test exercised no imputations")
-	}
-}
-
-// TestRestoreRejectsPrecisionMismatch: an image snapshotted in one profile
-// precision must refuse to restore into a config expecting the other, in both
-// directions, with an error that names both precisions. Plain RestoreEngine
-// (no expected config) accepts either image.
-func TestRestoreRejectsPrecisionMismatch(t *testing.T) {
-	for _, f32 := range []bool{false, true} {
-		cfg := snapTestConfig()
-		cfg.Float32Profiles = f32
-		e, err := NewEngine(cfg, snapTestNames(4), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := e.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		e.Close()
-		img := buf.Bytes()
-		want := cfg
-		want.Float32Profiles = !f32
-		_, err = RestoreEngineWithConfig(bytes.NewReader(img), want)
-		if err == nil {
-			t.Fatalf("f32=%v image restored into mismatched config, want refusal", f32)
-		}
-		if !strings.Contains(err.Error(), "float32") || !strings.Contains(err.Error(), "float64") {
-			t.Fatalf("f32=%v: error %q does not name both precisions", f32, err)
-		}
-		if _, err := RestoreEngineWithConfig(bytes.NewReader(img), cfg); err != nil {
-			t.Fatalf("f32=%v: matching-config restore failed: %v", f32, err)
-		}
-		if _, err := RestoreEngine(bytes.NewReader(img)); err != nil {
-			t.Fatalf("f32=%v: unconstrained restore failed: %v", f32, err)
-		}
-	}
+// retiredFlags are the config bytes of the three retired engine flags, as
+// older engines wrote them: eager profiler maintenance, the FFT alias for
+// one-shot imputation, and float32 profile aggregates (v2 and later).
+type retiredFlags struct {
+	eager, fftAlias, float32 bool
 }
 
 // encodeLegacyImage hand-encodes the given engine as a version 1 or 2 image
 // (the pre-v3 single-payload layout: config, names, refs, counters, last
-// values, then the window values inlined, under one trailing CRC). It pins
-// the legacy byte layout independently of the current encoder, so format
-// drift that would orphan old checkpoints fails here.
-func encodeLegacyImage(t testing.TB, e *Engine, version uint32) []byte {
+// values, then the window values inlined, under one trailing CRC), with the
+// retired config flags set as given. It pins the legacy byte layout
+// independently of the current encoder, so format drift that would orphan
+// old checkpoints fails here.
+func encodeLegacyImage(t testing.TB, e *Engine, version uint32, retired retiredFlags) []byte {
 	t.Helper()
 	enc := &snapEncoder{}
 	cfg := e.Config()
@@ -219,11 +138,11 @@ func encodeLegacyImage(t testing.TB, e *Engine, version uint32) []byte {
 	enc.int(int64(cfg.Profiler))
 	enc.int(int64(cfg.Workers))
 	enc.bool(cfg.WeightedMean)
-	enc.bool(cfg.EagerProfiler)
+	enc.bool(retired.eager)
 	enc.bool(cfg.SkipDiagnostics)
-	enc.bool(cfg.FastExtraction)
+	enc.bool(retired.fftAlias)
 	if version >= 2 {
-		enc.bool(cfg.Float32Profiles)
+		enc.bool(retired.float32)
 	}
 	names := e.Window().Names()
 	enc.uint(uint64(len(names)))
@@ -273,8 +192,8 @@ func encodeLegacyImage(t testing.TB, e *Engine, version uint32) []byte {
 	return img
 }
 
-// TestRestoreAcceptsV1Image: a version-1 image (predating Float32Profiles)
-// must still restore, with the flag defaulting to float64 precision.
+// TestRestoreAcceptsV1Image: a version-1 image (one config flag byte shorter
+// than v2) must still restore.
 func TestRestoreAcceptsV1Image(t *testing.T) {
 	cfg := snapTestConfig()
 	e, err := NewEngine(cfg, snapTestNames(4), nil)
@@ -289,17 +208,93 @@ func TestRestoreAcceptsV1Image(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v1 := encodeLegacyImage(t, e, 1)
+	v1 := encodeLegacyImage(t, e, 1, retiredFlags{})
 	r, err := RestoreEngine(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatalf("v1 image rejected: %v", err)
 	}
 	defer r.Close()
-	if r.Config().Float32Profiles {
-		t.Fatal("v1 image restored with Float32Profiles set")
-	}
 	if got, want := r.Seq(), e.Seq(); got != want {
 		t.Fatalf("v1 restore seq %d, want %d", got, want)
+	}
+}
+
+// setRetiredFlagsV3 returns a copy of a v3 image with the three retired
+// config flag bytes set in its meta section and the meta CRC resealed. The
+// flags follow the config's eight varints and its WeightedMean byte.
+func setRetiredFlagsV3(img []byte, cfg Config) []byte {
+	cp := bytes.Clone(img)
+	enc := &snapEncoder{}
+	for _, v := range []int{cfg.K, cfg.PatternLength, cfg.D, cfg.WindowLength,
+		int(cfg.Norm), int(cfg.Selection), int(cfg.Profiler), cfg.Workers} {
+		enc.int(int64(v))
+	}
+	flags := snapHeaderLen + enc.buf.Len() + 1
+	for _, off := range []int{0, 2, 3} { // eager, FFT alias, float32
+		cp[flags+off] = 1
+	}
+	metaLen := int(binary.LittleEndian.Uint64(cp[12:20]))
+	meta := cp[snapHeaderLen : snapHeaderLen+metaLen]
+	binary.LittleEndian.PutUint32(cp[snapHeaderLen+metaLen:], crc32.ChecksumIEEE(meta))
+	return cp
+}
+
+// TestRestoreIgnoresRetiredFlags: images written by engines that had the
+// retired eager, FFT-alias or float32 flags set — a v2 image and a v3 image
+// with all three set — restore as the default engine and then tick
+// bit-identically to the same engine's image with the flags clear, over rows
+// with missing values.
+func TestRestoreIgnoresRetiredFlags(t *testing.T) {
+	const width = 5
+	e := warmSnapEngine(t)
+	defer e.Close()
+	plain := snapImage(t, e)
+	set := retiredFlags{eager: true, fftAlias: true, float32: true}
+	images := map[string][]byte{
+		"v2": encodeLegacyImage(t, e, 2, set),
+		"v3": setRetiredFlagsV3(plain, e.Config()),
+	}
+	if bytes.Equal(images["v3"], plain) {
+		t.Fatal("patched v3 image equals the plain one")
+	}
+	for name, img := range images {
+		t.Run(name, func(t *testing.T) {
+			want, err := RestoreEngineBytes(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer want.Close()
+			got, err := RestoreEngineBytes(img)
+			if err != nil {
+				t.Fatalf("image with retired flags set rejected: %v", err)
+			}
+			defer got.Close()
+			if got.Config() != want.Config() {
+				t.Fatalf("config %+v, want %+v", got.Config(), want.Config())
+			}
+			if _, ok := got.Profiler().(*IncrementalProfiler); !ok {
+				t.Fatalf("restored with the %s profiler, want incremental", got.Profiler().Name())
+			}
+			var row, row2 []float64
+			for tk := 150; tk < 300; tk++ {
+				row = snapTestRow(tk, width, row)
+				row2 = append(row2[:0], row...)
+				outW, _, errW := want.Tick(row)
+				outG, _, errG := got.Tick(row2)
+				if errW != nil || errG != nil {
+					t.Fatalf("tick %d: %v, %v", tk, errW, errG)
+				}
+				for i := range outW {
+					if math.Float64bits(outG[i]) != math.Float64bits(outW[i]) {
+						t.Fatalf("tick %d stream %d: %v, want %v (not bit-identical)", tk, i, outG[i], outW[i])
+					}
+				}
+			}
+			if want.Stats.Imputations == e.Stats.Imputations {
+				t.Fatal("no imputations after the restore")
+			}
+			requireSameEngineState(t, got, want)
+		})
 	}
 }
 

@@ -151,7 +151,7 @@ func TestRestoreEngineFile(t *testing.T) {
 func TestRestoreAcceptsV2Image(t *testing.T) {
 	e := warmSnapEngine(t)
 	defer e.Close()
-	v2 := encodeLegacyImage(t, e, 2)
+	v2 := encodeLegacyImage(t, e, 2, retiredFlags{})
 	r, err := RestoreEngine(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatalf("v2 image rejected: %v", err)
@@ -263,8 +263,8 @@ func FuzzSnapshotSectionDecode(f *testing.F) {
 	windowOff := int(binary.LittleEndian.Uint64(img[20+metaLen-8 : 20+metaLen]))
 
 	f.Add(bytes.Clone(img))
-	f.Add(encodeLegacyImage(f, e, 2))
-	f.Add(encodeLegacyImage(f, e, 1))
+	f.Add(encodeLegacyImage(f, e, 2, retiredFlags{}))
+	f.Add(encodeLegacyImage(f, e, 1, retiredFlags{}))
 	f.Add(img[:len(img)-16])
 	f.Add(img[:20+metaLen/2])
 	f.Add(patchWindowOff(img, uint64(windowOff+8)))

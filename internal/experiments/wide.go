@@ -20,7 +20,6 @@ type WideRow struct {
 	WindowLength    int     `json:"window_length"`
 	MissingPerTick  int     `json:"missing_per_tick"`
 	Workers         int     `json:"workers"`
-	Eager           bool    `json:"eager"`
 	SkipDiagnostics bool    `json:"skip_diagnostics"`
 	Ticks           int     `json:"ticks"`
 	Imputations     int     `json:"imputations"`
@@ -31,20 +30,18 @@ type WideRow struct {
 
 // WideCase selects one engine configuration for the wide scenario.
 type WideCase struct {
-	Mode            string // label, e.g. "eager" (PR 1 default) or "lazy"
-	Eager           bool
+	Mode            string // label, e.g. "lazy" or "lazy+lean"
 	SkipDiagnostics bool
 	Workers         int
 }
 
-// WideCases returns the standard before/after sweep: the eager PR 1-style
-// default against the demand-driven engine, plus the demand-driven engine
-// in throughput mode (diagnostics skipped).
+// WideCases returns the standard sweep: the demand-driven engine with full
+// diagnostics, and the same engine in throughput mode (diagnostics
+// skipped).
 func WideCases() []WideCase {
 	return []WideCase{
-		{Mode: "eager", Eager: true},
-		{Mode: "lazy", Eager: false},
-		{Mode: "lazy+lean", Eager: false, SkipDiagnostics: true},
+		{Mode: "lazy"},
+		{Mode: "lazy+lean", SkipDiagnostics: true},
 	}
 }
 
@@ -154,7 +151,6 @@ func WideEngineThroughput(width, winLen, measureTicks int, missingFrac float64, 
 		Norm:            core.L2,
 		Selection:       core.SelectDP,
 		Profiler:        core.ProfilerIncremental,
-		EagerProfiler:   wc.Eager,
 		SkipDiagnostics: wc.SkipDiagnostics,
 		Workers:         wc.Workers,
 	}
@@ -189,7 +185,6 @@ func WideEngineThroughput(width, winLen, measureTicks int, missingFrac float64, 
 		WindowLength:    winLen,
 		MissingPerTick:  s.MissingPerTick,
 		Workers:         cfg.Workers,
-		Eager:           wc.Eager,
 		SkipDiagnostics: wc.SkipDiagnostics,
 		Ticks:           measureTicks,
 		Imputations:     eng.Stats.Imputations - impBefore,

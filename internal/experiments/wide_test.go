@@ -5,20 +5,20 @@ import "testing"
 // TestWideEngineThroughputSmoke runs one small wide-engine measurement per
 // mode and sanity-checks the reported rows: the configuration must round-
 // trip, every tick must impute the missing 5%, and the lean mode must not
-// report more allocations than the diagnostic modes.
+// report more allocations than the diagnostic mode.
 func TestWideEngineThroughputSmoke(t *testing.T) {
 	const (
 		width  = 48
 		winLen = 512 // smallest round size hosting k=5 patterns of l=72
 		ticks  = 40
 	)
-	var lean, eager WideRow
+	var lean, lazy WideRow
 	for _, wc := range WideCases() {
 		row, err := WideEngineThroughput(width, winLen, ticks, 0.05, wc)
 		if err != nil {
 			t.Fatalf("%s: %v", wc.Mode, err)
 		}
-		if row.Mode != wc.Mode || row.Eager != wc.Eager || row.SkipDiagnostics != wc.SkipDiagnostics {
+		if row.Mode != wc.Mode || row.SkipDiagnostics != wc.SkipDiagnostics {
 			t.Fatalf("row misreports configuration: %+v", row)
 		}
 		if row.Width != width || row.Ticks != ticks {
@@ -35,15 +35,15 @@ func TestWideEngineThroughputSmoke(t *testing.T) {
 			t.Fatalf("non-positive rates: %+v", row)
 		}
 		switch wc.Mode {
-		case "eager":
-			eager = row
+		case "lazy":
+			lazy = row
 		case "lazy+lean":
 			lean = row
 		}
 	}
-	if lean.AllocsPerTick > eager.AllocsPerTick {
+	if lean.AllocsPerTick > lazy.AllocsPerTick {
 		t.Fatalf("lean mode allocates more than the diagnostic mode: %v > %v",
-			lean.AllocsPerTick, eager.AllocsPerTick)
+			lean.AllocsPerTick, lazy.AllocsPerTick)
 	}
 	if err := func() error {
 		_, err := WideEngineThroughput(wideRefPool, winLen, ticks, 0.05, WideCases()[0])

@@ -430,7 +430,6 @@ type apiConfig struct {
 	Profiler        string `json:"profiler"`
 	WeightedMean    bool   `json:"weighted_mean"`
 	SkipDiagnostics bool   `json:"skip_diagnostics"`
-	Float32Profiles bool   `json:"float32_profiles"`
 }
 
 // toCore overlays the request config onto the defaults.
@@ -463,7 +462,6 @@ func (a *apiConfig) toCore() (core.Config, error) {
 	}
 	cfg.WeightedMean = a.WeightedMean
 	cfg.SkipDiagnostics = a.SkipDiagnostics
-	cfg.Float32Profiles = a.Float32Profiles
 	return cfg, nil
 }
 

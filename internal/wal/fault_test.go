@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The fault-injection seam (Options.failWrite / failSync / failCreate /
@@ -194,5 +195,54 @@ func TestFailedHeadSaveDuringTruncateIsRetryable(t *testing.T) {
 	}
 	if _, err := VerifyTenant(dir, nil); err != nil {
 		t.Fatalf("verify: %v", err)
+	}
+}
+
+// TestEmptySyncKeepsBuffersApart: a sync that finds nothing pending must
+// still leave the append buffer and the recycled spare on different arrays.
+// Otherwise the next group commit hands the flusher an array that appends
+// keep writing into: here the failWrite hook, which runs between hashing a
+// batch and writing it, appends seq 4 over the frames of seq 3, and replay
+// loses acked records.
+func TestEmptySyncKeepsBuffersApart(t *testing.T) {
+	dir := t.TempDir()
+	var l *Log
+	arm := false
+	l, err := Open(dir, Options{SyncInterval: time.Hour, failWrite: func() error {
+		if arm {
+			arm = false
+			if _, err := l.Append(4, []float64{4, 40}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 2; seq++ {
+		if _, err := l.Append(seq, []float64{float64(seq), float64(10 * seq)}); err != nil {
+			t.Fatalf("append %d: %v", seq, err)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatalf("sync %d: %v", seq, err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("empty sync: %v", err)
+	}
+	if _, err := l.Append(3, []float64{3, 30}); err != nil {
+		t.Fatalf("append 3: %v", err)
+	}
+	arm = true
+	if err := l.Sync(); err != nil {
+		t.Fatalf("sync 3: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	seqs, _ := collect(t, dir, 1)
+	if len(seqs) != 4 || seqs[0] != 1 || seqs[3] != 4 {
+		t.Fatalf("replayed seqs %v, want 1..4", seqs)
 	}
 }

@@ -731,6 +731,7 @@ func (l *Log) syncLocked() error {
 	failed := l.failed
 	l.mu.Unlock()
 	if len(data) == 0 && b == nil {
+		l.spare = data[:0] // buf now holds the old spare; keep the two apart
 		return failed
 	}
 	if failed != nil {

@@ -21,7 +21,7 @@
 // imputes every missing value the moment it arrives, so the retained history
 // is always complete (the paper's continuous-imputation setting). One-shot
 // imputation over slices is available via Impute; bulk ingest via
-// Engine.TickBatch.
+// Engine.TickColumns.
 //
 // # Pattern extraction strategies
 //
@@ -33,11 +33,10 @@
 //   - ProfilerNaive — the paper's Def. 2 loop, O(d·l·L) per profile, all
 //     norms.
 //   - ProfilerFFT — FFT cross-correlation, O(d·L·log L), L2 only.
-//   - ProfilerIncremental — engine-maintained aggregates, demand-driven:
-//     recording a tick is O(1) per stream, and a stream's aggregates are
-//     caught up only when it is consulted as a reference, so on wide stream
-//     sets untouched streams cost nothing (Config.EagerProfiler restores
-//     per-tick maintenance of every stream). L2 only.
+//   - ProfilerIncremental — engine-maintained float64 aggregates,
+//     demand-driven: recording a tick is O(1) per stream, and a stream's
+//     aggregates are caught up only when it is consulted as a reference, so
+//     on wide stream sets untouched streams cost nothing. L2 only.
 //   - ProfilerAuto (default) — incremental in the streaming engine, naive
 //     for one-shot slice imputations.
 //
@@ -140,16 +139,14 @@ type ReferenceSet = core.ReferenceSet
 
 // Columns is a stream-major batch of ticks for Engine.TickColumns:
 // Columns[i][t] is stream i's measurement at the t-th tick of the batch
-// (Missing/NaN = absent). All columns must have equal length. The layout is
-// the transpose of TickBatch's row-major rows and is what the columnar
-// ingest hot path consumes without further shuffling.
+// (Missing/NaN = absent). All columns must have equal length. It is the
+// layout the columnar ingest hot path consumes without further shuffling.
 type Columns = core.Columns
 
 // Engine performs continuous imputation over a set of co-evolving streams.
-// Feed it one row per tick (Tick) or many at once (TickBatch, or
-// TickColumns for the allocation-free columnar path); select the extraction
-// strategy with Config.Profiler and intra-tick parallelism with
-// Config.Workers.
+// Feed it one row per tick (Tick) or many at once (TickColumns, the
+// allocation-free columnar path); select the extraction strategy with
+// Config.Profiler and intra-tick parallelism with Config.Workers.
 type Engine = core.Engine
 
 // EngineStats counts engine activity.
