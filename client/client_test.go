@@ -302,6 +302,62 @@ func TestCloseAfterCancelReportsUnacked(t *testing.T) {
 	}
 }
 
+// TestCloseAfterCancelBeforeFirstAck: cancelling the stream's context while
+// the server has not acked anything (it has not even sent response headers)
+// must not wedge Close — the writer closes its end of the request body, so
+// the transport's round trip can return. Close reports the unacked row, or
+// nil when nothing was sent.
+func TestCloseAfterCancelBeforeFirstAck(t *testing.T) {
+	for _, rows := range []int{0, 1} {
+		t.Run(strconv.Itoa(rows)+"-rows", func(t *testing.T) {
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if rows > 0 {
+					bufio.NewReader(r.Body).ReadString('\n') // the row arrived
+				}
+				close(entered)
+				select { // never ack
+				case <-r.Context().Done():
+				case <-release:
+				}
+			}))
+			defer ts.Close()
+			defer close(release)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			st, err := New(ts.URL).OpenStream(ctx, "t", StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < rows; i++ {
+				if err := st.Send(context.Background(), []float64{1, 2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case <-entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the request never reached the handler")
+			}
+			cancel()
+			closed := make(chan error, 1)
+			go func() { closed <- st.Close() }()
+			select {
+			case err = <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close still blocked 5s after the context was cancelled")
+			}
+			if rows == 0 && err != nil {
+				t.Fatalf("Close with nothing sent: %v, want nil", err)
+			}
+			if rows > 0 && (!errors.Is(err, ErrStreamBroken) || !strings.Contains(err.Error(), "1 rows unacknowledged")) {
+				t.Fatalf("Close with an unacked row: %v, want ErrStreamBroken naming it", err)
+			}
+		})
+	}
+}
+
 // TestPreStreamErrorHonorsRetryFlag: a retry-marked failure on the very
 // first row arrives as an HTTP error status rather than an NDJSON line; the
 // sequenced client must still treat it as reconnect-and-replay instead of

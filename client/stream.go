@@ -437,7 +437,7 @@ func (s *TickStream) connect() (err error, retryable bool) {
 
 // writeLoop streams queued rows onto one connection, replaying from
 // writeIdx. It owns pw and closes it when a graceful Close has flushed
-// every row.
+// every row or the stream's context ends.
 func (s *TickStream) writeLoop(pw *io.PipeWriter, connDead <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	var buf bytes.Buffer
@@ -455,6 +455,9 @@ func (s *TickStream) writeLoop(pw *io.PipeWriter, connDead <-chan struct{}, done
 			case <-connDead:
 				return
 			case <-s.ctx.Done():
+				// The transport's body reader blocks on the pipe until it is
+				// closed, and hc.Do does not return before that read does.
+				pw.CloseWithError(s.ctx.Err())
 				return
 			}
 			s.mu.Lock()

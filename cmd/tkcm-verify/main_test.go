@@ -31,7 +31,7 @@ func buildTenant(t *testing.T, ckDir, walDir, id string, key []byte, total int) 
 		if _, _, err := eng.Tick(row); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Append(uint64(n), row); err != nil {
+		if _, err := l.AppendBatch(uint64(n), [][]float64{row}); err != nil {
 			t.Fatal(err)
 		}
 		if n == ckAt {
@@ -152,14 +152,14 @@ func TestVerifyGapNotCoveredByCheckpointFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 1; n <= 3; n++ {
-		if _, err := l.Append(uint64(n), []float64{1}); err != nil {
+		if _, err := l.AppendBatch(uint64(n), [][]float64{{1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.SetNextSeq(10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(10, []float64{1}); err != nil {
+	if _, err := l.AppendBatch(10, [][]float64{{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

@@ -8,7 +8,9 @@
 package audit
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,20 +48,16 @@ func Tenant(ckDir, walRoot, tenant string, key []byte) (*TenantReport, error) {
 	rep := &TenantReport{Tenant: tenant}
 	if ckDir != "" {
 		path := filepath.Join(ckDir, tenant+checkpointExt)
-		f, err := os.Open(path)
+		eng, err := core.RestoreEngineFile(path)
 		switch {
-		case os.IsNotExist(err):
+		case errors.Is(err, fs.ErrNotExist):
 			// No checkpoint yet — fine as long as the WAL is whole from seq 1.
 		case err != nil:
 			return nil, fmt.Errorf("checkpoint %s: %v", path, err)
 		default:
-			eng, rerr := core.RestoreEngine(f)
-			f.Close()
-			if rerr != nil {
-				return nil, fmt.Errorf("checkpoint %s: %v", path, rerr)
-			}
 			rep.HasCheckpoint = true
 			rep.CheckpointSeq = eng.Seq()
+			eng.Close()
 		}
 	}
 	wrep := &wal.VerifyReport{Tenant: tenant}

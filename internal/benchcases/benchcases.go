@@ -183,15 +183,15 @@ func newBenchLog(b *testing.B) (*wal.Log, func()) {
 	}
 }
 
-// WALAppend is the per-row WAL baseline: one record, one CRC, one
-// group-commit slot per row.
+// WALAppend is the per-row WAL baseline: a one-row AppendBatch, so one
+// plain record, one CRC, one group-commit slot per row.
 func WALAppend(b *testing.B) {
 	l, done := newBenchLog(b)
 	rows := walRows(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(uint64(i+1), rows[0]); err != nil {
+		if _, err := l.AppendBatch(uint64(i+1), rows); err != nil {
 			b.Fatal(err)
 		}
 		if (i+1)%syncEvery == 0 {
@@ -237,11 +237,12 @@ func WALAppendBatch(b *testing.B, batch int) {
 	done()
 }
 
-// ShardTick measures the full shard-layer tick path — routing lookup,
-// bounded-queue handoff, the shard goroutine's dispatch, and the engine tick
-// — against the EngineTick baseline, so the serving overhead (including the
-// stage clocks added for the latency histograms) is a pinned number rather
-// than a guess. One shard, one tenant, warm window; ns/op is per tick.
+// ShardTick measures the full shard-layer tick path — a one-row TickBatch:
+// routing lookup, bounded-queue handoff, the shard goroutine's dispatch, and
+// the engine tick — against the EngineTick baseline, so the serving overhead
+// (including the stage clocks added for the latency histograms) is a pinned
+// number rather than a guess. One shard, one tenant, warm window; ns/op is
+// per tick.
 func ShardTick(b *testing.B) {
 	m := shard.New(shard.Options{Shards: 1, QueueLen: 64})
 	defer m.Close()
@@ -254,10 +255,11 @@ func ShardTick(b *testing.B) {
 		b.Fatal(err)
 	}
 	row := make([]float64, benchWidth)
-	var rsp shard.TickResponse
+	rows := [][]float64{row}
+	var rsp shard.BatchResponse
 	for t := 0; t < benchWindow; t++ {
 		fillTick(t, row)
-		if err := m.Tick(ctx, "bench", 0, row, &rsp); err != nil {
+		if err := m.TickBatch(ctx, "bench", 0, rows, &rsp); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,7 +267,7 @@ func ShardTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fillTick(benchWindow+i, row)
-		if err := m.Tick(ctx, "bench", 0, row, &rsp); err != nil {
+		if err := m.TickBatch(ctx, "bench", 0, rows, &rsp); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -334,13 +336,14 @@ func ShardTickCold(b *testing.B) {
 	}
 
 	row := make([]float64, benchWidth)
-	var rsp shard.TickResponse
+	rows := [][]float64{row}
+	var rsp shard.BatchResponse
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := ids[i%2]
 		fillTick(benchWindow+i, row)
-		if err := m.Tick(ctx, id, 0, row, &rsp); err != nil {
+		if err := m.TickBatch(ctx, id, 0, rows, &rsp); err != nil {
 			b.Fatal(fmt.Errorf("cold tick %d (%s): %w", i, id, err))
 		}
 		b.StopTimer()

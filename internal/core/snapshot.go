@@ -35,7 +35,7 @@ import (
 //
 // Version 1 and 2 images — a single varint payload with the window values
 // inlined after the retained count, under one trailing CRC; v1's config
-// lacks the last flag byte — still restore through the legacy path.
+// lacks the last flag byte — still restore through the legacy decoder.
 //
 // The config encodes three retired engine flags (eager profiler
 // maintenance, the FFT alias for one-shot imputation, float32 profile
@@ -166,114 +166,28 @@ func (e *Engine) encodeSnapMeta(enc *snapEncoder) {
 // Profiler aggregates are rebuilt from the windows on first use, so
 // subsequent imputations match an uninterrupted engine to within the
 // incremental profiler's rebuild tolerance (~1e-9).
+//
+// The image is read into memory and decoded by RestoreEngineBytes, so memory
+// grows with the bytes r actually delivers, never with a length an image
+// header merely claims; r must end where the image does.
 func RestoreEngine(r io.Reader) (*Engine, error) {
-	var hdr [snapHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("core: restore: reading header: %w", err)
-	}
-	if string(hdr[:8]) != snapMagic {
-		return nil, fmt.Errorf("core: restore: bad magic %q (not a TKCM snapshot)", hdr[:8])
-	}
-	version := binary.LittleEndian.Uint32(hdr[8:12])
-	if version < snapVersionMin || version > snapVersion {
-		return nil, fmt.Errorf("core: restore: unsupported snapshot version %d (want %d..%d)", version, snapVersionMin, snapVersion)
-	}
-	n := binary.LittleEndian.Uint64(hdr[12:20])
-	if n > maxSnapSection {
-		return nil, fmt.Errorf("core: restore: implausible payload length %d", n)
-	}
-	if version >= 3 {
-		return restoreV3Stream(r, int(n))
-	}
-
-	// Legacy v1/v2: one varint payload, window values inlined, one CRC.
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("core: restore: reading payload: %w", err)
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return nil, fmt.Errorf("core: restore: reading checksum: %w", err)
-	}
-	if want, got := binary.LittleEndian.Uint32(crc[:]), crc32.ChecksumIEEE(payload); want != got {
-		return nil, fmt.Errorf("core: restore: checksum mismatch (snapshot corrupt)")
-	}
-
-	dec := &snapDecoder{b: payload}
-	m, err := decodeSnapMeta(dec, version)
+	data, err := io.ReadAll(io.LimitReader(r, maxSnapSection+1))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: restore: reading image: %w", err)
 	}
-	// A valid payload must still contain 8 bytes per retained value, so the
-	// remaining length bounds the allocation (and rules out width*filled
-	// overflowing, since both factors were bounded in decodeSnapMeta).
-	if rem := len(dec.b) - dec.off; m.filled > 0 && m.filled > rem/(8*len(m.names)) {
-		return nil, fmt.Errorf("core: restore: retained window (%d streams × %d ticks) exceeds the %d payload bytes", len(m.names), m.filled, rem)
+	if int64(len(data)) > maxSnapSection {
+		return nil, fmt.Errorf("core: restore: image exceeds %d bytes", int64(maxSnapSection))
 	}
-	hist := make([]float64, len(m.names)*m.filled)
-	for i := range hist {
-		hist[i] = dec.float()
-	}
-	if dec.err != nil {
-		return nil, fmt.Errorf("core: restore: %w", dec.err)
-	}
-	if dec.off != len(dec.b) {
-		return nil, fmt.Errorf("core: restore: %d trailing bytes after payload", len(dec.b)-dec.off)
-	}
-	return m.finish(hist)
-}
-
-// restoreV3Stream reads a v3 image section by section from r — meta, its
-// CRC, the alignment padding, then the window region — with every read
-// bounded by a validated length before its buffer is allocated.
-func restoreV3Stream(r io.Reader, metaLen int) (*Engine, error) {
-	meta := make([]byte, metaLen)
-	if _, err := io.ReadFull(r, meta); err != nil {
-		return nil, fmt.Errorf("core: restore: reading meta: %w", err)
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return nil, fmt.Errorf("core: restore: reading meta checksum: %w", err)
-	}
-	if want, got := binary.LittleEndian.Uint32(crc[:]), crc32.ChecksumIEEE(meta); want != got {
-		return nil, fmt.Errorf("core: restore: meta checksum mismatch (snapshot corrupt)")
-	}
-	m, windowOff, err := parseV3Meta(meta)
-	if err != nil {
-		return nil, err
-	}
-	pad := make([]byte, windowOff-snapHeaderLen-metaLen-4)
-	if _, err := io.ReadFull(r, pad); err != nil {
-		return nil, fmt.Errorf("core: restore: reading padding: %w", err)
-	}
-	for _, b := range pad {
-		if b != 0 {
-			return nil, fmt.Errorf("core: restore: nonzero padding before the window region")
-		}
-	}
-	windowBytes := int64(len(m.names)) * int64(m.filled) * 8
-	if windowBytes > maxSnapSection {
-		return nil, fmt.Errorf("core: restore: implausible window region size %d", windowBytes)
-	}
-	region := make([]byte, windowBytes)
-	if _, err := io.ReadFull(r, region); err != nil {
-		return nil, fmt.Errorf("core: restore: reading window region: %w", err)
-	}
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return nil, fmt.Errorf("core: restore: reading window checksum: %w", err)
-	}
-	if want, got := binary.LittleEndian.Uint32(crc[:]), crc32.ChecksumIEEE(region); want != got {
-		return nil, fmt.Errorf("core: restore: window checksum mismatch (snapshot corrupt)")
-	}
-	return m.finish(decodeWindowRegion(region))
+	return RestoreEngineBytes(data)
 }
 
 // RestoreEngineBytes restores a Snapshot image held fully in memory (or
 // memory-mapped — see RestoreEngineFile). For v3 images the window region is
 // sliced straight out of data without an intermediate copy of the image,
 // which is what makes hydrating a parked engine from a mapped checkpoint
-// cheap; data is not retained after the call returns. Older images go
-// through the streaming path.
+// cheap; data is not retained after the call returns. Every length decoded
+// from the image is checked against len(data) before anything is sized by
+// it, and bytes past the image's end are refused.
 func RestoreEngineBytes(data []byte) (*Engine, error) {
 	if len(data) < snapHeaderLen+4 {
 		return nil, fmt.Errorf("core: restore: image too short (%d bytes)", len(data))
@@ -286,17 +200,16 @@ func RestoreEngineBytes(data []byte) (*Engine, error) {
 		return nil, fmt.Errorf("core: restore: unsupported snapshot version %d (want %d..%d)", version, snapVersionMin, snapVersion)
 	}
 	// The header's length (the v3 meta section, or the whole v1/v2 payload)
-	// must fit the image before the streaming path allocates a buffer of
-	// that size.
+	// must fit the image, followed by its CRC.
 	metaLen := binary.LittleEndian.Uint64(data[12:20])
 	if metaLen > uint64(len(data)-snapHeaderLen-4) {
 		return nil, fmt.Errorf("core: restore: section length %d exceeds the %d-byte image", metaLen, len(data))
 	}
-	if version < 3 {
-		return RestoreEngine(bytes.NewReader(data))
-	}
 	meta := data[snapHeaderLen : snapHeaderLen+int(metaLen)]
 	crcOff := snapHeaderLen + int(metaLen)
+	if version < 3 {
+		return restoreLegacy(meta, data[crcOff:], version)
+	}
 	if want, got := binary.LittleEndian.Uint32(data[crcOff:]), crc32.ChecksumIEEE(meta); want != got {
 		return nil, fmt.Errorf("core: restore: meta checksum mismatch (snapshot corrupt)")
 	}
@@ -325,6 +238,40 @@ func RestoreEngineBytes(data []byte) (*Engine, error) {
 		return nil, fmt.Errorf("core: restore: window checksum mismatch (snapshot corrupt)")
 	}
 	return m.finish(decodeWindowRegion(region))
+}
+
+// restoreLegacy decodes a v1/v2 image: one varint payload with the window
+// values inlined after the meta fields, then tail — the payload's CRC,
+// which must end the image.
+func restoreLegacy(payload, tail []byte, version uint32) (*Engine, error) {
+	if want, got := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(payload); want != got {
+		return nil, fmt.Errorf("core: restore: checksum mismatch (snapshot corrupt)")
+	}
+	if len(tail) > 4 {
+		return nil, fmt.Errorf("core: restore: %d trailing bytes after the checksum", len(tail)-4)
+	}
+	dec := &snapDecoder{b: payload}
+	m, err := decodeSnapMeta(dec, version)
+	if err != nil {
+		return nil, err
+	}
+	// A valid payload must still contain 8 bytes per retained value, so the
+	// remaining length bounds the allocation (and rules out width*filled
+	// overflowing, since both factors were bounded in decodeSnapMeta).
+	if rem := len(dec.b) - dec.off; m.filled > 0 && m.filled > rem/(8*len(m.names)) {
+		return nil, fmt.Errorf("core: restore: retained window (%d streams × %d ticks) exceeds the %d payload bytes", len(m.names), m.filled, rem)
+	}
+	hist := make([]float64, len(m.names)*m.filled)
+	for i := range hist {
+		hist[i] = dec.float()
+	}
+	if dec.err != nil {
+		return nil, fmt.Errorf("core: restore: %w", dec.err)
+	}
+	if dec.off != len(dec.b) {
+		return nil, fmt.Errorf("core: restore: %d trailing bytes after payload", len(dec.b)-dec.off)
+	}
+	return m.finish(hist)
 }
 
 // parseV3Meta decodes a v3 meta section and its trailing windowOff field,

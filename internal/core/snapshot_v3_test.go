@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -103,8 +104,9 @@ func TestSnapshotV3Layout(t *testing.T) {
 	}
 }
 
-// TestRestoreEngineBytesMatchesReader: the in-memory (mmap) decoder and the
-// streaming decoder must produce bit-identical engines from the same image.
+// TestRestoreEngineBytesMatchesReader: restoring from a reader and from the
+// in-memory (mmap) bytes must produce bit-identical engines from the same
+// image.
 func TestRestoreEngineBytesMatchesReader(t *testing.T) {
 	e := warmSnapEngine(t)
 	defer e.Close()
@@ -167,6 +169,29 @@ func TestRestoreAcceptsV2Image(t *testing.T) {
 	requireSameEngineState(t, rb, e)
 }
 
+// TestRestoreAllocatesWhatItReads: an image whose header claims a section
+// far larger than the image itself must be refused — for every format
+// version — without allocating the claimed size: the reader entry point
+// allocates what it reads, and every header length is checked against that.
+func TestRestoreAllocatesWhatItReads(t *testing.T) {
+	for _, version := range []uint32{1, 2, 3} {
+		img := make([]byte, 84)
+		copy(img, snapMagic)
+		binary.LittleEndian.PutUint32(img[8:12], version)
+		binary.LittleEndian.PutUint64(img[12:20], 256<<20) // meta/payload length
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RestoreEngine(bytes.NewReader(img))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("v%d: an %d-byte image claiming a 256 MiB section restored", version, len(img))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("v%d: restore of an %d-byte image allocated %d bytes (err: %v)", version, len(img), grew, err)
+		}
+	}
+}
+
 // patchWindowOff rewrites the image's windowOff field (the last 8 bytes of
 // the meta section) and re-seals the meta CRC, so the crafted geometry
 // reaches the validator instead of dying at the checksum.
@@ -180,8 +205,9 @@ func patchWindowOff(img []byte, off uint64) []byte {
 
 // TestRestoreV3RejectsCraftedGeometry drives CRC-valid images with hostile
 // section geometry — misaligned, overlapping, inflated, truncated, padded
-// with garbage, or trailing extra bytes — through both decoders and expects
-// a descriptive error every time, never a panic or a silently wrong engine.
+// with garbage, or trailing extra bytes — through both entry points (bytes
+// and reader) and expects a descriptive error every time, never a panic or
+// a silently wrong engine.
 func TestRestoreV3RejectsCraftedGeometry(t *testing.T) {
 	e := warmSnapEngine(t)
 	defer e.Close()
@@ -193,16 +219,12 @@ func TestRestoreV3RejectsCraftedGeometry(t *testing.T) {
 		name string
 		data []byte
 		want string
-		// readerTolerates marks crafts only the exact-length (mmap) decoder
-		// can detect: a stream has no end-of-image notion, so the streaming
-		// decoder cannot see bytes past the window CRC.
-		readerTolerates bool
 	}{
 		{name: "misaligned-offset", data: patchWindowOff(img, uint64(windowOff+8)), want: "aligned"},
 		{name: "overlapping-offset", data: patchWindowOff(img, 0), want: "overlaps"},
 		{name: "inflated-offset", data: patchWindowOff(img, uint64(windowOff+snapAlign)), want: "padding"},
 		{name: "truncated-region", data: img[:len(img)-16]},
-		{name: "trailing-bytes", data: append(bytes.Clone(img), 0xEE), want: "trailing", readerTolerates: true},
+		{name: "trailing-bytes", data: append(bytes.Clone(img), 0xEE), want: "trailing"},
 		{name: "nonzero-padding", data: func() []byte {
 			cp := bytes.Clone(img)
 			cp[20+metaLen+4] = 0x5a // first padding byte
@@ -229,7 +251,7 @@ func TestRestoreV3RejectsCraftedGeometry(t *testing.T) {
 			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("bytes path error %q does not mention %q", err, tc.want)
 			}
-			if _, err := RestoreEngine(bytes.NewReader(tc.data)); err == nil && !tc.readerTolerates {
+			if _, err := RestoreEngine(bytes.NewReader(tc.data)); err == nil {
 				t.Fatal("reader path accepted the crafted image")
 			}
 		})
@@ -238,9 +260,9 @@ func TestRestoreV3RejectsCraftedGeometry(t *testing.T) {
 
 // FuzzSnapshotSectionDecode fuzzes the v3 section decoder (and, through the
 // version dispatch, the legacy one): arbitrary bytes must either fail with
-// an error or produce an engine that the independent streaming decoder
-// agrees on and that can re-snapshot itself. Seeds cover a valid v3 image,
-// a legacy v2 image, and each crafted-geometry attack.
+// an error or produce an engine that the reader entry point agrees on and
+// that can re-snapshot itself. Seeds cover a valid v3 image, legacy v1 and
+// v2 images, and each crafted-geometry attack.
 func FuzzSnapshotSectionDecode(f *testing.F) {
 	e, err := NewEngine(snapTestConfig(), snapTestNames(3), nil)
 	if err != nil {
@@ -277,10 +299,10 @@ func FuzzSnapshotSectionDecode(f *testing.F) {
 			return
 		}
 		defer r.Close()
-		// An image the mmap-style decoder accepts must also satisfy the
-		// streaming decoder — the two run in production (hydration vs
-		// snapshot upload), and divergence would mean one of them skipped a
-		// validation the other enforces.
+		// An image the bytes entry point accepts must also restore from a
+		// reader — both run in production (hydration and migration vs the
+		// public RestoreEngine), and one decoder per format version backs
+		// them, so a divergence would mean the reader lost or added bytes.
 		r2, err := RestoreEngine(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("bytes path restored an image the reader path rejects: %v", err)

@@ -436,18 +436,18 @@ func newGridScenario(sp Spec, gsc GridScenario, target string, seed uint64) (*Sc
 		used = used[:sp.Width-1]
 	}
 	mask, err := dataset.ApplyScenario(frame, dataset.ScenarioConfig{
-		Kind:       dataset.ScenarioKind(gsc.Kind),
-		Target:     target,
-		BlockStart: sp.BlockStart,
-		BlockLen:   sp.BlockLen,
-		Refs:       used,
-		RefRate:    gsc.RefRate,
-		MeanRun:    gsc.MeanRun,
-		Corr:       gsc.Corr,
-		LevelShift: gsc.LevelShift,
-		ScaleShift: gsc.ScaleShift,
+		Kind:        dataset.ScenarioKind(gsc.Kind),
+		Target:      target,
+		BlockStart:  sp.BlockStart,
+		BlockLen:    sp.BlockLen,
+		Refs:        used,
+		RefRate:     gsc.RefRate,
+		MeanRun:     gsc.MeanRun,
+		Corr:        gsc.Corr,
+		LevelShift:  gsc.LevelShift,
+		ScaleShift:  gsc.ScaleShift,
 		DriftPerDay: gsc.DriftPday,
-		Seed:       seed ^ cellSeed(sp.Dataset+"|"+gsc.Kind+"|"+target),
+		Seed:        seed ^ cellSeed(sp.Dataset+"|"+gsc.Kind+"|"+target),
 	})
 	if err != nil {
 		return nil, nil, err

@@ -44,7 +44,9 @@ func TestGridSpecValidate(t *testing.T) {
 		func(s *GridSpec) { s.PatternLengths = []int{-3} },
 		func(s *GridSpec) { s.Schema = "tkcm-grid-v999" },
 		func(s *GridSpec) { s.Quick.Datasets = []string{"Atlantis"} },
-		func(s *GridSpec) { s.SLO.Sweeps = []SLOSweep{{Name: "x", Shards: 1, Tenants: 1, Width: 1, Duration: "1s"}} },
+		func(s *GridSpec) {
+			s.SLO.Sweeps = []SLOSweep{{Name: "x", Shards: 1, Tenants: 1, Width: 1, Duration: "1s"}}
+		},
 	}
 	for i, mutate := range bad {
 		spec := tinyGridSpec()

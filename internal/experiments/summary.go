@@ -45,7 +45,10 @@ func RenderSummaryMD(res *GridResult) ([]byte, error) {
 	if len(res.Cells) == 0 {
 		return nil, fmt.Errorf("experiments: refusing to render a summary with zero cells")
 	}
-	type group struct{ dataset string; l int }
+	type group struct {
+		dataset string
+		l       int
+	}
 	cells := make(map[group]map[string]map[string]CellResult) // group → scenario → alg → cell
 	algSets := make(map[group][]string)
 	var groups []group

@@ -232,7 +232,7 @@ func (s *Server) RestoreFromCheckpoints(ctx context.Context) (int, error) {
 			s.log.Warn("skipping checkpoint with invalid tenant id", "file", name)
 			continue
 		}
-		eng, err := s.restoreOne(filepath.Join(s.dir, name))
+		eng, err := core.RestoreEngineFile(filepath.Join(s.dir, name))
 		if err != nil {
 			return n, fmt.Errorf("server: restoring tenant %q: %w", id, err)
 		}
@@ -287,15 +287,6 @@ func (s *Server) replayWAL(id string, eng *core.Engine) (uint64, error) {
 		return nil
 	})
 	return replayed, err
-}
-
-func (s *Server) restoreOne(path string) (*core.Engine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.RestoreEngine(f)
 }
 
 // CheckpointHydrator adapts a checkpoint directory into the restore hook the

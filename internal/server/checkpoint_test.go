@@ -80,7 +80,7 @@ func TestPruneRemovesOrphanArtifacts(t *testing.T) {
 	if _, err := wm.Open("wal-ghost"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wm.Append("wal-ghost", 1, []float64{1, 2}); err != nil {
+	if _, err := wm.AppendBatch("wal-ghost", 1, [][]float64{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := wm.Get("wal-ghost").Sync(); err != nil {

@@ -497,10 +497,10 @@ func TestRebalancerMovesHotTenant(t *testing.T) {
 
 	s.rebalanceOnce(ctx) // baseline sample
 
-	var rsp shard.TickResponse
+	var rsp shard.BatchResponse
 	feed := func(id string, n int) {
 		for i := 0; i < n; i++ {
-			if err := s.m.Tick(ctx, id, 0, e2eRow(i, 0), &rsp); err != nil {
+			if err := s.m.TickBatch(ctx, id, 0, [][]float64{e2eRow(i, 0)}, &rsp); err != nil {
 				t.Fatal(err)
 			}
 		}

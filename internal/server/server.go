@@ -575,16 +575,56 @@ func (s *Server) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
 }
 
-// tickIn is one NDJSON input line: values with null marking missing, plus
-// an optional client sequence number for exactly-once replay (0/absent =
-// unsequenced). A BATCH line instead carries rows — consecutive ticks
-// applied in one shard operation and one WAL record; seq then numbers the
-// first row, and the server acks each row with its own output line, so the
-// response stream is identical to sending the rows one per line.
+// tickIn is one NDJSON input line as encoding/json decodes it: values with
+// null marking missing, plus an optional client sequence number for
+// exactly-once replay (0/absent = unsequenced). A BATCH line instead carries
+// rows; seq then numbers the first row. A values line is a one-row batch:
+// both shapes are applied in one shard operation and one WAL record, and the
+// server acks each row with its own output line, so the response stream is
+// identical to sending the rows one per line.
 type tickIn struct {
 	Seq    uint64       `json:"seq"`
 	Values []*float64   `json:"values"`
 	Rows   [][]*float64 `json:"rows"`
+}
+
+// decodeTickLine decodes one input line into in, reusing in's scratch. The
+// strict single-pass wire parser handles the plain shapes the client emits
+// with zero allocations; anything unusual — escapes, unknown keys, malformed
+// numbers — falls back to encoding/json for identical semantics and errors.
+func decodeTickLine(line []byte, in *wire.TickIn) error {
+	if wire.ParseTickIn(line, in) {
+		return nil
+	}
+	var jin tickIn
+	if err := json.Unmarshal(line, &jin); err != nil {
+		return err
+	}
+	in.Seq = jin.Seq
+	in.HasValues = jin.Values != nil
+	in.Values = appendNulls(in.Values[:0], jin.Values)
+	in.HasRows = jin.Rows != nil
+	in.Rows = in.Rows[:0]
+	for _, vals := range jin.Rows {
+		var dst []float64
+		if n := len(in.Rows); n < cap(in.Rows) {
+			dst = in.Rows[:n+1][n][:0]
+		}
+		in.Rows = append(in.Rows, appendNulls(dst, vals))
+	}
+	return nil
+}
+
+// appendNulls appends vals to dst, a JSON null becoming NaN (missing).
+func appendNulls(dst []float64, vals []*float64) []float64 {
+	for _, v := range vals {
+		if v == nil {
+			dst = append(dst, math.NaN())
+		} else {
+			dst = append(dst, *v)
+		}
+	}
+	return dst
 }
 
 // tickOut is one NDJSON output line: the completed row. A Duplicate ack
@@ -622,7 +662,7 @@ type ackMsg struct {
 	// row count; the other rows of the batch leave batchN 0.
 	t0          int64 // obs.Now at line receipt
 	decNanos    int64 // NDJSON decode
-	queueNanos  int64 // shard-queue wait (shard.TickResponse.QueueNanos)
+	queueNanos  int64 // shard-queue wait (shard.BatchResponse.QueueNanos)
 	engineNanos int64 // engine compute
 	appliedAt   int64 // shard op completion; anchors the wal_commit wait
 	shard       int   // histogram attribution
@@ -753,9 +793,9 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var (
-		rsp  shard.TickResponse
-		brsp shard.BatchResponse
-		in   wire.TickIn
+		rsp shard.BatchResponse
+		in  wire.TickIn
+		one [1][]float64 // a values line's one-row batch
 	)
 reading:
 	for {
@@ -770,42 +810,9 @@ reading:
 			continue
 		}
 		t0 := obs.Now()
-		// Hot path: the strict single-pass parser handles the plain shapes
-		// the client emits, reusing in's scratch with zero allocations.
-		// Anything unusual — escapes, unknown keys, malformed numbers —
-		// falls back to encoding/json for identical semantics and errors.
-		if !wire.ParseTickIn(line, &in) {
-			var jin tickIn
-			if err := json.Unmarshal(line, &jin); err != nil {
-				fail(http.StatusBadRequest, "decoding tick line: %v", err)
-				break
-			}
-			in.Seq = jin.Seq
-			in.HasValues = jin.Values != nil
-			in.Values = in.Values[:0]
-			for _, v := range jin.Values {
-				if v == nil {
-					in.Values = append(in.Values, math.NaN())
-				} else {
-					in.Values = append(in.Values, *v)
-				}
-			}
-			in.HasRows = jin.Rows != nil
-			in.Rows = in.Rows[:0]
-			for _, vals := range jin.Rows {
-				var dst []float64
-				if n := len(in.Rows); n < cap(in.Rows) {
-					dst = in.Rows[:n+1][n][:0]
-				}
-				for _, v := range vals {
-					if v == nil {
-						dst = append(dst, math.NaN())
-					} else {
-						dst = append(dst, *v)
-					}
-				}
-				in.Rows = append(in.Rows, dst)
-			}
+		if err := decodeTickLine(line, &in); err != nil {
+			fail(http.StatusBadRequest, "decoding tick line: %v", err)
+			break
 		}
 		decNanos := obs.Now() - t0
 		shardIdx := s.m.ShardOf(id)
@@ -818,81 +825,54 @@ reading:
 			break reading
 		default:
 		}
+		// A values line is a one-row batch: every line is one shard
+		// operation and one WAL record, and still one ack line per row — the
+		// response stream is the same whether the client batched or not.
+		rows, what := in.Rows, "tick batch"
+		if !in.HasRows {
+			one[0], rows, what = in.Values, one[:], "tick"
+		} else if in.HasValues {
+			fail(http.StatusBadRequest, "tick line sets both values and rows")
+			break
+		}
+		if err := s.m.TickBatch(r.Context(), id, in.Seq, rows, &rsp); err != nil {
+			fail(statusFor(err), "%s: %v", what, err)
+			break
+		}
+		s.tickRows.Add(uint64(len(rows)))
 		if in.HasRows {
-			// Batch line: one shard operation and one WAL record for the
-			// lot, but still one ack line per row — the response stream is
-			// the same whether the client batched or not.
-			if in.HasValues {
-				fail(http.StatusBadRequest, "tick line sets both values and rows")
-				break
-			}
-			if err := s.m.TickBatch(r.Context(), id, in.Seq, in.Rows, &brsp); err != nil {
-				fail(statusFor(err), "tick batch: %v", err)
-				break
-			}
-			s.tickRows.Add(uint64(len(in.Rows)))
-			s.observeBatch(len(in.Rows))
-			for i := range brsp.Rows {
-				res := &brsp.Rows[i]
-				var msg *ackMsg
-				select {
-				case msg = <-free:
-				default:
-					msg = &ackMsg{}
-				}
-				msg.errText = ""
-				msg.commit = brsp.Durable
-				msg.out.Tick = res.Tick
-				msg.out.Seq = res.Seq
-				msg.out.Duplicate = res.Duplicate
-				msg.out.Values = append(msg.out.Values[:0], res.Row...)
-				msg.out.Imputed = append(msg.out.Imputed[:0], res.Imputed...)
-				// The batch's last row carries the line's stage clocks: its
-				// ack completes the line, so the end-to-end measurement ends
-				// with it.
-				msg.batchN = 0
-				if i == len(brsp.Rows)-1 {
-					msg.t0 = t0
-					msg.decNanos = decNanos
-					msg.queueNanos = brsp.QueueNanos
-					msg.engineNanos = brsp.EngineNanos
-					msg.appliedAt = brsp.AppliedAt
-					msg.shard = shardIdx
-					msg.batchN = len(in.Rows)
-				}
-				if !send(msg) {
-					break reading
-				}
-			}
-			continue
+			s.observeBatch(len(rows))
 		}
-		if err := s.m.Tick(r.Context(), id, in.Seq, in.Values, &rsp); err != nil {
-			fail(statusFor(err), "tick: %v", err)
-			break
-		}
-		s.tickRows.Add(1)
-		var msg *ackMsg
-		select {
-		case msg = <-free:
-		default:
-			msg = &ackMsg{}
-		}
-		msg.errText = ""
-		msg.commit = rsp.Durable
-		msg.out.Tick = rsp.Tick
-		msg.out.Seq = rsp.Seq
-		msg.out.Duplicate = rsp.Duplicate
-		msg.out.Values = append(msg.out.Values[:0], rsp.Row...)
-		msg.out.Imputed = append(msg.out.Imputed[:0], rsp.Imputed...)
-		msg.t0 = t0
-		msg.decNanos = decNanos
-		msg.queueNanos = rsp.QueueNanos
-		msg.engineNanos = rsp.EngineNanos
-		msg.appliedAt = rsp.AppliedAt
-		msg.shard = shardIdx
-		msg.batchN = 1
-		if !send(msg) {
-			break
+		for i := range rsp.Rows {
+			res := &rsp.Rows[i]
+			var msg *ackMsg
+			select {
+			case msg = <-free:
+			default:
+				msg = &ackMsg{}
+			}
+			msg.errText = ""
+			msg.commit = rsp.Durable
+			msg.out.Tick = res.Tick
+			msg.out.Seq = res.Seq
+			msg.out.Duplicate = res.Duplicate
+			msg.out.Values = append(msg.out.Values[:0], res.Row...)
+			msg.out.Imputed = append(msg.out.Imputed[:0], res.Imputed...)
+			// The line's last row carries its stage clocks: its ack completes
+			// the line, so the end-to-end measurement ends with it.
+			msg.batchN = 0
+			if i == len(rsp.Rows)-1 {
+				msg.t0 = t0
+				msg.decNanos = decNanos
+				msg.queueNanos = rsp.QueueNanos
+				msg.engineNanos = rsp.EngineNanos
+				msg.appliedAt = rsp.AppliedAt
+				msg.shard = shardIdx
+				msg.batchN = len(rows)
+			}
+			if !send(msg) {
+				break reading
+			}
 		}
 	}
 	close(acks)

@@ -642,12 +642,13 @@ func (st *tickStream) sendBatch(seq uint64, rows [][]float64) ([]tickOut, error)
 	return outs, nil
 }
 
-// TestBatchTickLines: a tenant fed batch lines must stream back exactly the
-// acks of a tenant fed the same rows one line at a time; replayed batches
-// ack as duplicates; and the batch metrics count rows and sizes.
+// TestBatchTickLines: a tenant fed batch lines, and one fed one-row batch
+// lines, must stream back exactly the acks of a tenant fed the same rows as
+// values lines; replayed batches ack as duplicates; and the batch metrics
+// count the rows and sizes of rows lines only.
 func TestBatchTickLines(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir())
-	for _, id := range []string{"bat", "row"} {
+	for _, id := range []string{"bat", "one", "row"} {
 		resp := createTenant(t, ts.URL, id, testTenantBody)
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create %s: %d", id, resp.StatusCode)
@@ -655,9 +656,31 @@ func TestBatchTickLines(t *testing.T) {
 		resp.Body.Close()
 	}
 	stBat := openTickStream(t, ts.URL, "bat")
+	stOne := openTickStream(t, ts.URL, "one")
 	stRow := openTickStream(t, ts.URL, "row")
 	defer stBat.close()
+	defer stOne.close()
 	defer stRow.close()
+
+	// sameAck fails unless got (from a rows line) is the ack want (from a
+	// values line) of the same row.
+	sameAck := func(kind string, tk int, got, want tickOut) {
+		t.Helper()
+		if got.Duplicate || got.Tick != want.Tick || got.Seq != want.Seq {
+			t.Fatalf("tick %d: %s ack %+v, rowwise %+v", tk, kind, got, want)
+		}
+		if len(got.Values) != len(want.Values) {
+			t.Fatalf("tick %d: %s %d values vs %d", tk, kind, len(got.Values), len(want.Values))
+		}
+		for i := range want.Values {
+			if got.Values[i] != want.Values[i] {
+				t.Fatalf("tick %d stream %d: %s %v, rowwise %v", tk, i, kind, got.Values[i], want.Values[i])
+			}
+		}
+		if fmt.Sprint(got.Imputed) != fmt.Sprint(want.Imputed) {
+			t.Fatalf("tick %d: %s imputed %v vs %v", tk, kind, got.Imputed, want.Imputed)
+		}
+	}
 
 	const n, batch = 96, 12
 	all := make([][]float64, n)
@@ -673,24 +696,20 @@ func TestBatchTickLines(t *testing.T) {
 			t.Fatalf("batch %d: %d acks, want %d", a, len(outs), batch)
 		}
 		for r, got := range outs {
-			want, err := stRow.send(all[a+r])
+			tk := a + r
+			want, err := stRow.send(all[tk])
 			if err != nil {
-				t.Fatalf("rowwise %d: %v", a+r, err)
+				t.Fatalf("rowwise %d: %v", tk, err)
 			}
-			if got.Duplicate || got.Tick != want.Tick || got.Seq != want.Seq {
-				t.Fatalf("tick %d: batch ack %+v, rowwise %+v", a+r, got, want)
+			sameAck("batch", tk, got, want)
+			ones, err := stOne.sendBatch(uint64(tk+1), all[tk:tk+1])
+			if err != nil {
+				t.Fatalf("one-row batch %d: %v", tk, err)
 			}
-			if len(got.Values) != len(want.Values) {
-				t.Fatalf("tick %d: %d values vs %d", a+r, len(got.Values), len(want.Values))
+			if len(ones) != 1 {
+				t.Fatalf("one-row batch %d: %d acks, want 1", tk, len(ones))
 			}
-			for i := range want.Values {
-				if got.Values[i] != want.Values[i] {
-					t.Fatalf("tick %d stream %d: batch %v, rowwise %v", a+r, i, got.Values[i], want.Values[i])
-				}
-			}
-			if fmt.Sprint(got.Imputed) != fmt.Sprint(want.Imputed) {
-				t.Fatalf("tick %d: imputed %v vs %v", a+r, got.Imputed, want.Imputed)
-			}
+			sameAck("one-row batch", tk, ones[0], want)
 		}
 	}
 
@@ -705,7 +724,8 @@ func TestBatchTickLines(t *testing.T) {
 		}
 	}
 
-	// Metrics: 9 batches of 12 rows (8 live + 1 replayed) were observed.
+	// Metrics: 9 rows lines of 12 rows (8 live + 1 replayed) and 96 one-row
+	// rows lines were observed; the 96 values lines are not batch lines.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -713,11 +733,13 @@ func TestBatchTickLines(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		"tkcm_ticks_batched_total 108",
-		`tkcm_tick_batch_size_bucket{le="16"} 9`,
-		`tkcm_tick_batch_size_bucket{le="+Inf"} 9`,
-		"tkcm_tick_batch_size_sum 108",
-		"tkcm_tick_batch_size_count 9",
+		"tkcm_ticks_batched_total 204",
+		`tkcm_tick_batch_size_bucket{le="1"} 96`,
+		`tkcm_tick_batch_size_bucket{le="8"} 96`,
+		`tkcm_tick_batch_size_bucket{le="16"} 105`,
+		`tkcm_tick_batch_size_bucket{le="+Inf"} 105`,
+		"tkcm_tick_batch_size_sum 204",
+		"tkcm_tick_batch_size_count 105",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)

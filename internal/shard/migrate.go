@@ -28,13 +28,13 @@ type migration struct {
 
 // Migrate moves tenant tenantID onto shard dst live: the tenant's queued
 // operations drain on the source shard, new ones park in a bounded handoff
-// buffer, the engine image travels via Engine.Snapshot/core.RestoreEngine
-// with its write-ahead-log sequence handed off intact, the routing table is
-// persisted (fsynced) and atomically flipped, and the parked operations
-// replay on the destination. Acked ⇒ durable holds throughout: the WAL and
-// checkpoints are shard-agnostic, so a crash at any point during the
-// migration restores the tenant — whole, on exactly one shard — from its
-// checkpoint plus log.
+// buffer, the engine image travels via Engine.Snapshot and
+// core.RestoreEngineBytes with its write-ahead-log sequence handed off
+// intact, the routing table is persisted (fsynced) and atomically flipped,
+// and the parked operations replay on the destination. Acked ⇒ durable
+// holds throughout: the WAL and checkpoints are shard-agnostic, so a crash
+// at any point during the migration restores the tenant — whole, on exactly
+// one shard — from its checkpoint plus log.
 //
 // Migrations are serialized (one tenant in transit at a time). Returns the
 // source shard; migrating a tenant onto the shard it already occupies
@@ -106,7 +106,7 @@ func (m *Manager) Migrate(ctx context.Context, tenantID string, dst int) (int, e
 
 	// Rebuild the engine from its image off both shard goroutines — neither
 	// the source nor the destination stalls its other tenants on the decode.
-	restored, err := core.RestoreEngine(&img)
+	restored, err := core.RestoreEngineBytes(img.Bytes())
 	if err != nil {
 		err = fmt.Errorf("shard: restoring %q on shard %d: %w", tenantID, dst, err)
 		m.rollback(ctx, tenantID, src, moved, nil, conclude)

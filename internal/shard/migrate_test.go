@@ -68,13 +68,13 @@ func TestMigrateMovesTenantLive(t *testing.T) {
 	defer control.Close()
 
 	feed := func(from, to int) {
-		var rsp TickResponse
+		var rsp tickRow
 		for tk := from; tk < to; tk++ {
 			row := testRow(tk, 4)
 			if tk > 10 && tk%4 == 0 {
 				row[2] = math.NaN()
 			}
-			if err := m.Tick(ctx, "mt", 0, row, &rsp); err != nil {
+			if err := tick(ctx, m, "mt", 0, row, &rsp); err != nil {
 				t.Fatalf("tick %d: %v", tk, err)
 			}
 			row = testRow(tk, 4)
@@ -147,8 +147,8 @@ func TestMigrateErrors(t *testing.T) {
 	if err := m.Create(ctx, "ghost", testConfig(), testStreams(), nil); err != nil {
 		t.Fatal(err)
 	}
-	var rsp TickResponse
-	if err := m.Tick(ctx, "ghost", 0, testRow(0, 4), &rsp); err != nil {
+	var rsp tickRow
+	if err := tick(ctx, m, "ghost", 0, testRow(0, 4), &rsp); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -180,9 +180,9 @@ func TestMigrateUnderSequencedLoad(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var rsp TickResponse
+		var rsp tickRow
 		for n := 1; n <= total; n++ {
-			if err := m.Tick(ctx, "hot", uint64(n), rowFor(n), &rsp); err != nil {
+			if err := tick(ctx, m, "hot", uint64(n), rowFor(n), &rsp); err != nil {
 				tickErr <- err
 				return
 			}
@@ -257,9 +257,9 @@ func TestMigrateWithWALKeepsDurabilityAndDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var rsp TickResponse
+	var rsp tickRow
 	for n := 1; n <= 30; n++ {
-		if err := m.Tick(ctx, "w1", uint64(n), testRow(n, 4), &rsp); err != nil {
+		if err := tick(ctx, m, "w1", uint64(n), testRow(n, 4), &rsp); err != nil {
 			t.Fatal(err)
 		}
 		if err := rsp.Durable.Wait(); err != nil {
@@ -274,7 +274,7 @@ func TestMigrateWithWALKeepsDurabilityAndDedup(t *testing.T) {
 	// A client replaying across the flip: rows 21..30 again → duplicates
 	// whose durability promise still verifies; 31 onward applies normally.
 	for n := 21; n <= 30; n++ {
-		if err := m.Tick(ctx, "w1", uint64(n), testRow(n, 4), &rsp); err != nil {
+		if err := tick(ctx, m, "w1", uint64(n), testRow(n, 4), &rsp); err != nil {
 			t.Fatalf("replayed row %d: %v", n, err)
 		}
 		if !rsp.Duplicate {
@@ -285,7 +285,7 @@ func TestMigrateWithWALKeepsDurabilityAndDedup(t *testing.T) {
 		}
 	}
 	for n := 31; n <= 60; n++ {
-		if err := m.Tick(ctx, "w1", uint64(n), testRow(n, 4), &rsp); err != nil {
+		if err := tick(ctx, m, "w1", uint64(n), testRow(n, 4), &rsp); err != nil {
 			t.Fatalf("row %d after migration: %v", n, err)
 		}
 		if rsp.Duplicate || rsp.Seq != uint64(n) {
@@ -296,7 +296,7 @@ func TestMigrateWithWALKeepsDurabilityAndDedup(t *testing.T) {
 		}
 	}
 	// Sequence gaps are still refused after the flip.
-	if err := m.Tick(ctx, "w1", 99, testRow(99, 4), &rsp); !errors.Is(err, ErrSeqGap) {
+	if err := tick(ctx, m, "w1", 99, testRow(99, 4), &rsp); !errors.Is(err, ErrSeqGap) {
 		t.Fatalf("gap after migration: %v", err)
 	}
 	m.Close()
@@ -399,14 +399,14 @@ func TestMigrateConcurrentOpsDoNotError(t *testing.T) {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
-			var rsp TickResponse
+			var rsp tickRow
 			for n := 0; ; n++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if err := m.Tick(ctx, id, 0, testRow(n, 4), &rsp); err != nil {
+				if err := tick(ctx, m, id, 0, testRow(n, 4), &rsp); err != nil {
 					errc <- err
 					return
 				}

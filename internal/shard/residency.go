@@ -70,8 +70,8 @@ func (sh *shard) detach(id string) *core.Engine {
 }
 
 // touch marks tenant id most-recently-used. Called exactly once per shard
-// operation that resolves the engine — a TickBatch counts once, same as a
-// Tick, so batch size does not distort eviction order.
+// operation that resolves the engine — a TickBatch counts once whatever its
+// row count, so batch size does not distort eviction order.
 func (sh *shard) touch(id string) {
 	if el, ok := sh.lruAt[id]; ok {
 		sh.lru.MoveToFront(el)

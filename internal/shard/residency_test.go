@@ -77,7 +77,7 @@ func TestHydrationStreamEquivalence(t *testing.T) {
 	}
 	defer direct.Close()
 
-	var rsp, pestRsp TickResponse
+	var rsp, pestRsp tickRow
 	const n = 160
 	for seq := uint64(1); seq <= n; seq++ {
 		row := testRow(int(seq), 4)
@@ -90,10 +90,10 @@ func TestHydrationStreamEquivalence(t *testing.T) {
 		}
 		// Touching the pest first forces prop out of the single resident
 		// slot, so every prop tick below crosses a hydration boundary.
-		if err := m.Tick(ctx, "pest", 0, testRow(int(seq), 4), &pestRsp); err != nil {
+		if err := tick(ctx, m, "pest", 0, testRow(int(seq), 4), &pestRsp); err != nil {
 			t.Fatalf("pest tick %d: %v", seq, err)
 		}
-		if err := m.Tick(ctx, "prop", seq, row, &rsp); err != nil {
+		if err := tick(ctx, m, "prop", seq, row, &rsp); err != nil {
 			t.Fatalf("prop tick %d: %v", seq, err)
 		}
 		if err := rsp.Durable.Wait(); err != nil {
@@ -111,10 +111,10 @@ func TestHydrationStreamEquivalence(t *testing.T) {
 			// Duplicate replay across a hydration boundary: evict prop again,
 			// then re-send an already-acked sequence number. The hydrated
 			// engine must ack it idempotently, with durability re-verified.
-			if err := m.Tick(ctx, "pest", 0, testRow(int(seq), 4), &pestRsp); err != nil {
+			if err := tick(ctx, m, "pest", 0, testRow(int(seq), 4), &pestRsp); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Tick(ctx, "prop", seq, row, &rsp); err != nil {
+			if err := tick(ctx, m, "prop", seq, row, &rsp); err != nil {
 				t.Fatalf("duplicate replay of seq %d: %v", seq, err)
 			}
 			if !rsp.Duplicate {
@@ -181,12 +181,12 @@ func TestEvictionLRUOrder(t *testing.T) {
 	if err := m.TickBatch(ctx, "b", 0, rows, &brsp); err != nil {
 		t.Fatal(err)
 	}
-	var rsp TickResponse
-	if err := m.Tick(ctx, "c", 0, testRow(0, 4), &rsp); err != nil {
+	var rsp tickRow
+	if err := tick(ctx, m, "c", 0, testRow(0, 4), &rsp); err != nil {
 		t.Fatal(err)
 	}
 	// Recency now c > b: hydrating a must evict b, not c.
-	if err := m.Tick(ctx, "a", 0, testRow(0, 4), &rsp); err != nil {
+	if err := tick(ctx, m, "a", 0, testRow(0, 4), &rsp); err != nil {
 		t.Fatal(err)
 	}
 	requireResidency(t, m, ctx, map[string]bool{"a": true, "b": false, "c": true})
@@ -218,9 +218,9 @@ func TestParkedTenantServesMetadata(t *testing.T) {
 	m, ckDir := residencyManager(t, 1)
 	defer m.Close()
 	createWithCheckpoint(t, m, ckDir, "a")
-	var rsp TickResponse
+	var rsp tickRow
 	for seq := uint64(1); seq <= 30; seq++ {
-		if err := m.Tick(ctx, "a", seq, testRow(int(seq), 4), &rsp); err != nil {
+		if err := tick(ctx, m, "a", seq, testRow(int(seq), 4), &rsp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,8 +273,8 @@ func TestDeleteParkedTenant(t *testing.T) {
 	if err := m.Create(ctx, "a", testConfig(), testStreams(), nil); err != nil {
 		t.Fatalf("recreate after parked delete: %v", err)
 	}
-	var rsp TickResponse
-	if err := m.Tick(ctx, "a", 1, testRow(0, 4), &rsp); err != nil || rsp.Seq != 1 {
+	var rsp tickRow
+	if err := tick(ctx, m, "a", 1, testRow(0, 4), &rsp); err != nil || rsp.Seq != 1 {
 		t.Fatalf("fresh tenant after parked delete: seq %d err %v", rsp.Seq, err)
 	}
 }
@@ -288,9 +288,9 @@ func TestHydrationFailureFailStops(t *testing.T) {
 	m, ckDir := residencyManager(t, 1)
 	defer m.Close()
 	createWithCheckpoint(t, m, ckDir, "a")
-	var rsp TickResponse
+	var rsp tickRow
 	for seq := uint64(1); seq <= 10; seq++ {
-		if err := m.Tick(ctx, "a", seq, testRow(int(seq), 4), &rsp); err != nil {
+		if err := tick(ctx, m, "a", seq, testRow(int(seq), 4), &rsp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +307,7 @@ func TestHydrationFailureFailStops(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := m.Tick(ctx, "a", 11, testRow(11, 4), &rsp); !errors.Is(err, ErrTenantFailed) {
+	if err := tick(ctx, m, "a", 11, testRow(11, 4), &rsp); !errors.Is(err, ErrTenantFailed) {
 		t.Fatalf("tick against corrupt checkpoint: %v, want ErrTenantFailed", err)
 	}
 	// Latched: a later op reports the same failure without retrying restore.
@@ -350,22 +350,22 @@ func TestHydrationRefusesRewoundEngine(t *testing.T) {
 	if err := m.Create(ctx, "a", testConfig(), testStreams(), nil); err != nil {
 		t.Fatal(err)
 	}
-	var rsp TickResponse
+	var rsp tickRow
 	for seq := uint64(1); seq <= 10; seq++ {
-		if err := m.Tick(ctx, "a", seq, testRow(int(seq), 4), &rsp); err != nil {
+		if err := tick(ctx, m, "a", seq, testRow(int(seq), 4), &rsp); err != nil {
 			t.Fatal(err)
 		}
 	}
 	writeCheckpoint(t, m, ckDir, "a") // checkpoint at seq 10
 	for seq := uint64(11); seq <= 20; seq++ {
-		if err := m.Tick(ctx, "a", seq, testRow(int(seq), 4), &rsp); err != nil {
+		if err := tick(ctx, m, "a", seq, testRow(int(seq), 4), &rsp); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := m.Create(ctx, "b", testConfig(), testStreams(), nil); err != nil {
 		t.Fatal(err) // parks a at seq 20; its checkpoint only reaches 10
 	}
-	err := m.Tick(ctx, "a", 21, testRow(21, 4), &rsp)
+	err := tick(ctx, m, "a", 21, testRow(21, 4), &rsp)
 	if !errors.Is(err, ErrTenantFailed) {
 		t.Fatalf("hydration of a rewound engine: %v, want ErrTenantFailed", err)
 	}
@@ -386,9 +386,9 @@ func TestMigrateParkedTenant(t *testing.T) {
 	})
 	defer m.Close()
 	createWithCheckpoint(t, m, ckDir, "mover")
-	var rsp TickResponse
+	var rsp tickRow
 	for seq := uint64(1); seq <= 25; seq++ {
-		if err := m.Tick(ctx, "mover", seq, testRow(int(seq), 4), &rsp); err != nil {
+		if err := tick(ctx, m, "mover", seq, testRow(int(seq), 4), &rsp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,7 +415,7 @@ func TestMigrateParkedTenant(t *testing.T) {
 	if info.Shard != dst || info.Seq != 25 || !info.Resident {
 		t.Fatalf("post-migration info %+v, want shard %d seq 25 resident", info, dst)
 	}
-	if err := m.Tick(ctx, "mover", 26, testRow(26, 4), &rsp); err != nil || rsp.Seq != 26 {
+	if err := tick(ctx, m, "mover", 26, testRow(26, 4), &rsp); err != nil || rsp.Seq != 26 {
 		t.Fatalf("tick after parked migration: seq %d err %v", rsp.Seq, err)
 	}
 }

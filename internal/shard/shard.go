@@ -25,9 +25,9 @@ var (
 	ErrTenantExists = errors.New("shard: tenant already exists")
 	// ErrNoTenant is returned for operations on an unknown tenant id.
 	ErrNoTenant = errors.New("shard: no such tenant")
-	// ErrSeqGap is returned by a sequenced Tick whose client sequence number
-	// skips ahead of the engine — rows in between were never applied, so
-	// accepting the row would silently lose them.
+	// ErrSeqGap is returned by a sequenced TickBatch whose first sequence
+	// number skips ahead of the engine — rows in between were never applied,
+	// so accepting the batch would silently lose them.
 	ErrSeqGap = errors.New("shard: sequence gap")
 	// ErrBadShard is returned by Migrate for a destination outside the
 	// manager's shard range — a caller error, distinct from the internal
@@ -54,9 +54,9 @@ type Options struct {
 	// default table over Shards shards (pure hash routing, no persistence).
 	Routing *Table
 	// WAL, when non-nil, write-ahead-logs every tick before it is applied:
-	// Create/Attach open the tenant's log, Delete removes it, and Tick
-	// appends the raw row and hands back the group-commit handle in
-	// TickResponse.Durable. The caller acks only after Durable.Wait().
+	// Create/Attach open the tenant's log, Delete removes it, and TickBatch
+	// appends the raw rows and hands back the group-commit handle in
+	// BatchResponse.Durable. The caller acks only after Durable.Wait().
 	WAL *wal.Manager
 	// Hydrate rebuilds an evicted tenant's engine from its newest durable
 	// checkpoint (the WAL tail is replayed on top by the shard). Setting it
@@ -82,10 +82,8 @@ type Options struct {
 	Parkable func(tenantID string) bool
 }
 
-// TickResponse receives the outcome of one Manager.Tick. Its slices are
-// reused across calls on the same TickResponse, so a caller streaming many
-// ticks allocates only once.
-type TickResponse struct {
+// RowResult is one row's outcome inside a BatchResponse.
+type RowResult struct {
 	// Tick is the tenant engine's window tick index after this row.
 	Tick int
 	// Seq is the engine's sequence number for this row (rows ingested over
@@ -96,40 +94,10 @@ type TickResponse struct {
 	// and Imputed left empty. This is what makes client replay after a
 	// reconnect exactly-once.
 	Duplicate bool
-	// Durable is the write-ahead-log commit handle: Wait returns once the
-	// row is on stable storage. For a Duplicate it verifies (forcing a sync
-	// if needed) that the original append's record is still covered. The
-	// zero value (WAL disabled) waits for nothing.
-	Durable wal.Commit
 	// Row is the completed row: the input with every missing value imputed.
 	Row []float64
 	// Imputed lists the stream indices that were missing in the input.
 	Imputed []int
-
-	// Stage clocks (internal/obs), always on — capturing them is two clock
-	// reads per leg, cheap enough that sampling never gates measurement.
-	// QueueNanos is the time the operation waited between submission and
-	// running on the shard goroutine (backpressure made visible per tick);
-	// EngineNanos is the engine compute time; AppliedAt is the obs.Now
-	// timestamp at which the shard operation finished (row applied, WAL
-	// record appended) — the anchor the caller measures the group-commit
-	// durability wait from.
-	QueueNanos  int64
-	EngineNanos int64
-	AppliedAt   int64
-}
-
-// RowResult is one row's outcome inside a BatchResponse — the per-row
-// fields of TickResponse without the durability handle, which the whole
-// batch shares.
-type RowResult struct {
-	// Tick, Seq, Duplicate, Row, Imputed mirror the TickResponse fields of
-	// the same names.
-	Tick      int
-	Seq       uint64
-	Duplicate bool
-	Row       []float64
-	Imputed   []int
 }
 
 // BatchResponse receives the outcome of one Manager.TickBatch. Its slices
@@ -137,16 +105,23 @@ type RowResult struct {
 // a caller streaming many batches allocates only in the first few.
 type BatchResponse struct {
 	// Durable is the single write-ahead-log commit handle covering EVERY row
-	// of the batch: the rows share one log record and one group-commit slot.
-	// For a batch of duplicates it verifies coverage like TickResponse's.
-	// The zero value (WAL disabled) waits for nothing.
+	// of the batch: the rows share one log record and one group-commit slot,
+	// and Wait returns once they are on stable storage. For duplicate rows it
+	// verifies (forcing a sync if needed) that the original append's record
+	// is still covered. The zero value (WAL disabled) waits for nothing.
 	Durable wal.Commit
 	// Rows holds one entry per input row, in order.
 	Rows []RowResult
 
-	// QueueNanos, EngineNanos and AppliedAt are the batch-level stage clocks,
-	// with the same meaning as TickResponse's: the whole batch shares one
-	// queue wait, one engine ingest, and one WAL record.
+	// Stage clocks (internal/obs), always on — capturing them is two clock
+	// reads per leg, cheap enough that sampling never gates measurement. The
+	// whole batch shares one queue wait, one engine ingest and one WAL
+	// record. QueueNanos is the time the operation waited between submission
+	// and running on the shard goroutine (backpressure made visible per
+	// line); EngineNanos is the engine compute time; AppliedAt is the
+	// obs.Now timestamp at which the shard operation finished (rows applied,
+	// WAL record appended) — the anchor the caller measures the group-commit
+	// durability wait from.
 	QueueNanos  int64
 	EngineNanos int64
 	AppliedAt   int64
@@ -524,118 +499,33 @@ func (m *Manager) Delete(ctx context.Context, tenantID string) error {
 	return err
 }
 
-// Tick feeds one row (NaN = missing) to the tenant's engine and copies the
-// completed row into rsp. rsp's slices are reused across calls.
+// TickBatch feeds consecutive rows (NaN = missing) to the tenant's engine
+// in one shard-queue operation — the manager's one tick operation, whether
+// the caller holds one row or many: one routing lookup, one queue slot, one
+// write-ahead-log record (and thus one group-commit slot), and one engine
+// ingest for the whole batch. A lone row goes to the engine's scalar Tick;
+// two or more are transposed once and ingested columnar, which is
+// bit-identical to feeding them one at a time.
 //
-// seq makes the tick idempotent for replaying clients: 0 means unsequenced
-// (always applied); otherwise the row is applied only when seq is exactly
-// the engine's next sequence number, acked as a Duplicate when it was
-// already applied, and refused with ErrSeqGap when rows in between are
-// missing. With a WAL configured the raw row is validated, then logged,
-// then applied — rsp.Durable resolves when the log record is fsynced, and
-// only then may the caller acknowledge the row.
-func (m *Manager) Tick(ctx context.Context, tenantID string, seq uint64, row []float64, rsp *TickResponse) error {
-	enq := obs.Now()
-	return m.do(ctx, tenantID, func(sh *shard) error {
-		// Queue wait: submission to running on the shard goroutine. A
-		// misrouted retry re-enters here, so the clock accumulates the full
-		// wait across requeues — which is exactly what the tick experienced.
-		rsp.QueueNanos = obs.Now() - enq
-		rsp.EngineNanos = 0
-		eng, err := m.resident(sh, tenantID)
-		if err != nil {
-			return err
-		}
-		engSeq := eng.Seq()
-		rsp.Duplicate = false
-		rsp.Durable = wal.Commit{}
-		if seq != 0 {
-			if seq <= engSeq {
-				// Already applied — but "applied" is not "durable": the
-				// original append's group commit may still be pending, or may
-				// have failed after the row reached the engine. A duplicate
-				// ack is a durability promise like any other, so hand back a
-				// handle that verifies (and if needed forces) coverage at
-				// Wait time, on the caller's goroutine — syncing here would
-				// block every tenant on this shard behind an fsync.
-				if m.wal != nil {
-					l := m.wal.Get(tenantID)
-					if l == nil {
-						return fmt.Errorf("shard: tenant %q has no open log", tenantID)
-					}
-					rsp.Durable = l.DurableCommit(seq)
-				}
-				rsp.Seq = seq
-				rsp.Tick = eng.Window().Tick()
-				rsp.Row = rsp.Row[:0]
-				rsp.Imputed = rsp.Imputed[:0]
-				rsp.Duplicate = true
-				rsp.AppliedAt = obs.Now()
-				return nil
-			}
-			if seq != engSeq+1 {
-				return fmt.Errorf("%w: tenant %q: client seq %d, next is %d", ErrSeqGap, tenantID, seq, engSeq+1)
-			}
-		}
-		if m.wal != nil {
-			// Validate first so the logged row can never be rejected by the
-			// engine — neither on the next line nor on crash replay — keeping
-			// the log and the engine sequence in lockstep. Engine.Tick will
-			// re-run the same check; that duplicate scan is deliberate
-			// (independent safety of the public engine API) and costs one
-			// pass over the row, noise next to the WAL encode that follows.
-			if err := eng.ValidateRow(row); err != nil {
-				return err
-			}
-			commit, err := m.wal.Append(tenantID, engSeq+1, row)
-			if err != nil {
-				return fmt.Errorf("shard: tenant %q: %w", tenantID, err)
-			}
-			rsp.Durable = commit
-		}
-		e0 := obs.Now()
-		out, _, err := eng.Tick(row)
-		if err != nil {
-			return err
-		}
-		rsp.EngineNanos = obs.Now() - e0
-		sh.ticks.Add(1)
-		rsp.Tick = eng.Window().Tick()
-		rsp.Seq = eng.Seq()
-		rsp.Row = append(rsp.Row[:0], out...)
-		rsp.Imputed = rsp.Imputed[:0]
-		for i, v := range row {
-			if math.IsNaN(v) {
-				rsp.Imputed = append(rsp.Imputed, i)
-			}
-		}
-		sh.imputed.Add(uint64(len(rsp.Imputed)))
-		rsp.AppliedAt = obs.Now()
-		return nil
-	})
-}
-
-// TickBatch feeds a batch of consecutive rows to the tenant's engine in one
-// shard-queue operation: one routing lookup, one queue slot, one
-// write-ahead-log record (and thus one group-commit slot), and one columnar
-// engine ingest for the whole batch — the amortization that makes batched
-// streaming scale. Results are bit-identical to feeding the rows through
-// Tick one at a time.
-//
-// seq carries the sequence number of rows[0]; row i carries seq+i. As with
-// Tick, 0 means unsequenced. A batch whose tail the engine has already
-// applied is acked as duplicates row by row; a batch straddling the engine's
-// sequence number applies only the unseen suffix (the duplicate prefix is
-// acked in place), and a batch skipping ahead is refused whole with
-// ErrSeqGap. A row the engine would reject (wrong width, ±Inf) refuses the
-// WHOLE batch before any row is logged or applied: the error names the
-// offending row.
+// seq makes the rows idempotent for replaying clients: it carries the
+// sequence number of rows[0], and row i carries seq+i; 0 means unsequenced
+// (always applied). Rows the engine has already applied are acked as
+// duplicates in place, a batch straddling the engine's sequence number
+// applies only the unseen suffix, and a batch skipping ahead is refused
+// whole with ErrSeqGap. A row the engine would reject (wrong width, ±Inf)
+// refuses the WHOLE batch before any row is logged or applied: the error
+// names the offending row. With a WAL configured the rows are validated,
+// then logged, then applied — rsp.Durable resolves when the log record is
+// fsynced, and only then may the caller acknowledge them.
 func (m *Manager) TickBatch(ctx context.Context, tenantID string, seq uint64, rows [][]float64, rsp *BatchResponse) error {
 	if len(rows) == 0 {
 		return errors.New("shard: empty batch")
 	}
 	enq := obs.Now()
 	return m.do(ctx, tenantID, func(sh *shard) error {
+		// Queue wait: submission to running on the shard goroutine. A
+		// misrouted retry re-enters here, so the clock accumulates the full
+		// wait across requeues — which is exactly what the line experienced.
 		rsp.QueueNanos = obs.Now() - enq
 		rsp.EngineNanos = 0
 		eng, err := m.resident(sh, tenantID)
@@ -670,9 +560,13 @@ func (m *Manager) TickBatch(ctx context.Context, tenantID string, seq uint64, ro
 		}
 		live := rows[skip:]
 		if len(live) == 0 {
-			// Every row was already applied; promise durability the same way
-			// a duplicate Tick does — verified (and forced if needed) at Wait
-			// time on the caller's goroutine.
+			// Every row was already applied — but "applied" is not
+			// "durable": the original append's group commit may still be
+			// pending, or may have failed after the rows reached the engine.
+			// A duplicate ack is a durability promise like any other, so hand
+			// back a handle that verifies (and if needed forces) coverage at
+			// Wait time, on the caller's goroutine — syncing here would block
+			// every tenant on this shard behind an fsync.
 			if m.wal != nil {
 				l := m.wal.Get(tenantID)
 				if l == nil {
@@ -685,7 +579,8 @@ func (m *Manager) TickBatch(ctx context.Context, tenantID string, seq uint64, ro
 		}
 		// Validate every live row up front so the batch is atomic — the WAL
 		// record below must never hold a row the engine would refuse, neither
-		// on the ingest that follows nor on crash replay.
+		// on the ingest that follows nor on crash replay, keeping the log and
+		// the engine sequence in lockstep.
 		for r, row := range live {
 			if err := eng.ValidateRow(row); err != nil {
 				return fmt.Errorf("shard: tenant %q: batch row %d: %w", tenantID, skip+r, err)
@@ -701,27 +596,22 @@ func (m *Manager) TickBatch(ctx context.Context, tenantID string, seq uint64, ro
 			// prefix (if any) is covered by the same Wait.
 			rsp.Durable = commit
 		}
-		// Transpose into the stream-major scratch and ingest columnar.
-		width := len(live[0])
-		if cap(rsp.cols) < width {
-			rsp.cols = make(core.Columns, width)
+		var one []float64     // the lone row's completed values
+		var cols core.Columns // the completed batch, stream-major
+		if len(live) == 1 {
+			// A lone row skips the transpose and the columnar set-up.
+			e0 := obs.Now()
+			one, _, err = eng.Tick(live[0])
+			rsp.EngineNanos = obs.Now() - e0
+		} else {
+			rsp.transpose(live)
+			e0 := obs.Now()
+			cols, _, err = eng.TickColumns(rsp.cols)
+			rsp.EngineNanos = obs.Now() - e0
 		}
-		rsp.cols = rsp.cols[:width]
-		for i := range rsp.cols {
-			if cap(rsp.cols[i]) < len(live) {
-				rsp.cols[i] = make([]float64, len(live))
-			}
-			rsp.cols[i] = rsp.cols[i][:len(live)]
-			for r, row := range live {
-				rsp.cols[i][r] = row[i]
-			}
-		}
-		e0 := obs.Now()
-		outCols, _, err := eng.TickColumns(rsp.cols)
 		if err != nil {
 			return err // unreachable: every row was validated above
 		}
-		rsp.EngineNanos = obs.Now() - e0
 		sh.ticks.Add(uint64(len(live)))
 		baseTick := eng.Window().Tick() - len(live)
 		baseSeq := eng.Seq() - uint64(len(live))
@@ -730,9 +620,9 @@ func (m *Manager) TickBatch(ctx context.Context, tenantID string, seq uint64, ro
 			out.Duplicate = false
 			out.Tick = baseTick + r + 1
 			out.Seq = baseSeq + uint64(r) + 1
-			out.Row = out.Row[:0]
-			for i := 0; i < width; i++ {
-				out.Row = append(out.Row, outCols[i][r])
+			out.Row = append(out.Row[:0], one...)
+			for i := range cols {
+				out.Row = append(out.Row, cols[i][r])
 			}
 			out.Imputed = out.Imputed[:0]
 			for i, v := range live[r] {
@@ -745,6 +635,25 @@ func (m *Manager) TickBatch(ctx context.Context, tenantID string, seq uint64, ro
 		rsp.AppliedAt = obs.Now()
 		return nil
 	})
+}
+
+// transpose copies rows into the stream-major scratch the columnar ingest
+// reads.
+func (rsp *BatchResponse) transpose(rows [][]float64) {
+	width := len(rows[0])
+	if cap(rsp.cols) < width {
+		rsp.cols = make(core.Columns, width)
+	}
+	rsp.cols = rsp.cols[:width]
+	for i := range rsp.cols {
+		if cap(rsp.cols[i]) < len(rows) {
+			rsp.cols[i] = make([]float64, len(rows))
+		}
+		rsp.cols[i] = rsp.cols[i][:len(rows)]
+		for r, row := range rows {
+			rsp.cols[i][r] = row[i]
+		}
+	}
 }
 
 // Snapshot streams the tenant engine's snapshot (core snapshot format) to

@@ -30,6 +30,23 @@ func testRow(t int, width int) []float64 {
 	return row
 }
 
+// tickRow is one row's outcome through the manager's tick operation: its
+// RowResult plus the durability handle the batch shares.
+type tickRow struct {
+	RowResult
+	Durable wal.Commit
+}
+
+// tick feeds one row to the tenant as a one-row TickBatch.
+func tick(ctx context.Context, m *Manager, id string, seq uint64, row []float64, rsp *tickRow) error {
+	var b BatchResponse
+	if err := m.TickBatch(ctx, id, seq, [][]float64{row}, &b); err != nil {
+		return err
+	}
+	rsp.RowResult, rsp.Durable = b.Rows[0], b.Durable
+	return nil
+}
+
 func TestManagerLifecycle(t *testing.T) {
 	ctx := context.Background()
 	m := New(Options{Shards: 3, QueueLen: 8})
@@ -45,13 +62,13 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var rsp TickResponse
+	var rsp tickRow
 	for tk := 0; tk < 60; tk++ {
 		row := testRow(tk, 4)
 		if tk > 30 && tk%5 == 0 {
 			row[1] = math.NaN()
 		}
-		if err := m.Tick(ctx, "t1", 0, row, &rsp); err != nil {
+		if err := tick(ctx, m, "t1", 0, row, &rsp); err != nil {
 			t.Fatalf("tick %d: %v", tk, err)
 		}
 		if rsp.Tick != tk {
@@ -78,7 +95,7 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatalf("t1 ticks %d, want 60", infos[0].Ticks)
 	}
 
-	if err := m.Tick(ctx, "nope", 0, testRow(0, 4), &rsp); !errors.Is(err, ErrNoTenant) {
+	if err := tick(ctx, m, "nope", 0, testRow(0, 4), &rsp); !errors.Is(err, ErrNoTenant) {
 		t.Fatalf("tick unknown tenant: %v", err)
 	}
 	if err := m.Delete(ctx, "t2"); err != nil {
@@ -111,7 +128,7 @@ func TestManagerMatchesDirectEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var rsp TickResponse
+	var rsp tickRow
 	for tk := 0; tk < 120; tk++ {
 		row := testRow(tk, 4)
 		if tk > 30 && tk%4 == 0 {
@@ -121,7 +138,7 @@ func TestManagerMatchesDirectEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Tick(ctx, "t", 0, row, &rsp); err != nil {
+		if err := tick(ctx, m, "t", 0, row, &rsp); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -154,13 +171,13 @@ func TestManagerConcurrentTenants(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var rsp TickResponse
+			var rsp tickRow
 			for tk := 0; tk < ticks; tk++ {
 				row := testRow(tk, 4)
 				if tk > 30 && tk%3 == 0 {
 					row[2] = math.NaN()
 				}
-				if err := m.Tick(ctx, id, 0, row, &rsp); err != nil {
+				if err := tick(ctx, m, id, 0, row, &rsp); err != nil {
 					errc <- err
 					return
 				}
@@ -197,8 +214,8 @@ func TestManagerCloseDrains(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var rsp TickResponse
-			if err := m.Tick(ctx, "t", 0, testRow(i, 4), &rsp); err == nil {
+			var rsp tickRow
+			if err := tick(ctx, m, "t", 0, testRow(i, 4), &rsp); err == nil {
 				mu.Lock()
 				done++
 				mu.Unlock()
@@ -209,8 +226,8 @@ func TestManagerCloseDrains(t *testing.T) {
 	}
 	m.Close()
 	wg.Wait()
-	var rsp TickResponse
-	if err := m.Tick(ctx, "t", 0, testRow(0, 4), &rsp); !errors.Is(err, ErrClosed) {
+	var rsp tickRow
+	if err := tick(ctx, m, "t", 0, testRow(0, 4), &rsp); !errors.Is(err, ErrClosed) {
 		t.Fatalf("tick after close: %v", err)
 	}
 	if err := m.Create(ctx, "u", testConfig(), testStreams(), nil); !errors.Is(err, ErrClosed) {
@@ -285,9 +302,9 @@ func TestSequencedTickSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var rsp TickResponse
+	var rsp tickRow
 	for seq := uint64(1); seq <= 5; seq++ {
-		if err := m.Tick(ctx, "t", seq, testRow(int(seq), 4), &rsp); err != nil {
+		if err := tick(ctx, m, "t", seq, testRow(int(seq), 4), &rsp); err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}
 		if rsp.Seq != seq || rsp.Duplicate {
@@ -299,7 +316,7 @@ func TestSequencedTickSemantics(t *testing.T) {
 	}
 
 	// Replaying an old seq acks idempotently and leaves the engine alone.
-	if err := m.Tick(ctx, "t", 3, testRow(3, 4), &rsp); err != nil {
+	if err := tick(ctx, m, "t", 3, testRow(3, 4), &rsp); err != nil {
 		t.Fatal(err)
 	}
 	if !rsp.Duplicate || rsp.Seq != 3 {
@@ -316,11 +333,11 @@ func TestSequencedTickSemantics(t *testing.T) {
 	}
 
 	// A gap means lost rows: refuse it.
-	if err := m.Tick(ctx, "t", 9, testRow(9, 4), &rsp); !errors.Is(err, ErrSeqGap) {
+	if err := tick(ctx, m, "t", 9, testRow(9, 4), &rsp); !errors.Is(err, ErrSeqGap) {
 		t.Fatalf("gap seq: err = %v, want ErrSeqGap", err)
 	}
 	// The WAL and the engine stayed in lockstep throughout.
-	if err := m.Tick(ctx, "t", 6, testRow(6, 4), &rsp); err != nil {
+	if err := tick(ctx, m, "t", 6, testRow(6, 4), &rsp); err != nil {
 		t.Fatalf("seq 6 after gap refusal: %v", err)
 	}
 }
@@ -341,9 +358,9 @@ func TestAttachCheckpointNewerThanLog(t *testing.T) {
 	if err := m.Create(ctx, "t", testConfig(), testStreams(), nil); err != nil {
 		t.Fatal(err)
 	}
-	var rsp TickResponse
+	var rsp tickRow
 	for seq := uint64(1); seq <= 3; seq++ {
-		if err := m.Tick(ctx, "t", seq, testRow(int(seq), 4), &rsp); err != nil {
+		if err := tick(ctx, m, "t", seq, testRow(int(seq), 4), &rsp); err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}
 		if err := rsp.Durable.Wait(); err != nil {
@@ -372,7 +389,7 @@ func TestAttachCheckpointNewerThanLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(6); seq <= 8; seq++ {
-		if err := m2.Tick(ctx, "t", seq, testRow(int(seq), 4), &rsp); err != nil {
+		if err := tick(ctx, m2, "t", seq, testRow(int(seq), 4), &rsp); err != nil {
 			t.Fatalf("seq %d after attach: %v", seq, err)
 		}
 		if err := rsp.Durable.Wait(); err != nil {
@@ -417,12 +434,12 @@ func TestTickRejectsInvalidRowBeforeWAL(t *testing.T) {
 	if err := m.Create(ctx, "t", testConfig(), testStreams(), nil); err != nil {
 		t.Fatal(err)
 	}
-	var rsp TickResponse
+	var rsp tickRow
 	bad := []float64{1, math.Inf(1), 3, 4}
-	if err := m.Tick(ctx, "t", 0, bad, &rsp); err == nil {
+	if err := tick(ctx, m, "t", 0, bad, &rsp); err == nil {
 		t.Fatal("±Inf row was accepted")
 	}
-	if err := m.Tick(ctx, "t", 0, testRow(0, 4), &rsp); err != nil {
+	if err := tick(ctx, m, "t", 0, testRow(0, 4), &rsp); err != nil {
 		t.Fatal(err)
 	}
 	last, err := wal.Replay(filepath.Join(walDir, "t"), 1, func(seq uint64, values []float64) error {
@@ -450,7 +467,7 @@ func TestCreateResetsStaleWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 7; seq++ {
-		if _, err := l.Append(seq, []float64{1}); err != nil {
+		if _, err := l.AppendBatch(seq, [][]float64{{1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -463,8 +480,8 @@ func TestCreateResetsStaleWAL(t *testing.T) {
 	if err := m.Create(ctx, "t", testConfig(), testStreams(), nil); err != nil {
 		t.Fatal(err)
 	}
-	var rsp TickResponse
-	if err := m.Tick(ctx, "t", 1, testRow(1, 4), &rsp); err != nil {
+	var rsp tickRow
+	if err := tick(ctx, m, "t", 1, testRow(1, 4), &rsp); err != nil {
 		t.Fatalf("first tick of re-created tenant: %v", err)
 	}
 	if rsp.Seq != 1 {
@@ -502,7 +519,7 @@ func TestTickBatchMatchesTick(t *testing.T) {
 			}
 		}
 	}
-	var rsp TickResponse
+	var rsp tickRow
 	var brsp BatchResponse
 	for a := 0; a < n; a += batch {
 		b := a + batch
@@ -520,7 +537,7 @@ func TestTickBatchMatchesTick(t *testing.T) {
 		}
 		for r, got := range brsp.Rows {
 			tk := a + r
-			if err := m.Tick(ctx, "rowwise", uint64(tk+1), rows[tk], &rsp); err != nil {
+			if err := tick(ctx, m, "rowwise", uint64(tk+1), rows[tk], &rsp); err != nil {
 				t.Fatalf("rowwise tick %d: %v", tk, err)
 			}
 			if got.Duplicate || got.Seq != rsp.Seq || got.Tick != rsp.Tick {
@@ -624,6 +641,21 @@ func TestTickBatchSequencedSemantics(t *testing.T) {
 	}
 	if info, _ := m.Info(ctx, "t"); info.Seq != 9 {
 		t.Fatalf("gap batch advanced seq to %d", info.Seq)
+	}
+
+	// A straddling batch that leaves one live row (9 duplicate, 10 applied)
+	// hands that row to the scalar engine tick, behind the duplicate ack.
+	if err := m.TickBatch(ctx, "t", 9, rows(9, 2), &rsp); err != nil {
+		t.Fatal(err)
+	}
+	if got := rsp.Rows[0]; !got.Duplicate || got.Seq != 9 {
+		t.Fatalf("straddling duplicate row: %+v", got)
+	}
+	if got := rsp.Rows[1]; got.Duplicate || got.Seq != 10 || len(got.Row) != 4 {
+		t.Fatalf("lone live row after a duplicate: %+v", got)
+	}
+	if err := rsp.Durable.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

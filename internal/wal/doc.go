@@ -20,10 +20,10 @@
 //
 // # Durability and group commit
 //
-// Append buffers the record and returns a Commit handle; a per-log flusher
-// fsyncs the accumulated batch every Options.SyncInterval, amortizing the
-// fsync over every record in the window while bounding ack latency by the
-// interval. Commit.Wait returns once the covering fsync completed — the
+// AppendBatch buffers the record and returns a Commit handle; a per-log
+// flusher fsyncs the accumulated batch every Options.SyncInterval, amortizing
+// the fsync over every record in the window while bounding ack latency by
+// the interval. Commit.Wait returns once the covering fsync completed — the
 // serving layer acknowledges a tick only after that, which is the entire
 // "acked ⇒ durable" contract.
 //

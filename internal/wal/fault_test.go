@@ -26,17 +26,17 @@ func TestFailSyncLatchesLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(1, []float64{1}); err != nil {
+	if _, err := appendRow(l, 1, []float64{1}); err != nil {
 		t.Fatalf("append 1: %v", err)
 	}
 	arm = true
-	if _, err := l.Append(2, []float64{2}); !errors.Is(err, boom) {
+	if _, err := appendRow(l, 2, []float64{2}); !errors.Is(err, boom) {
 		t.Fatalf("append during injected fsync failure: err = %v, want %v", err, boom)
 	}
 	if l.Failed() == nil {
 		t.Fatal("log did not latch after failed sync")
 	}
-	if _, err := l.Append(3, []float64{3}); err == nil || !strings.Contains(err.Error(), "log failed") {
+	if _, err := appendRow(l, 3, []float64{3}); err == nil || !strings.Contains(err.Error(), "log failed") {
 		t.Fatalf("append after latch: err = %v, want fail-fast", err)
 	}
 	if err := l.Truncate(1); err == nil || !strings.Contains(err.Error(), "refusing truncate") {
@@ -72,12 +72,12 @@ func TestFailWriteLosesOnlyUnackedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, err := l.Append(uint64(i), []float64{float64(i)}); err != nil {
+		if _, err := appendRow(l, uint64(i), []float64{float64(i)}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
 	arm = true
-	if _, err := l.Append(4, []float64{4}); !errors.Is(err, boom) {
+	if _, err := appendRow(l, 4, []float64{4}); !errors.Is(err, boom) {
 		t.Fatalf("append during injected write failure: err = %v, want %v", err, boom)
 	}
 	if got := l.DurableThrough(); got != 3 {
@@ -111,7 +111,7 @@ func TestFailedRotationRecoversOnReopen(t *testing.T) {
 	// One record overflows the 64-byte threshold: the sync succeeds (the
 	// record is acked and durable) but the rotation's segment create fails
 	// after the head — now naming the next segment — was anchored.
-	_, err = l.Append(1, []float64{1, 2, 3})
+	_, err = appendRow(l, 1, []float64{1, 2, 3})
 	if !errors.Is(err, boom) {
 		t.Fatalf("append triggering failed rotation: err = %v, want %v", err, boom)
 	}
@@ -131,7 +131,7 @@ func TestFailedRotationRecoversOnReopen(t *testing.T) {
 	if got := l2.NextSeq(); got != 2 {
 		t.Fatalf("NextSeq after reopen = %d, want 2", got)
 	}
-	if _, err := l2.Append(2, []float64{4}); err != nil {
+	if _, err := appendRow(l2, 2, []float64{4}); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 	if err := l2.Close(); err != nil {
@@ -160,7 +160,7 @@ func TestFailedHeadSaveDuringTruncateIsRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 6; i++ {
-		if _, err := l.Append(uint64(i), []float64{float64(i), float64(i)}); err != nil {
+		if _, err := appendRow(l, uint64(i), []float64{float64(i), float64(i)}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestFailedHeadSaveDuringTruncateIsRetryable(t *testing.T) {
 	if got := l.Segments(); got >= before {
 		t.Fatalf("segments after retried truncate = %d, want < %d", got, before)
 	}
-	if _, err := l.Append(7, []float64{7, 7}); err != nil {
+	if _, err := appendRow(l, 7, []float64{7, 7}); err != nil {
 		t.Fatalf("append after truncate: %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -211,7 +211,7 @@ func TestEmptySyncKeepsBuffersApart(t *testing.T) {
 	l, err := Open(dir, Options{SyncInterval: time.Hour, failWrite: func() error {
 		if arm {
 			arm = false
-			if _, err := l.Append(4, []float64{4, 40}); err != nil {
+			if _, err := appendRow(l, 4, []float64{4, 40}); err != nil {
 				return err
 			}
 		}
@@ -221,7 +221,7 @@ func TestEmptySyncKeepsBuffersApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 2; seq++ {
-		if _, err := l.Append(seq, []float64{float64(seq), float64(10 * seq)}); err != nil {
+		if _, err := appendRow(l, seq, []float64{float64(seq), float64(10 * seq)}); err != nil {
 			t.Fatalf("append %d: %v", seq, err)
 		}
 		if err := l.Sync(); err != nil {
@@ -231,7 +231,7 @@ func TestEmptySyncKeepsBuffersApart(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatalf("empty sync: %v", err)
 	}
-	if _, err := l.Append(3, []float64{3, 30}); err != nil {
+	if _, err := appendRow(l, 3, []float64{3, 30}); err != nil {
 		t.Fatalf("append 3: %v", err)
 	}
 	arm = true

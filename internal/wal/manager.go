@@ -71,17 +71,8 @@ func (m *Manager) Get(tenant string) *Log {
 	return m.logs[tenant]
 }
 
-// Append appends one record to tenant's log (which must be open).
-func (m *Manager) Append(tenant string, seq uint64, values []float64) (Commit, error) {
-	l := m.Get(tenant)
-	if l == nil {
-		return Commit{}, fmt.Errorf("wal: tenant %q has no open log", tenant)
-	}
-	return l.Append(seq, values)
-}
-
-// AppendBatch appends rows as one batch record to tenant's log (which must
-// be open); the returned Commit covers every row. See Log.AppendBatch.
+// AppendBatch appends rows as one record to tenant's log (which must be
+// open); the returned Commit covers every row. See Log.AppendBatch.
 func (m *Manager) AppendBatch(tenant string, seq uint64, rows [][]float64) (Commit, error) {
 	l := m.Get(tenant)
 	if l == nil {

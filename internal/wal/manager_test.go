@@ -38,7 +38,7 @@ func TestManagerOpenIsIdempotent(t *testing.T) {
 func TestManagerAppendRequiresOpen(t *testing.T) {
 	m := NewManager(t.TempDir(), Options{})
 	defer m.Close()
-	if _, err := m.Append("nope", 1, []float64{1}); err == nil {
+	if _, err := m.AppendBatch("nope", 1, [][]float64{{1}}); err == nil {
 		t.Fatal("append without open succeeded")
 	}
 	// Truncate of an unopened tenant is an explicit no-op.
@@ -97,7 +97,7 @@ func TestManagerStatsAggregate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seq := uint64(1); seq <= 20; seq++ {
-			if _, err := m.Append(id, seq, []float64{1, 2, 3, 4}); err != nil {
+			if _, err := m.AppendBatch(id, seq, [][]float64{{1, 2, 3, 4}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -140,7 +140,7 @@ func TestManagerRemoveIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Append("r1", 1, []float64{9}); err != nil {
+	if _, err := m.AppendBatch("r1", 1, [][]float64{{9}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Remove("r1"); err != nil {
@@ -150,7 +150,7 @@ func TestManagerRemoveIsIdempotent(t *testing.T) {
 		t.Fatalf("tenant directory survived Remove: %v", err)
 	}
 	// The closed log refuses further use.
-	if _, err := l.Append(2, []float64{1}); !errors.Is(err, ErrClosed) {
+	if _, err := appendRow(l, 2, []float64{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append to removed log: %v", err)
 	}
 	if err := m.Remove("r1"); err != nil {
@@ -168,7 +168,7 @@ func TestManagerCloseClosesAllLogs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Append(id, 1, []float64{1}); err != nil {
+		if _, err := m.AppendBatch(id, 1, [][]float64{{1}}); err != nil {
 			t.Fatal(err)
 		}
 		logs = append(logs, l)
@@ -177,7 +177,7 @@ func TestManagerCloseClosesAllLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, l := range logs {
-		if _, err := l.Append(2, []float64{2}); !errors.Is(err, ErrClosed) {
+		if _, err := appendRow(l, 2, []float64{2}); !errors.Is(err, ErrClosed) {
 			t.Fatalf("log %d alive after manager close: %v", i, err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestManagerReplayTenantRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 10; seq++ {
-		if _, err := m.Append("rt", seq, []float64{float64(seq), -float64(seq)}); err != nil {
+		if _, err := m.AppendBatch("rt", seq, [][]float64{{float64(seq), -float64(seq)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

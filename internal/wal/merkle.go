@@ -24,10 +24,10 @@ import (
 // Hashing happens on the SYNC path, not the append path: the group-commit
 // syncer walks the batch it is about to write, hashes each frame, and then
 // appends one COMMIT FRAME to the same write — so integrity rides the fsync
-// the batch already pays, and Append stays a memcpy. A commit frame carries
-// the durable sequence number, the segment's Merkle root over every record
-// so far, and an HMAC-SHA256 binding (identity, segment, seq, chain value)
-// under the server key. The chain value links segments:
+// the batch already pays, and AppendBatch stays a memcpy. A commit frame
+// carries the durable sequence number, the segment's Merkle root over every
+// record so far, and an HMAC-SHA256 binding (identity, segment, seq, chain
+// value) under the server key. The chain value links segments:
 //
 //	chain₀   = SHA-256("tkcm-chain-genesis\x00" ‖ identity)
 //	chainₖ   = SHA-256(0x02 ‖ chainₖ₋₁ ‖ rootₖ)     (segment k sealed)

@@ -109,7 +109,7 @@ func TestFlipAnyByteAnywhereFailsAudit(t *testing.T) {
 	}
 	seq := uint64(1)
 	for i := 0; i < 6; i++ {
-		if _, err := l.Append(seq, []float64{float64(i), float64(i) * 2}); err != nil {
+		if _, err := appendRow(l, seq, []float64{float64(i), float64(i) * 2}); err != nil {
 			t.Fatal(err)
 		}
 		seq++

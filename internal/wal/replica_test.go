@@ -27,7 +27,7 @@ func fetchFromDir(dir string) func(name string, from int64) ([]byte, error) {
 func primaryAppend(t *testing.T, l *Log, from uint64, n int) uint64 {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := l.Append(from, []float64{float64(from), float64(from) * 0.5}); err != nil {
+		if _, err := appendRow(l, from, []float64{float64(from), float64(from) * 0.5}); err != nil {
 			t.Fatalf("append %d: %v", from, err)
 		}
 		from++

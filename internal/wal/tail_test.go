@@ -35,7 +35,7 @@ func TestReplayTailMatchesReplay(t *testing.T) {
 	defer l.Close()
 	const n = 60
 	for i := 1; i <= n; i++ {
-		c, err := l.Append(uint64(i), []float64{float64(i), float64(-i)})
+		c, err := appendRow(l, uint64(i), []float64{float64(i), float64(-i)})
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -75,7 +75,7 @@ func TestReplayTailForcesPendingBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append(1, []float64{42}); err != nil {
+	if _, err := appendRow(l, 1, []float64{42}); err != nil {
 		t.Fatal(err)
 	}
 	seqs, _ := collectTail(t, l, 1)
@@ -108,7 +108,7 @@ func TestManagerReplayTenantTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := l.Append(1, []float64{7})
+	c, err := appendRow(l, 1, []float64{7})
 	if err != nil {
 		t.Fatal(err)
 	}

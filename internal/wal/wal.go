@@ -24,10 +24,11 @@ import (
 //	crc         uint32 LE, IEEE CRC-32 of the payload
 //	payload:    seq uint64 LE | count uint32 LE | count × float64 bits LE
 //
-// A BATCH record (AppendBatch) packs k consecutive rows of one width into a
-// single frame — one length, one CRC, one group-commit slot for the lot. It
-// is distinguished by bit 31 of the count field (no legal single record can
-// set it: maxRecordValues is far below):
+// An AppendBatch of one row writes that plain record (count = the row's
+// width). Two or more rows write a BATCH record, which packs k consecutive
+// rows of one width into a single frame — one length, one CRC, one
+// group-commit slot for the lot. It is distinguished by bit 31 of the count
+// field (no legal single record can set it: maxRecordValues is far below):
 //
 //	payload:    seq uint64 LE | width|batchCountFlag uint32 LE |
 //	            rows uint32 LE | rows × width × float64 bits LE
@@ -61,7 +62,7 @@ const (
 var (
 	// ErrClosed is returned by operations on a closed Log.
 	ErrClosed = errors.New("wal: log closed")
-	// ErrOutOfOrder is returned by Append when seq is not the log's next
+	// ErrOutOfOrder is returned by AppendBatch when seq is not the log's next
 	// expected sequence number.
 	ErrOutOfOrder = errors.New("wal: out-of-order sequence number")
 	// ErrCorrupt is returned by Replay when a non-final segment contains an
@@ -133,16 +134,17 @@ func noopCounters() *counters {
 	return &counters{appends: f, syncs: f, syncErrs: f, bytes: f, truncates: f}
 }
 
-// batch is one group commit in flight: every Append between two syncs shares
-// it. done closes after the covering fsync; err then holds its outcome.
+// batch is one group commit in flight: every AppendBatch between two syncs
+// shares it. done closes after the covering fsync; err then holds its
+// outcome.
 type batch struct {
 	done chan struct{}
 	err  error
 }
 
-// Commit is the durability handle of one Append: Wait blocks until the fsync
-// covering the record completes and reports its outcome. Acknowledge a write
-// only after Wait returns nil.
+// Commit is the durability handle of one AppendBatch: Wait blocks until the
+// fsync covering the record completes and reports its outcome. Acknowledge a
+// write only after Wait returns nil.
 type Commit struct {
 	b *batch
 	// Verify mode (DurableCommit): Wait instead ensures the record with
@@ -182,11 +184,11 @@ func (l *Log) DurableCommit(seq uint64) Commit { return Commit{l: l, seq: seq} }
 // Log is one tenant's append-only tick log.
 //
 // Locking discipline: mu guards only the in-memory state — the encode
-// buffer, the pending batch, and the sequence counter — so Append costs a
-// memcpy and never waits on disk (critical: the serving layer appends from
+// buffer, the pending batch, and the sequence counter — so AppendBatch costs
+// a memcpy and never waits on disk (critical: the serving layer appends from
 // a shard goroutine that hosts many tenants). All file I/O (write, fsync,
-// rotation) happens under syncMu, held by at most one syncer at a time
-// (the flusher goroutine, or Append/Sync/Close in strict paths), with mu
+// rotation) happens under syncMu, held by at most one syncer at a time (the
+// flusher goroutine, or AppendBatch/Sync/Close in strict paths), with mu
 // released before the disk is touched.
 type Log struct {
 	dir  string
@@ -202,9 +204,9 @@ type Log struct {
 	// of the failed batch are gone while nextSeq already moved past them,
 	// so accepting further appends would bury a sequence gap under later,
 	// successfully-synced (and therefore acked) records. Fail-stop instead:
-	// every subsequent Append reports the original error and nothing more
-	// is acknowledged; reopening the log after the disk recovers rescans
-	// the tail and resumes at the true next sequence number.
+	// every subsequent AppendBatch reports the original error and nothing
+	// more is acknowledged; reopening the log after the disk recovers
+	// rescans the tail and resumes at the true next sequence number.
 	failed error
 
 	syncMu   sync.Mutex
@@ -214,11 +216,11 @@ type Log struct {
 	segSize  int64
 
 	// Integrity state, touched only under syncMu (hashing rides the sync
-	// path, never Append): identity binds the chain to the tenant directory,
-	// head mirrors the on-disk head.tkcmh, cs accumulates the active
-	// segment's Merkle tree (cs.prevChain = chain through sealed segments),
-	// and lastRec is the last record seq written to the active segment
-	// (0 = none), which every commit frame must equal.
+	// path, never AppendBatch): identity binds the chain to the tenant
+	// directory, head mirrors the on-disk head.tkcmh, cs accumulates the
+	// active segment's Merkle tree (cs.prevChain = chain through sealed
+	// segments), and lastRec is the last record seq written to the active
+	// segment (0 = none), which every commit frame must equal.
 	identity string
 	head     *headState
 	cs       chainScan
@@ -484,7 +486,7 @@ func (l *Log) openActive(firstSeq uint64, mustSeal bool) error {
 	return nil
 }
 
-// NextSeq returns the sequence number the next Append must carry.
+// NextSeq returns the sequence number the next AppendBatch must carry.
 func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -566,75 +568,20 @@ func raiseMax(v *atomic.Uint64, x uint64) {
 	}
 }
 
-// Append encodes one record (seq must be exactly NextSeq) into the log's
-// memory buffer and returns its durability handle. Append never waits on
-// disk (group-commit mode): the flusher writes and fsyncs the batch within
-// Options.SyncInterval, and Commit.Wait blocks until then. With
-// SyncInterval ≤ 0 the record is written and fsynced before Append returns.
-// values is copied out before Append returns; the caller may reuse it.
-func (l *Log) Append(seq uint64, values []float64) (Commit, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return Commit{}, ErrClosed
-	}
-	if l.failed != nil {
-		err := l.failed
-		l.mu.Unlock()
-		return Commit{}, fmt.Errorf("wal: log failed, refusing append: %w", err)
-	}
-	if seq != l.nextSeq {
-		l.mu.Unlock()
-		return Commit{}, fmt.Errorf("%w: got %d, want %d", ErrOutOfOrder, seq, l.nextSeq)
-	}
-
-	payload := 8 + 4 + 8*len(values)
-	need := recHeader + payload
-	off := len(l.buf)
-	l.buf = append(l.buf, make([]byte, need)...)
-	b := l.buf[off : off+need]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(payload))
-	binary.LittleEndian.PutUint64(b[8:16], seq)
-	binary.LittleEndian.PutUint32(b[16:20], uint32(len(values)))
-	for i, v := range values {
-		binary.LittleEndian.PutUint64(b[20+8*i:], math.Float64bits(v))
-	}
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[recHeader:]))
-
-	l.nextSeq++
-	l.ctr.appends(1)
-	l.ctr.bytes(uint64(need))
-
-	if l.opts.SyncInterval <= 0 {
-		// Strict mode: write + fsync before returning.
-		l.mu.Unlock()
-		return Commit{}, l.syncNow()
-	}
-	if l.pending == nil {
-		l.pending = &batch{done: make(chan struct{})}
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
-	}
-	c := Commit{b: l.pending}
-	l.mu.Unlock()
-	return c, nil
-}
-
 // AppendBatch encodes rows as ONE record carrying sequence numbers
 // seq..seq+len(rows)-1 (seq must be exactly NextSeq and every row must have
-// the same width). The whole batch shares a single length/CRC frame and a
-// single group-commit slot, so the per-record framing, buffer bookkeeping
-// and Commit allocation amortize over the batch; the returned Commit covers
-// every row. Rows are copied out before AppendBatch returns. A single-row
-// batch degrades to a plain Append.
+// the same width) into the log's memory buffer and returns its durability
+// handle. A single row writes the plain record; two or more write a batch
+// record, whose single length/CRC frame and group-commit slot amortize over
+// the rows. The returned Commit covers every row. AppendBatch never waits on
+// disk (group-commit mode): the flusher writes and fsyncs the record within
+// Options.SyncInterval, and Commit.Wait blocks until then. With
+// SyncInterval ≤ 0 the record is written and fsynced before AppendBatch
+// returns. Rows are copied out before AppendBatch returns; the caller may
+// reuse them.
 func (l *Log) AppendBatch(seq uint64, rows [][]float64) (Commit, error) {
 	if len(rows) == 0 {
 		return Commit{}, errors.New("wal: empty batch")
-	}
-	if len(rows) == 1 {
-		return l.Append(seq, rows[0])
 	}
 	width := len(rows[0])
 	for i, r := range rows[1:] {
@@ -661,16 +608,27 @@ func (l *Log) AppendBatch(seq uint64, rows [][]float64) (Commit, error) {
 		return Commit{}, fmt.Errorf("%w: got %d, want %d", ErrOutOfOrder, seq, l.nextSeq)
 	}
 
-	payload := 8 + 4 + 4 + 8*width*len(rows)
-	need := recHeader + payload
+	at := 20 // past payloadLen, crc, seq and count
+	count := uint32(width)
+	if len(rows) > 1 {
+		at += 4 // the rows field
+		count |= batchCountFlag
+	}
+	need := at + 8*width*len(rows)
 	off := len(l.buf)
 	l.buf = append(l.buf, make([]byte, need)...)
 	b := l.buf[off : off+need]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(payload))
+	binary.LittleEndian.PutUint32(b[0:4], uint32(need-recHeader))
 	binary.LittleEndian.PutUint64(b[8:16], seq)
-	binary.LittleEndian.PutUint32(b[16:20], uint32(width)|batchCountFlag)
-	binary.LittleEndian.PutUint32(b[20:24], uint32(len(rows)))
-	at := 24
+	binary.LittleEndian.PutUint32(b[16:20], count)
+	if len(rows) > 1 {
+		binary.LittleEndian.PutUint32(b[20:24], uint32(len(rows)))
+	}
+	// Bookkeeping first: fewer values stay live across the encode loop,
+	// which keeps it in registers.
+	l.nextSeq = seq + uint64(len(rows))
+	l.ctr.appends(uint64(len(rows)))
+	l.ctr.bytes(uint64(need))
 	for _, r := range rows {
 		for _, v := range r {
 			binary.LittleEndian.PutUint64(b[at:], math.Float64bits(v))
@@ -679,11 +637,8 @@ func (l *Log) AppendBatch(seq uint64, rows [][]float64) (Commit, error) {
 	}
 	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[recHeader:]))
 
-	l.nextSeq = seq + uint64(len(rows))
-	l.ctr.appends(uint64(len(rows)))
-	l.ctr.bytes(uint64(need))
-
 	if l.opts.SyncInterval <= 0 {
+		// Strict mode: write + fsync before returning.
 		l.mu.Unlock()
 		return Commit{}, l.syncNow()
 	}
@@ -750,9 +705,10 @@ func (l *Log) syncLocked() error {
 	if len(data) > 0 {
 		// Integrity rides the batch it covers: hash every record frame into
 		// the segment's Merkle tree (the ONLY hashing in the whole write
-		// path — Append stays a memcpy), then append one signed commit frame
-		// so the root and chain position land in the same write and the same
-		// fsync as the records. No extra I/O, one hash pass per group commit.
+		// path — AppendBatch stays a memcpy), then append one signed commit
+		// frame so the root and chain position land in the same write and the
+		// same fsync as the records. No extra I/O, one hash pass per group
+		// commit.
 		commitSeq := firstSeq - 1
 		l.lastRec, err = walkFrames(data, &l.cs, l.lastRec)
 		if err == nil {
