@@ -148,9 +148,16 @@ func DefaultConfig() Config {
 // image cannot demand absurd allocations through a huge decoded Config.
 // MaxWindowLength is ~160× the paper's two-year hourly window (105120) yet
 // bounds one stream's ring at 128 MiB; no machine has 2^16 cores.
+// MaxWindowCells bounds streams × WindowLength, the window floats NewEngine
+// allocates up front: 2^27 cells are 1 GiB of rings (about 6 GiB once every
+// stream serves as a reference, see Engine.MemoryBytes), or 1,276 streams
+// at DefaultConfig's window. A create request or a snapshot of a few KB can
+// name thousands of streams at the maximum window length; this is what
+// keeps it from asking for terabytes.
 const (
 	MaxWindowLength = 1 << 24
 	MaxWorkers      = 1 << 16
+	MaxWindowCells  = 1 << 27
 )
 
 // Validate reports the first violated constraint, or nil. The window must be

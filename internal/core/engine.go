@@ -88,10 +88,16 @@ type EngineStats struct {
 // NewEngine creates a continuous-imputation engine over the named streams.
 // refs maps stream name to its ordered candidate reference series; streams
 // without an entry get a correlation-ranked reference set lazily on their
-// first missing value (RankCandidates).
+// first missing value (RankCandidates). Engines with more than
+// MaxWindowCells window values (streams × WindowLength) are refused before
+// anything is allocated.
 func NewEngine(cfg Config, names []string, refs map[string]ReferenceSet) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cells := int64(len(names)) * int64(cfg.WindowLength); cells > MaxWindowCells {
+		return nil, fmt.Errorf("core: %d streams × window length %d = %d window cells exceeds the maximum %d (MaxWindowCells)",
+			len(names), cfg.WindowLength, cells, MaxWindowCells)
 	}
 	if refs == nil {
 		refs = make(map[string]ReferenceSet)
@@ -134,15 +140,24 @@ func (e *Engine) Profiler() Profiler { return e.prof }
 // precisely where a checkpoint ends.
 func (e *Engine) Seq() uint64 { return uint64(e.tick) }
 
-// MemoryBytes estimates the engine's resident heap footprint: the window
-// rings (width × WindowLength floats) plus, under the incremental profiler,
-// its per-stream histories (2L floats each) and derived aggregates (on the
-// order of another window). It is a sizing estimate for residency budgeting
+// MemoryBytes estimates the engine's resident heap footprint once every
+// stream has served as a reference. Per stream of window length L it counts,
+// in float64s:
+//
+//   - the window ring: L;
+//   - under the incremental profiler, the history backing: 2L;
+//   - the candidate-energy backing: 2L;
+//   - the cross products: L − 2l + 1 ≈ L.
+//
+// That is 6× the window bytes with the incremental profiler and 1× without.
+// Streams never consulted as references do not allocate the last two
+// buffers, and the per-worker selection scratch (about (k+2)·L floats) is
+// not counted. It is a sizing estimate for residency budgeting
 // (shard.Options.ResidentBytes), not an exact accounting.
 func (e *Engine) MemoryBytes() int64 {
 	win := int64(e.w.Width()) * int64(e.cfg.WindowLength) * 8
 	if e.inc != nil {
-		return 4 * win
+		return 6 * win
 	}
 	return win
 }
@@ -395,14 +410,14 @@ func (e *Engine) imputeMissingSerial(missing []int, out []float64, results []*Re
 
 // imputeMissingParallel fans the tick's extraction + selection work out
 // across the persistent worker pool (started on first use). Reference
-// picking, deduplication, stats, cold fills, incremental catch-up and
-// contribution caching, value aggregation, and incremental-state advances
-// stay serial; only profile assembly and anchor selection — the ~92% phase
-// — run concurrently, with exactly one job per distinct reference set
-// (targets sharing references share the job). Each worker owns its scratch
-// and writes only its own job's selection slot, and the reference
-// aggregates are prepared (caught up and cached) before the fan-out, so the
-// concurrent profile reads are race-free.
+// picking, deduplication, stats, cold fills, incremental catch-up, value
+// aggregation, and incremental-state advances stay serial; only profile
+// assembly and anchor selection — the ~92% phase — run concurrently, with
+// exactly one job per distinct reference set (targets sharing references
+// share the job). Each worker owns its scratch and writes only its own
+// job's selection slot, and every referenced stream's aggregates are caught
+// up before the fan-out, so the concurrent profile assemblies only read
+// them.
 func (e *Engine) imputeMissingParallel(missing []int, out []float64, results []*Result) {
 	nJobs := 0
 	tgts := e.targets[:0]
@@ -437,8 +452,8 @@ func (e *Engine) imputeMissingParallel(missing []int, out []float64, results []*
 		return
 	}
 	if e.inc != nil {
-		// Catch up and cache every referenced stream's contribution vector
-		// serially, so the workers' ProfileWindow calls are pure reads.
+		// Catch up every referenced stream serially, so the workers'
+		// ProfileWindow calls are pure reads.
 		for j := 0; j < nJobs; j++ {
 			e.inc.Prepare(e.jobs[j].refIdx)
 		}

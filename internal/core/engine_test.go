@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"tkcm/internal/window"
@@ -333,4 +334,58 @@ func TestNewEngineRejectsBadConfig(t *testing.T) {
 	if _, err := NewEngine(Config{}, []string{"a"}, nil); err == nil {
 		t.Fatal("zero config accepted")
 	}
+}
+
+// TestMemoryBytesMatchesLiveHeap: once every stream has served as a
+// reference, the live heap an engine holds is within ±15% of its
+// MemoryBytes estimate (window ring, history, energies and cross products),
+// at the serving benchmark's impute shape.
+func TestMemoryBytesMatchesLiveHeap(t *testing.T) {
+	const (
+		width = 16
+		L     = 4032
+	)
+	cfg := Config{K: 5, PatternLength: 72, D: 3, WindowLength: L}
+	names := make([]string, width)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%d", i)
+	}
+	// Stream i references the next three, so a gap in every stream
+	// consults every stream.
+	refs := make(map[string]ReferenceSet, width)
+	for i, n := range names {
+		refs[n] = ReferenceSet{Stream: n, Candidates: []string{names[(i+1)%width], names[(i+2)%width], names[(i+3)%width]}}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	eng, err := NewEngine(cfg, names, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, width)
+	for tick := 0; tick < L+width; tick++ {
+		ph := 2 * math.Pi * float64(tick) / 288
+		for j := range row {
+			row[j] = math.Sin(ph + 0.3*float64(j))
+		}
+		if tick >= L {
+			row[tick-L] = math.NaN()
+		}
+		if _, _, err := eng.Tick(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := eng.Stats.Imputations; got != width {
+		t.Fatalf("%d imputations, want one per stream (%d)", got, width)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	est := float64(eng.MemoryBytes())
+	if math.Abs(live-est) > 0.15*est {
+		t.Fatalf("live heap grew %.0f bytes, MemoryBytes estimates %.0f (%.1f%% off, want within 15%%)", live, est, 100*(live-est)/est)
+	}
+	t.Logf("live heap %.0f bytes, MemoryBytes %.0f (%+.1f%%)", live, est, 100*(live-est)/est)
+	runtime.KeepAlive(eng)
 }

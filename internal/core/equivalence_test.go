@@ -185,7 +185,7 @@ func wideScenario(t *testing.T, cfgs []Config, labels []string, seed uint64) [][
 	refs := make(map[string]ReferenceSet, targets)
 	for i := 0; i < targets; i++ {
 		// Overlapping reference sets drawn from the always-present pool, so
-		// the per-tick contribution cache sees shared reference streams.
+		// one tick assembles several profiles from shared reference streams.
 		refs[names[i]] = ReferenceSet{Stream: names[i], Candidates: []string{
 			names[targets+i%(width-targets)],
 			names[targets+(i+2)%(width-targets)],

@@ -7,13 +7,14 @@ import (
 
 // BenchmarkSelectAnchors isolates the anchor-selection phase (the ~8%
 // companion of pattern extraction, Sec. 7.4) across strategies, anchor
-// counts and window lengths. All strategies run through the shared
+// counts and window lengths; L = 4032 is the two-week window the serving
+// benchmark's impute workload runs. All strategies run through the shared
 // selection scratch, so the numbers measure the algorithms, not the
 // allocator.
 func BenchmarkSelectAnchors(b *testing.B) {
 	const l = 72
 	for _, sel := range []Selection{SelectDP, SelectGreedy, SelectOverlapping} {
-		for _, L := range []int{1024, 8760} {
+		for _, L := range []int{1024, 4032, 8760} {
 			for _, k := range []int{3, 5, 10} {
 				n := L - 2*l + 1
 				d := randomProfile(17, n)
@@ -32,16 +33,15 @@ func BenchmarkSelectAnchors(b *testing.B) {
 }
 
 // profileWindowBench advances an incremental profiler over `width` streams
-// to a full window, then measures one tick of steady-state work: one
-// Advance per stream followed by one ProfileWindow per target. With shared
-// reference sets every target consults the same streams, so the per-tick
-// contribution cache collapses the assembly to cached-vector sums; with
-// disjoint sets each target pays its own catch-up and cache fill.
-func profileWindowBench(b *testing.B, targets, d int, shared bool) {
-	const (
-		L = 8760
-		l = 72
-	)
+// to a full window of length L, then measures one consult of steady-state
+// work: `every` ticks of Advance per stream followed by one ProfileWindow per
+// target. With shared reference sets every target consults the same
+// streams, so only the first assembly pays the catch-up; with disjoint sets
+// each target catches up its own references. Consulting every tick keeps
+// catch-up at one replayed slide; every 8 ticks replays 8 deferred slides
+// per stream; every 128 ticks (> l) makes each catch-up a full rebuild.
+func profileWindowBench(b *testing.B, L, targets, d, every int, shared bool) {
+	const l = 72
 	width := targets * d
 	if shared {
 		width = d
@@ -63,12 +63,19 @@ func profileWindowBench(b *testing.B, targets, d int, shared bool) {
 		}
 		refSets[t] = refs
 	}
+	for _, refs := range refSets {
+		p.ProfileWindow(refs, nil)
+	}
 	dst := make([]float64, L-2*l+1)
+	pos := L
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := L + i%L
-		for s := 0; s < width; s++ {
-			p.AdvanceBulk(s, data[s][n:n+1])
+		for u := 0; u < every; u++ {
+			n := pos % len(data[0])
+			for s := 0; s < width; s++ {
+				p.AdvanceBulk(s, data[s][n:n+1])
+			}
+			pos++
 		}
 		for _, refs := range refSets {
 			p.ProfileWindow(refs, dst)
@@ -76,10 +83,15 @@ func profileWindowBench(b *testing.B, targets, d int, shared bool) {
 	}
 }
 
-// BenchmarkProfileWindow contrasts profile assembly for 8 targets × 3
-// references when the targets share one reference set vs when every target
-// has its own disjoint references (L = 8760, l = 72).
+// BenchmarkProfileWindow measures profile catch-up and assembly for 8
+// targets × 3 references. At L = 8760 it contrasts targets sharing one
+// reference set with targets on disjoint references, consulted every tick.
+// At the served L = 4032 the disjoint references are consulted every 8
+// ticks (a fused replay of 8 deferred slides each) and every 128 ticks
+// (each catch-up a full rebuild of a cold reference).
 func BenchmarkProfileWindow(b *testing.B) {
-	b.Run("shared", func(b *testing.B) { profileWindowBench(b, 8, 3, true) })
-	b.Run("disjoint", func(b *testing.B) { profileWindowBench(b, 8, 3, false) })
+	b.Run("shared", func(b *testing.B) { profileWindowBench(b, 8760, 8, 3, 1, true) })
+	b.Run("disjoint", func(b *testing.B) { profileWindowBench(b, 8760, 8, 3, 1, false) })
+	b.Run("deferred8/L4032", func(b *testing.B) { profileWindowBench(b, 4032, 8, 3, 8, false) })
+	b.Run("cold/L4032", func(b *testing.B) { profileWindowBench(b, 4032, 8, 3, 128, false) })
 }

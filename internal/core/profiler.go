@@ -144,12 +144,6 @@ type incStreamState struct {
 	energy []float64 // backing, len 2L; entries = energy[estart : estart+nCand]
 	estart int
 	eq     float64
-
-	// contrib caches the stream's profile contribution vector
-	// energy[j] + eq − 2·cross[j] for the tick it was computed at, so ticks
-	// whose missing streams share reference streams compute it once.
-	contrib     []float64
-	contribTick int
 }
 
 // IncrementalProfiler maintains per-stream profile aggregates inside the
@@ -165,9 +159,10 @@ type incStreamState struct {
 // (O(l·L)), so per-tick engine cost scales with the streams that actually
 // serve as references, not with the total width.
 //
-// The aggregates are per stream, not per target, and each consulted stream's
-// contribution vector is computed at most once per tick, so every imputation
-// in a tick shares both.
+// The aggregates are per stream, not per target, so every imputation in a
+// tick shares them: ProfileWindow sums each reference's contribution
+// energy[j] + eq − 2·cross[j] straight from its aggregates into the profile,
+// with no intermediate per-stream vector.
 //
 // Its stateless Profile method (the Profiler interface) delegates to the FFT
 // profiler — one-shot slice imputations have no tick-to-tick state to exploit.
@@ -188,7 +183,7 @@ func NewIncrementalProfiler(l, width, winLen int) *IncrementalProfiler {
 	}
 	p := &IncrementalProfiler{l: l, winLen: winLen, maxCand: maxCand, states: make([]*incStreamState, width)}
 	for i := range p.states {
-		p.states[i] = &incStreamState{contribTick: -1}
+		p.states[i] = &incStreamState{}
 	}
 	return p
 }
@@ -299,8 +294,8 @@ func (p *IncrementalProfiler) sync(st *incStreamState) {
 	for g := 1; g <= grow; g++ {
 		st.replayGrowth(st.syncM+g, l)
 	}
-	for s := st.syncStart + 1; s <= st.start; s++ {
-		st.replaySlide(s, st.m, l)
+	if slide > 0 {
+		st.replaySlides(st.syncStart+1, slide, st.m, l)
 	}
 	st.sinceRebuild += st.deferred
 	st.syncStart = st.start
@@ -335,48 +330,79 @@ func (st *incStreamState) replayGrowth(m, l int) {
 	st.eq += vNew*vNew - w[m-1-l]*w[m-1-l]
 }
 
-// replaySlide replays one deferred steady-state tick: the full window slid
-// by one, so that its backing position after the tick was hist[s : s+m].
-// Candidate starts stay index-aligned; each cross entry slides along its
-// diagonal with one fused multiply-subtract pair, the candidate energies
-// shift by a start-offset bump plus one fresh entry, and the query energy
-// exchanges its entering/leaving values.
-func (st *incStreamState) replaySlide(s, m, l int) {
+// replaySlides replays t deferred steady-state ticks: the full window slid
+// by one per tick, so that after the tick at backing position s (s = s0 ..
+// s0+t−1) it was hist[s : s+m]. Candidate starts stay index-aligned, so every
+// cross entry slides along its diagonal once per tick,
+//
+//	cross[j] += hist[s+l−1+j]·hist[s+m−1] − hist[s−1+j]·hist[s+qs−1]
+//
+// (the value entering the window times the candidate's new last value,
+// minus the value leaving the query times the candidate's old first value).
+// One pass over cross applies four consecutive ticks to each entry, in tick
+// order, so every entry sees exactly the roundings of four separate passes
+// while cross is loaded and stored once per four ticks. The O(1) per-tick
+// bumps of the candidate and query energies follow.
+func (st *incStreamState) replaySlides(s0, t, m, l int) {
 	nCand := m - 2*l + 1
 	qs := m - l
 	hist := st.hist
-	vNew := hist[s+m-1]
-	qold := hist[s+qs-1]
 	cross := st.cross[:nCand]
-	anchors := hist[s+l-1 : s+l-1+nCand]
-	lefts := hist[s-1 : s-1+nCand]
-	// The diagonal update, 4-way unrolled (bounds hoisted by the re-slices
-	// above).
-	j := 0
-	for ; j+4 <= nCand; j += 4 {
-		cross[j] += anchors[j]*vNew - lefts[j]*qold
-		cross[j+1] += anchors[j+1]*vNew - lefts[j+1]*qold
-		cross[j+2] += anchors[j+2]*vNew - lefts[j+2]*qold
-		cross[j+3] += anchors[j+3]*vNew - lefts[j+3]*qold
+	end := s0 + t
+	s := s0
+	for ; s+4 <= end; s += 4 {
+		v0, v1, v2, v3 := hist[s+m-1], hist[s+m], hist[s+m+1], hist[s+m+2]
+		q0, q1, q2, q3 := hist[s+qs-1], hist[s+qs], hist[s+qs+1], hist[s+qs+2]
+		// a_u[j] and b_u[j] are tick s+u's anchor and left-edge values.
+		a0, a1, a2, a3 := hist[s+l-1:], hist[s+l:], hist[s+l+1:], hist[s+l+2:]
+		b0, b1, b2, b3 := hist[s-1:], hist[s:], hist[s+1:], hist[s+2:]
+		a0, a1, a2, a3 = a0[:nCand], a1[:nCand], a2[:nCand], a3[:nCand]
+		b0, b1, b2, b3 = b0[:nCand], b1[:nCand], b2[:nCand], b3[:nCand]
+		for j, c := range cross {
+			c += a0[j]*v0 - b0[j]*q0
+			c += a1[j]*v1 - b1[j]*q1
+			c += a2[j]*v2 - b2[j]*q2
+			c += a3[j]*v3 - b3[j]*q3
+			cross[j] = c
+		}
 	}
-	for ; j < nCand; j++ {
-		cross[j] += anchors[j]*vNew - lefts[j]*qold
+	for ; s < end; s++ {
+		v, q := hist[s+m-1], hist[s+qs-1]
+		a, b := hist[s+l-1:], hist[s-1:]
+		a, b = a[:nCand], b[:nCand]
+		j := 0
+		for ; j+4 <= nCand; j += 4 {
+			c4, a4, b4 := cross[j:j+4:j+4], a[j:j+4:j+4], b[j:j+4:j+4]
+			c4[0] += a4[0]*v - b4[0]*q
+			c4[1] += a4[1]*v - b4[1]*q
+			c4[2] += a4[2]*v - b4[2]*q
+			c4[3] += a4[3]*v - b4[3]*q
+		}
+		for ; j < nCand; j++ {
+			cross[j] += a[j]*v - b[j]*q
+		}
 	}
-	// Candidate energies shift down one slot (a start-offset bump) and the
-	// newest candidate's energy extends its neighbor by one pair.
-	if st.estart+nCand == len(st.energy) {
-		copy(st.energy, st.energy[st.estart:st.estart+nCand])
-		st.estart = 0
+	for s := s0; s < end; s++ {
+		// Candidate energies shift down one slot (a start-offset bump) and
+		// the newest candidate's energy extends its neighbor by one pair.
+		if st.estart+nCand == len(st.energy) {
+			copy(st.energy, st.energy[st.estart:st.estart+nCand])
+			st.estart = 0
+		}
+		st.estart++
+		last := st.estart + nCand - 1
+		e0 := hist[s+nCand-2]
+		e1 := hist[s+nCand-2+l]
+		st.energy[last] = st.energy[last-1] - e0*e0 + e1*e1
+		vNew, qold := hist[s+m-1], hist[s+qs-1]
+		st.eq += vNew*vNew - qold*qold
 	}
-	st.estart++
-	last := st.estart + nCand - 1
-	e0 := hist[s+nCand-2]
-	e1 := hist[s+nCand-2+l]
-	st.energy[last] = st.energy[last-1] - e0*e0 + e1*e1
-	st.eq += vNew*vNew - qold*qold
 }
 
 // rebuild recomputes all aggregates exactly from the current window.
+// Candidate energies roll in O(m); the cross products cost O(l) each and
+// are computed four candidates per pass over the query pattern, with one
+// accumulator per candidate summing in x order.
 func (st *incStreamState) rebuild(nv []float64, l int) {
 	m := len(nv)
 	nCand := m - 2*l + 1
@@ -392,7 +418,6 @@ func (st *incStreamState) rebuild(nv []float64, l int) {
 	} else {
 		st.cross = st.cross[:nCand]
 	}
-	// Candidate energies roll in O(m); cross products are O(l) each.
 	e := 0.0
 	for x := 0; x < l; x++ {
 		e += nv[x] * nv[x]
@@ -402,104 +427,118 @@ func (st *incStreamState) rebuild(nv []float64, l int) {
 		if j+1 < nCand {
 			e += nv[j+l]*nv[j+l] - nv[j]*nv[j]
 		}
-		c := 0.0
-		for x := 0; x < l; x++ {
-			c += nv[j+x] * nv[qs+x]
-		}
-		st.cross[j] = c
 	}
-}
-
-// syncContrib catches st up to the current tick and returns its contribution
-// vector energy[j] + eq − 2·cross[j], computing it at most once per tick.
-func (p *IncrementalProfiler) syncContrib(st *incStreamState) []float64 {
-	p.sync(st)
-	nCand := len(st.cross)
-	if st.contribTick == st.ticks && len(st.contrib) == nCand {
-		return st.contrib
-	}
-	if cap(st.contrib) < nCand {
-		n := p.maxCand
-		if n < nCand {
-			n = nCand
-		}
-		st.contrib = make([]float64, n)
-	}
-	st.contrib = st.contrib[:nCand]
-	contrib := st.contrib[:nCand:nCand]
-	energy := st.energy[st.estart : st.estart+nCand : st.estart+nCand]
-	cross := st.cross[:nCand:nCand]
-	eq := st.eq
+	q := nv[qs : qs+l]
+	cross := st.cross
 	j := 0
 	for ; j+4 <= nCand; j += 4 {
-		contrib[j] = energy[j] + eq - 2*cross[j]
-		contrib[j+1] = energy[j+1] + eq - 2*cross[j+1]
-		contrib[j+2] = energy[j+2] + eq - 2*cross[j+2]
-		contrib[j+3] = energy[j+3] + eq - 2*cross[j+3]
+		w0, w1, w2, w3 := nv[j:], nv[j+1:], nv[j+2:], nv[j+3:]
+		w0, w1, w2, w3 = w0[:len(q)], w1[:len(q)], w2[:len(q)], w3[:len(q)]
+		var c0, c1, c2, c3 float64
+		for x, qx := range q {
+			c0 += w0[x] * qx
+			c1 += w1[x] * qx
+			c2 += w2[x] * qx
+			c3 += w3[x] * qx
+		}
+		cross[j], cross[j+1], cross[j+2], cross[j+3] = c0, c1, c2, c3
 	}
 	for ; j < nCand; j++ {
-		contrib[j] = energy[j] + eq - 2*cross[j]
+		w := nv[j : j+l]
+		c := 0.0
+		for x, qx := range q {
+			c += w[x] * qx
+		}
+		cross[j] = c
 	}
-	st.contribTick = st.ticks
-	return st.contrib
 }
 
-// Prepare catches up every referenced stream and fills its per-tick
-// contribution cache. The engine calls it serially before fanning a tick's
-// imputations out across workers, so the concurrent ProfileWindow calls are
-// pure reads of the cached vectors.
+// Prepare catches up every stream in refIdx. The engine calls it serially
+// before fanning a tick's profile assemblies out across workers, so the
+// concurrent ProfileWindow calls only read the aggregates.
 func (p *IncrementalProfiler) Prepare(refIdx []int) {
 	for _, ri := range refIdx {
-		p.syncContrib(p.states[ri])
+		p.sync(p.states[ri])
 	}
 }
 
 // ProfileWindow assembles the L2 dissimilarity profile over the reference
 // streams refIdx from the maintained aggregates, writing into dst (allocated
-// when nil). Streams not yet consulted this tick are caught up on demand
-// (catch-up mutates state — concurrent callers must Prepare their reference
-// streams first, as the engine does). All referenced states must be advanced
-// to the same tick and hold the same candidate count; it panics otherwise
-// (an engine sequencing bug, not a data condition).
+// when nil). Each reference adds its contribution energy[j] + eq − 2·cross[j]
+// in one pass, and the last reference's pass also takes the square root.
+// Streams not yet caught up are synced on demand (catch-up mutates state —
+// concurrent callers must Prepare their reference streams first, as the
+// engine does). All referenced states must be advanced to the same tick and
+// hold the same candidate count; it panics otherwise (an engine sequencing
+// bug, not a data condition).
 func (p *IncrementalProfiler) ProfileWindow(refIdx []int, dst []float64) []float64 {
 	if len(refIdx) == 0 {
 		panic("core: ProfileWindow needs at least one reference stream")
 	}
 	first := p.states[refIdx[0]]
-	c0 := p.syncContrib(first)
-	nCand := len(c0)
+	p.sync(first)
+	nCand := len(first.cross)
 	tick := first.ticks
 	if dst == nil {
 		dst = make([]float64, nCand)
 	}
 	dst = dst[:nCand:nCand]
-	copy(dst, c0)
-	for _, ri := range refIdx[1:] {
+	last := len(refIdx) - 1
+	for x, ri := range refIdx {
 		st := p.states[ri]
-		c := p.syncContrib(st)
-		if st.ticks != tick || len(c) != nCand {
+		p.sync(st)
+		if st.ticks != tick || len(st.cross) != nCand {
 			panic(fmt.Sprintf("core: incremental state for stream %d out of sync (tick %d/%d, candidates %d/%d)",
-				ri, st.ticks, tick, len(c), nCand))
+				ri, st.ticks, tick, len(st.cross), nCand))
 		}
-		c = c[:nCand:nCand]
-		j := 0
-		for ; j+4 <= nCand; j += 4 {
-			dst[j] += c[j]
-			dst[j+1] += c[j+1]
-			dst[j+2] += c[j+2]
-			dst[j+3] += c[j+3]
+		energy := st.energy[st.estart:]
+		energy, cross := energy[:len(dst)], st.cross[:len(dst)]
+		eq := st.eq
+		switch {
+		case x == 0 && x < last:
+			j := 0
+			for ; j+4 <= len(dst); j += 4 {
+				d4, e4, c4 := dst[j:j+4:j+4], energy[j:j+4:j+4], cross[j:j+4:j+4]
+				d4[0] = e4[0] + eq - 2*c4[0]
+				d4[1] = e4[1] + eq - 2*c4[1]
+				d4[2] = e4[2] + eq - 2*c4[2]
+				d4[3] = e4[3] + eq - 2*c4[3]
+			}
+			for ; j < len(dst); j++ {
+				dst[j] = energy[j] + eq - 2*cross[j]
+			}
+		case x == 0:
+			for j := range dst {
+				dst[j] = guardedSqrt(energy[j] + eq - 2*cross[j])
+			}
+		case x < last:
+			j := 0
+			for ; j+4 <= len(dst); j += 4 {
+				d4, e4, c4 := dst[j:j+4:j+4], energy[j:j+4:j+4], cross[j:j+4:j+4]
+				d4[0] += e4[0] + eq - 2*c4[0]
+				d4[1] += e4[1] + eq - 2*c4[1]
+				d4[2] += e4[2] + eq - 2*c4[2]
+				d4[3] += e4[3] + eq - 2*c4[3]
+			}
+			for ; j < len(dst); j++ {
+				dst[j] += energy[j] + eq - 2*cross[j]
+			}
+		default:
+			for j := range dst {
+				dst[j] = guardedSqrt(dst[j] + (energy[j] + eq - 2*cross[j]))
+			}
 		}
-		for ; j < nCand; j++ {
-			dst[j] += c[j]
-		}
-	}
-	for j, v := range dst {
-		if v < 0 {
-			v = 0 // guard incremental rounding below zero
-		}
-		dst[j] = math.Sqrt(v)
 	}
 	return dst
+}
+
+// guardedSqrt is the profile's final step: incremental rounding can leave a
+// squared distance a few ulps below zero, which counts as zero.
+func guardedSqrt(v float64) float64 {
+	if v < 0 {
+		v = 0
+	}
+	return math.Sqrt(v)
 }
 
 // sliceProfiler resolves the profiler used for one-shot slice imputations

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -303,6 +304,225 @@ func TestImputeWindowHonorsProfilerConfig(t *testing.T) {
 		}
 		if math.Abs(res.Value-want.Value) > profileTol {
 			t.Fatalf("%v imputed %v, want %v", kind, res.Value, want.Value)
+		}
+	}
+}
+
+// syncReference is sync with the per-slide replay and the one-candidate-at-
+// a-time rebuild: the same replay-vs-rebuild rule, drift budget and
+// compaction handling, applying each deferred slide in its own pass over
+// cross. It is the oracle the fused replay and the blocked rebuild must
+// match bit for bit.
+func syncReference(p *IncrementalProfiler, st *incStreamState) {
+	if st.aggOK && st.deferred == 0 {
+		return
+	}
+	l := p.l
+	nCand := st.m - 2*l + 1
+	if nCand <= 0 {
+		st.aggOK = false
+		return
+	}
+	if st.energy == nil {
+		st.energy = make([]float64, len(st.hist))
+		st.cross = make([]float64, 0, p.maxCand)
+	}
+	grow := st.m - st.syncM
+	slide := st.start - st.syncStart
+	replay := st.aggOK &&
+		st.syncM-2*l+1 >= 1 &&
+		st.syncStart >= 0 && grow >= 0 && slide >= 0 && grow+slide == st.deferred &&
+		st.sinceRebuild+st.deferred < incRebuildEvery &&
+		st.deferred*(nCand+l) <= st.m+nCand*l
+	if !replay {
+		rebuildReference(st, st.hist[st.start:st.start+st.m], l)
+		st.syncStart = st.start
+		st.syncM = st.m
+		st.deferred = 0
+		st.aggOK = true
+		return
+	}
+	for g := 1; g <= grow; g++ {
+		st.replayGrowth(st.syncM+g, l)
+	}
+	for s := st.syncStart + 1; s <= st.start; s++ {
+		replaySlideReference(st, s, st.m, l)
+	}
+	st.sinceRebuild += st.deferred
+	st.syncStart = st.start
+	st.syncM = st.m
+	st.deferred = 0
+}
+
+// replaySlideReference replays one deferred steady-state tick, after which
+// the window sat at hist[s : s+m]: one pass over cross, then the energy and
+// query-energy bumps.
+func replaySlideReference(st *incStreamState, s, m, l int) {
+	nCand := m - 2*l + 1
+	qs := m - l
+	hist := st.hist
+	vNew := hist[s+m-1]
+	qold := hist[s+qs-1]
+	for j := 0; j < nCand; j++ {
+		st.cross[j] += hist[s+l-1+j]*vNew - hist[s-1+j]*qold
+	}
+	if st.estart+nCand == len(st.energy) {
+		copy(st.energy, st.energy[st.estart:st.estart+nCand])
+		st.estart = 0
+	}
+	st.estart++
+	last := st.estart + nCand - 1
+	e0 := hist[s+nCand-2]
+	e1 := hist[s+nCand-2+l]
+	st.energy[last] = st.energy[last-1] - e0*e0 + e1*e1
+	st.eq += vNew*vNew - qold*qold
+}
+
+// rebuildReference recomputes the aggregates one candidate at a time.
+func rebuildReference(st *incStreamState, nv []float64, l int) {
+	m := len(nv)
+	nCand := m - 2*l + 1
+	qs := m - l
+	st.sinceRebuild = 0
+	st.estart = 0
+	st.eq = 0
+	for _, v := range nv[qs:] {
+		st.eq += v * v
+	}
+	if cap(st.cross) < nCand {
+		st.cross = make([]float64, nCand)
+	} else {
+		st.cross = st.cross[:nCand]
+	}
+	e := 0.0
+	for x := 0; x < l; x++ {
+		e += nv[x] * nv[x]
+	}
+	for j := 0; j < nCand; j++ {
+		st.energy[j] = e
+		if j+1 < nCand {
+			e += nv[j+l]*nv[j+l] - nv[j]*nv[j]
+		}
+		c := 0.0
+		for x := 0; x < l; x++ {
+			c += nv[j+x] * nv[qs+x]
+		}
+		st.cross[j] = c
+	}
+}
+
+// profileWindowReference assembles the profile the way the per-stream
+// contribution vectors did: materialize each reference's
+// energy[j] + eq − 2·cross[j], sum the vectors in reference order, then
+// take the guarded square root in a final pass.
+func profileWindowReference(p *IncrementalProfiler, refIdx []int) []float64 {
+	var dst []float64
+	for x, ri := range refIdx {
+		syncReference(p, p.states[ri])
+		st := p.states[ri]
+		nCand := len(st.cross)
+		c := make([]float64, nCand)
+		for j := range c {
+			c[j] = st.energy[st.estart+j] + st.eq - 2*st.cross[j]
+		}
+		if x == 0 {
+			dst = c
+			continue
+		}
+		for j := range dst {
+			dst[j] += c[j]
+		}
+	}
+	for j, v := range dst {
+		if v < 0 {
+			v = 0
+		}
+		dst[j] = math.Sqrt(v)
+	}
+	return dst
+}
+
+// sameAggregates reports the first field on which two stream states'
+// aggregates differ in any bit, or "" when cross, the live candidate
+// energies and eq all agree exactly.
+func sameAggregates(a, b *incStreamState) string {
+	if len(a.cross) != len(b.cross) {
+		return fmt.Sprintf("candidate count %d != %d", len(a.cross), len(b.cross))
+	}
+	for j := range a.cross {
+		if math.Float64bits(a.cross[j]) != math.Float64bits(b.cross[j]) {
+			return fmt.Sprintf("cross[%d] %v != %v", j, a.cross[j], b.cross[j])
+		}
+		if ea, eb := a.energy[a.estart+j], b.energy[b.estart+j]; math.Float64bits(ea) != math.Float64bits(eb) {
+			return fmt.Sprintf("energy[%d] %v != %v", j, ea, eb)
+		}
+	}
+	if math.Float64bits(a.eq) != math.Float64bits(b.eq) {
+		return fmt.Sprintf("eq %v != %v", a.eq, b.eq)
+	}
+	return ""
+}
+
+// TestFusedReplayMatchesPerSlide consults three references every gap
+// ticks, for every gap from 1 to 80, through the production catch-up and
+// through the per-slide oracle. Gaps above 61 cross the replay-vs-rebuild
+// threshold at this shape, and each run spans a backing compaction (which
+// forces the next catch-up to rebuild), so fused replays of every remainder
+// mod 4 start from both rebuilt and replayed aggregates. cross, energy, eq and the assembled profiles — over
+// one reference and over all three, which exercises the first, middle and
+// last assembly passes — must agree bit for bit at every consult.
+func TestFusedReplayMatchesPerSlide(t *testing.T) {
+	const (
+		L = 512
+		l = 72
+		d = 3
+	)
+	for gap := 1; gap <= 80; gap++ {
+		ticks := 5*L/2 + 2*gap
+		data := randomRefs(int64(1000+gap), d, ticks)
+		got := NewIncrementalProfiler(l, d, L)
+		want := NewIncrementalProfiler(l, d, L)
+		for n := 0; n < ticks; n++ {
+			for i := 0; i < d; i++ {
+				got.AdvanceBulk(i, data[i][n:n+1])
+				want.AdvanceBulk(i, data[i][n:n+1])
+			}
+			if n < 2*l || (n+1)%gap != 0 {
+				continue
+			}
+			for _, refIdx := range [][]int{{2, 0, 1}, {1}} {
+				gp := got.ProfileWindow(refIdx, nil)
+				wp := profileWindowReference(want, refIdx)
+				for j := range wp {
+					if math.Float64bits(gp[j]) != math.Float64bits(wp[j]) {
+						t.Fatalf("gap %d tick %d refs %v: profile[%d] %v != %v", gap, n, refIdx, j, gp[j], wp[j])
+					}
+				}
+			}
+			for i := 0; i < d; i++ {
+				if diff := sameAggregates(got.states[i], want.states[i]); diff != "" {
+					t.Fatalf("gap %d tick %d stream %d: %s", gap, n, i, diff)
+				}
+			}
+		}
+	}
+}
+
+// TestBlockedRebuildMatchesPlain: the four-candidates-per-pass rebuild must
+// reproduce the one-candidate-at-a-time rebuild bit for bit, for candidate
+// counts of every residue mod 4.
+func TestBlockedRebuildMatchesPlain(t *testing.T) {
+	for _, l := range []int{1, 3, 24, 72} {
+		for extra := 0; extra < 9; extra++ {
+			m := 2*l + extra // extra+1 candidates
+			nv := randomRefs(int64(10*l+extra), 1, m)[0]
+			got := &incStreamState{energy: make([]float64, 2*m)}
+			want := &incStreamState{energy: make([]float64, 2*m)}
+			got.rebuild(nv, l)
+			rebuildReference(want, nv, l)
+			if diff := sameAggregates(got, want); diff != "" {
+				t.Fatalf("l=%d m=%d: %s", l, m, diff)
+			}
 		}
 	}
 }

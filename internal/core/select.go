@@ -97,6 +97,16 @@ func selectDP(d []float64, k, l int) (idx []int, sum float64, ok bool) {
 
 // selectDPInto is selectDP with caller-provided table storage (grown in
 // place and reused across calls when sc is non-nil).
+//
+// Each row of M is a running prefix minimum, M[i][j] = min(M[i][j−1],
+// take_j), so the row is filled with the minimum held in a register and a
+// comparison `take < run` that is almost always false once the row has
+// settled. The max(j−l, 0) clamp splits each row into a head (j < l, whose
+// takes all read M[i−1][0]) and a body (takes read M[i−1][j−l]) over
+// re-sliced operands of equal length, so the hot loop carries no clamp and
+// no bounds checks. Every entry is the same IEEE addition and the same
+// `take < skip ? take : skip` choice as the textbook recurrence, so sums and
+// ties come out bit for bit as Eq. 5 computed cell by cell.
 func selectDPInto(d []float64, k, l int, sc *selectScratch) (idx []int, sum float64, ok bool) {
 	n := len(d)
 	if n == 0 || k <= 0 {
@@ -114,25 +124,44 @@ func selectDPInto(d []float64, k, l int, sc *selectScratch) (idx []int, sum floa
 		}
 	}
 	row := n + 1
-	for j := 0; j <= n; j++ {
-		m[0*row+j] = 0
-	}
+	clear(m[:row])
+	inf := math.Inf(1)
 	for i := 1; i <= k; i++ {
-		for j := 0; j <= n; j++ {
-			if i > j {
-				m[i*row+j] = math.Inf(1)
-				continue
+		prevRow := m[(i-1)*row : i*row]
+		cur := m[i*row : (i+1)*row]
+		// M[i][j] = +inf for j < i: fewer candidates than picks.
+		lo := min(i, row)
+		for j := range cur[:lo] {
+			cur[j] = inf
+		}
+		run := inf // M[i][i−1]
+		// Head: j ∈ [i, l) reads M[i−1][0].
+		head := min(l, row)
+		if lo < head {
+			base := prevRow[0]
+			dh := d[lo-1 : head-1]
+			out := cur[lo:head]
+			out = out[:len(dh)]
+			for x, dj := range dh {
+				if take := dj + base; take < run {
+					run = take
+				}
+				out[x] = run
 			}
-			skip := m[i*row+j-1]
-			prev := j - l
-			if prev < 0 {
-				prev = 0
-			}
-			take := d[j-1] + m[(i-1)*row+prev]
-			if take < skip {
-				m[i*row+j] = take
-			} else {
-				m[i*row+j] = skip
+		}
+		// Body: j ∈ [max(i, l), n] reads M[i−1][j−l].
+		j0 := max(lo, l)
+		if j0 <= n {
+			db := d[j0-1:]
+			pb := prevRow[j0-l : row-l]
+			out := cur[j0:]
+			pb = pb[:len(db)]
+			out = out[:len(db)]
+			for x, dj := range db {
+				if take := dj + pb[x]; take < run {
+					run = take
+				}
+				out[x] = run
 			}
 		}
 	}
@@ -140,20 +169,18 @@ func selectDPInto(d []float64, k, l int, sc *selectScratch) (idx []int, sum floa
 	if math.IsInf(sum, 1) {
 		return nil, 0, false
 	}
-	// Backtrack.
+	// Backtrack: walk row i left while M[i][j] was carried over from
+	// M[i][j−1] (a skip), then take candidate j.
 	idx = sc.idxBuf(k)
 	i, j := k, n
 	for i > 0 {
-		if j > i && m[i*row+j] == m[i*row+j-1] {
+		r := m[i*row : i*row+j+1]
+		for j > i && r[j] == r[j-1] {
 			j--
-			continue
 		}
 		idx = append(idx, j-1) // 0-based candidate index
 		i--
-		j -= l
-		if j < 0 {
-			j = 0
-		}
+		j = max(j-l, 0)
 	}
 	// Reverse to ascending order.
 	for a, b := 0, len(idx)-1; a < b; a, b = a+1, b-1 {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -180,4 +181,85 @@ func randomProfile(seed int64, n int) []float64 {
 		out[i] = float64(state%1000) / 100
 	}
 	return out
+}
+
+// selectDPReference is the textbook Eq. 5 fill and backtrack, one table
+// entry at a time with the max(j−l, 0) clamp in the loop. It is the oracle
+// selectDPInto's prefix-minimum rows must match bit for bit.
+func selectDPReference(d []float64, k, l int) (idx []int, sum float64, ok bool) {
+	n := len(d)
+	if n == 0 || k <= 0 {
+		return nil, 0, k <= 0
+	}
+	row := n + 1
+	m := make([]float64, (k+1)*row)
+	for i := 1; i <= k; i++ {
+		for j := 0; j <= n; j++ {
+			if i > j {
+				m[i*row+j] = math.Inf(1)
+				continue
+			}
+			skip := m[i*row+j-1]
+			prev := j - l
+			if prev < 0 {
+				prev = 0
+			}
+			take := d[j-1] + m[(i-1)*row+prev]
+			if take < skip {
+				m[i*row+j] = take
+			} else {
+				m[i*row+j] = skip
+			}
+		}
+	}
+	sum = m[k*row+n]
+	if math.IsInf(sum, 1) {
+		return nil, 0, false
+	}
+	i, j := k, n
+	for i > 0 {
+		if j > i && m[i*row+j] == m[i*row+j-1] {
+			j--
+			continue
+		}
+		idx = append(idx, j-1)
+		i--
+		j -= l
+		if j < 0 {
+			j = 0
+		}
+	}
+	slices.Reverse(idx)
+	return idx, sum, true
+}
+
+// TestSelectDPMatchesReference: the prefix-minimum DP must reproduce the
+// textbook table's sum (bit for bit), feasibility and every chosen index,
+// on random profiles and on quantized ones whose many exact ties exercise
+// the skip-on-equality rule — across lengths around l, the served n = 3889,
+// k up to infeasible, and a selection scratch reused across calls so stale
+// table contents cannot leak into a result.
+func TestSelectDPMatchesReference(t *testing.T) {
+	var sc selectScratch
+	for _, l := range []int{1, 2, 24, 72} {
+		for _, n := range []int{1, l - 1, l, l + 1, 881, 3889} {
+			for seed := int64(0); seed < 2; seed++ {
+				random := randomProfile(seed+int64(31*n+l), n)
+				quantized := make([]float64, n)
+				for j, v := range random {
+					quantized[j] = math.Floor(v/2.5) * 0.25 // four levels
+				}
+				for name, d := range map[string][]float64{"random": random, "quantized": quantized} {
+					for k := 1; k <= 10; k++ {
+						wantIdx, wantSum, wantOK := selectDPReference(d, k, l)
+						gotIdx, gotSum, gotOK := selectDPInto(d, k, l, &sc)
+						if gotOK != wantOK || math.Float64bits(gotSum) != math.Float64bits(wantSum) || !slices.Equal(gotIdx, wantIdx) {
+							t.Fatalf("%s l=%d n=%d k=%d seed=%d: got (%v, %v, %v), want (%v, %v, %v)",
+								name, l, n, k, seed, gotIdx, gotSum, gotOK, wantIdx, wantSum, wantOK)
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -192,6 +192,53 @@ func TestRestoreAllocatesWhatItReads(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesOversizedEngine: a CRC-valid v3 image of a few KB that
+// names 256 one-byte streams at WindowLength 2^24 — 2^32 window cells, 32
+// GiB of rings — must fail on MaxWindowCells from RestoreEngineBytes with
+// under 1 MiB allocated.
+func TestRestoreRefusesOversizedEngine(t *testing.T) {
+	const width = 256
+	enc := &snapEncoder{}
+	cfg := snapTestConfig()
+	cfg.WindowLength = MaxWindowLength
+	enc.encodeConfig(cfg)
+	enc.uint(width)
+	for i := 0; i < width; i++ {
+		enc.str(string([]byte{byte(i)}))
+	}
+	enc.uint(0)              // no reference sets
+	enc.int(0)               // engine tick
+	enc.int(-1)              // window tick
+	for i := 0; i < 5; i++ { // stats
+		enc.int(0)
+	}
+	for i := 0; i < width; i++ { // last values
+		enc.float(math.NaN())
+	}
+	enc.uint(0) // nothing retained: the window region is empty
+	windowOff := snapAlignUp(snapHeaderLen + enc.buf.Len() + 8 + 4)
+	enc.fixed64(uint64(windowOff))
+	meta := enc.buf.Bytes()
+	img := append([]byte(nil), snapMagic...)
+	img = binary.LittleEndian.AppendUint32(img, snapVersion)
+	img = binary.LittleEndian.AppendUint64(img, uint64(len(meta)))
+	img = append(img, meta...)
+	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(meta))
+	img = append(img, make([]byte, windowOff-len(img))...)
+	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(nil))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := RestoreEngineBytes(img)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "MaxWindowCells") {
+		t.Fatalf("%d-byte image naming %d streams × L=%d: err = %v, want the MaxWindowCells bound", len(img), width, cfg.WindowLength, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("restore of a %d-byte image allocated %d bytes (err: %v)", len(img), grew, err)
+	}
+}
+
 // patchWindowOff rewrites the image's windowOff field (the last 8 bytes of
 // the meta section) and re-seals the meta CRC, so the crafted geometry
 // reaches the validator instead of dying at the checksum.

@@ -46,9 +46,10 @@ func WideCases() []WideCase {
 }
 
 // wideRefPool is the number of always-present reference streams the targets
-// draw from. Keeping it small and shared exercises the per-tick contribution
-// cache the way real deployments do (many co-located sensors share the same
-// few high-quality references).
+// draw from. Keeping it small and shared makes one tick assemble several
+// profiles from the same caught-up reference aggregates, the way real
+// deployments do (many co-located sensors share the same few high-quality
+// references).
 const wideRefPool = 12
 
 // WideScenario deterministically generates the wide workload: width streams

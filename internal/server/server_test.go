@@ -499,6 +499,21 @@ func TestAPIValidation(t *testing.T) {
 	if resp := createTenant(t, ts.URL, "x", `{"streams": ["a","b","c"], "config": {"k": 2, "pattern_length": 50, "window_length": 10}}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid core config: %d", resp.StatusCode)
 	}
+	// A small body naming 16 streams at the maximum window length asks for
+	// 2 GiB of window rings; the engine size bound refuses it by name.
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = fmt.Sprintf(`"s%d"`, i)
+	}
+	huge := fmt.Sprintf(`{"streams": [%s], "config": {"k": 2, "pattern_length": 8, "window_length": %d}}`, strings.Join(names, ","), core.MaxWindowLength)
+	{
+		resp := createTenant(t, ts.URL, "huge", huge)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "MaxWindowCells") {
+			t.Errorf("oversized engine: %d %s, want 400 naming MaxWindowCells", resp.StatusCode, body)
+		}
+	}
 
 	resp := createTenant(t, ts.URL, "ok", testTenantBody)
 	if resp.StatusCode != http.StatusCreated {

@@ -45,9 +45,10 @@
 //
 // # Engine hot path
 //
-// Within one tick, profile contributions and anchor selections are shared:
-// missing streams with identical reference sets run pattern extraction and
-// the selection DP once and only aggregate their own anchor values.
+// Within one tick, reference aggregates and anchor selections are shared:
+// each reference stream is caught up at most once, and missing streams
+// with identical reference sets run pattern extraction and the selection
+// DP once and only aggregate their own anchor values.
 // Config.Workers > 1 fans a tick's extraction + selection jobs out across a
 // persistent worker pool (call Engine.Close when discarding such an
 // engine). Engine.Tick returns engine-owned buffers (valid until the next
