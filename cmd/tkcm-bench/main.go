@@ -18,6 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -25,7 +27,6 @@ import (
 	"time"
 
 	"tkcm/internal/benchcases"
-	"tkcm/internal/benchfmt"
 	"tkcm/internal/core"
 	"tkcm/internal/experiments"
 )
@@ -48,16 +49,76 @@ var (
 	benchtime    = flag.String("benchtime", "200ms", "pinned experiment: per-case measurement time (testing -test.benchtime)")
 )
 
-// jsonRows collects engine/wide measurements for the -json report (schema
-// benchfmt.SchemaV2, shared with cmd/tkcm-loadgen).
-var jsonRows []benchfmt.Record
-
-func recordJSON(experiment string, row any) {
-	jsonRows = append(jsonRows, benchfmt.Record{Experiment: experiment, Row: row})
+// benchRecord is one -json row, tagged with the experiment that produced
+// it; BatchSize is the ingest batch a pinned case runs at.
+type benchRecord struct {
+	Experiment string `json:"experiment"`
+	BatchSize  int    `json:"batch_size,omitempty"`
+	Row        any    `json:"row"`
 }
 
+// jsonRows collects engine/wide/pinned measurements for the -json report.
+var jsonRows []benchRecord
+
+func recordJSON(experiment string, row any) {
+	jsonRows = append(jsonRows, benchRecord{Experiment: experiment, Row: row})
+}
+
+// writeJSON writes the -json report (schema "tkcm-bench/engine-v2"). The
+// run metadata — toolchain, platform, CPU count, scheduler width and VCS
+// commit — keeps BENCH_engine.json comparable across hosts and revisions.
 func writeJSON(path, scale string) error {
-	return benchfmt.NewReport(scale, jsonRows).WriteFile(path)
+	report := struct {
+		Schema     string        `json:"schema"`
+		Scale      string        `json:"scale"`
+		Go         string        `json:"go"`
+		GOOS       string        `json:"goos"`
+		GOARCH     string        `json:"goarch"`
+		NumCPU     int           `json:"num_cpu"`
+		GOMAXPROCS int           `json:"gomaxprocs"`
+		Commit     string        `json:"commit"`
+		Timestamp  string        `json:"timestamp"`
+		Rows       []benchRecord `json:"rows"`
+	}{
+		Schema:     "tkcm-bench/engine-v2",
+		Scale:      scale,
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Commit:     vcsCommit(),
+		Timestamp:  time.Now().UTC().Format(time.RFC3339),
+		Rows:       jsonRows,
+	}
+	buf, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
+}
+
+// vcsCommit reports the VCS revision stamped into the binary, suffixed
+// "+dirty" for a modified tree, or "unknown" when built without VCS
+// information.
+func vcsCommit() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "unknown", false
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if dirty && rev != "unknown" {
+		rev += "+dirty"
+	}
+	return rev
 }
 
 func main() {
@@ -233,7 +294,7 @@ func runPinned(experiments.Scale) error {
 				row.AllocsPerOp = r.AllocsPerOp()
 			}
 		}
-		jsonRows = append(jsonRows, benchfmt.Record{Experiment: "pinned", BatchSize: c.Batch, Row: row})
+		jsonRows = append(jsonRows, benchRecord{Experiment: "pinned", BatchSize: c.Batch, Row: row})
 		baseNs, delta := "—", "—"
 		if b, ok := base[c.Name]; ok && b.NsPerOp > 0 {
 			ratio := row.NsPerOp/b.NsPerOp - 1
@@ -255,7 +316,7 @@ func runPinned(experiments.Scale) error {
 	return nil
 }
 
-// loadPinnedBaseline reads the pinned rows of a committed benchfmt report.
+// loadPinnedBaseline reads the pinned rows of a committed -json report.
 func loadPinnedBaseline(path string) (map[string]pinnedRow, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {

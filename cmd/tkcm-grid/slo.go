@@ -153,7 +153,7 @@ func runSweep(serveBin string, sw experiments.SLOSweep, out io.Writer) (*sloResu
 		Name: sw.Name, Shards: sw.Shards, Tenants: sw.Tenants,
 		Width: sw.Width, Missing: sw.Missing,
 	}
-	if err := driveSweep(ctx, c, sw, duration, migrate, res); err != nil {
+	if err := driveSweep(ctx, c, sw, duration, migrate, nil, res); err != nil {
 		return nil, err
 	}
 	if err := scrapeSweep(ctx, c, res); err != nil {
@@ -195,9 +195,10 @@ func runSweep(serveBin string, sw experiments.SLOSweep, out io.Writer) (*sloResu
 
 // driveSweep creates the sweep's tenants and pumps sequenced streams at the
 // configured missing rate until the deadline, with optional live-migration
-// churn, filling the throughput fields of res.
+// churn, filling the throughput fields of res. shares[i] is tenant i's share
+// of its send slots (nil: every tenant sends in every slot).
 func driveSweep(ctx context.Context, c *client.Client, sw experiments.SLOSweep,
-	duration, migrate time.Duration, res *sloResult) error {
+	duration, migrate time.Duration, shares []float64, res *sloResult) error {
 
 	streams := make([]string, sw.Width)
 	for i := range streams {
@@ -226,13 +227,17 @@ func driveSweep(ctx context.Context, c *client.Client, sw experiments.SLOSweep,
 	start := time.Now()
 	errCh := make(chan error, len(ids)+1)
 	for ti := range ids {
+		share := 1.0
+		if shares != nil {
+			share = shares[ti]
+		}
 		wg.Add(1)
-		go func(tenant string, seed uint64) {
+		go func(tenant string, seed uint64, share float64) {
 			defer wg.Done()
-			if err := pump(ctx, c, tenant, sw, seed, deadline, &ticks); err != nil {
+			if err := pump(ctx, c, tenant, sw, seed, share, deadline, &ticks); err != nil {
 				errCh <- fmt.Errorf("%s: %w", tenant, err)
 			}
-		}(ids[ti], uint64(ti)+1)
+		}(ids[ti], uint64(ti)+1, share)
 	}
 	if migrate > 0 && sw.Shards > 1 {
 		wg.Add(1)
@@ -276,9 +281,10 @@ func driveSweep(ctx context.Context, c *client.Client, sw experiments.SLOSweep,
 	return nil
 }
 
-// pump drives one tenant's sequenced stream until the deadline.
+// pump drives one tenant's sequenced stream until the deadline, sending a
+// row in a random share of its slots and idling 1ms in the others.
 func pump(ctx context.Context, c *client.Client, tenant string, sw experiments.SLOSweep,
-	seed uint64, deadline time.Time, ticks *atomic.Uint64) error {
+	seed uint64, share float64, deadline time.Time, ticks *atomic.Uint64) error {
 
 	batch := sw.Batch
 	if batch <= 0 {
@@ -317,6 +323,10 @@ func pump(ctx context.Context, c *client.Client, tenant string, sw experiments.S
 	const warmup = 16
 	var serr error
 	for n := 0; time.Now().Before(deadline); n++ {
+		if share < 1 && next() >= share {
+			time.Sleep(time.Millisecond)
+			continue
+		}
 		for i := range row {
 			base := math.Sin(2*math.Pi*float64(n)/96 + float64(i))
 			row[i] = math.Round(100*(20+5*base+0.1*next())) / 100

@@ -17,7 +17,7 @@ import (
 var (
 	publicPackages   = []string{".", "client"}
 	internalPackages = []string{
-		"internal/audit", "internal/baseline", "internal/benchcases", "internal/benchfmt",
+		"internal/audit", "internal/baseline", "internal/benchcases",
 		"internal/cd", "internal/core", "internal/dataset", "internal/dtw",
 		"internal/experiments", "internal/fft", "internal/linalg", "internal/muscles",
 		"internal/obs", "internal/ring", "internal/server", "internal/shard",

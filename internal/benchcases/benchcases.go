@@ -5,9 +5,9 @@
 // measures exactly what the named benchmarks measure.
 //
 // Every engine case streams the same deterministic daily-periodic workload:
-// width 4, window 4032, stream 0 missing every 20th measured tick (the
-// loadgen default 5% missing rate) — so the row-at-a-time baseline and the
-// columnar batch path are directly comparable ns-per-tick numbers.
+// width 4, window 4032, stream 0 missing every 20th measured tick (a 5%
+// missing rate) — so the row-at-a-time baseline and the columnar batch path
+// are directly comparable ns-per-tick numbers.
 package benchcases
 
 import (

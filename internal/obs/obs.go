@@ -1,8 +1,8 @@
 // Package obs is the serving stack's observability kit: a monotonic stage
 // clock, fixed-bucket zero-allocation latency histograms, a deterministic
 // 1-in-N trace sampler, Go runtime telemetry, and a small Prometheus
-// text-exposition parser (used by the conformance test and tkcm-loadgen's
-// server-side latency attribution).
+// text-exposition parser (used by the conformance test and by the SLO
+// sweeps' and perfbench's server-side latency attribution).
 //
 // The design constraint throughout is the hot path: Now, Histogram.Observe,
 // and Sampler.Hit are allocation-free and lock-free (atomics only), cheap

@@ -35,8 +35,8 @@ type Scrape struct {
 
 // ParseProm parses a Prometheus text-format exposition (the subset the
 // hand-rolled writers emit: no escaped label values beyond \" \\ \n, no
-// timestamps). It exists so the conformance test and loadgen's latency
-// attribution read the real wire format instead of private state.
+// timestamps). It exists so the conformance test, the SLO sweeps and
+// perfbench read the real wire format instead of private state.
 func ParseProm(text string) (*Scrape, error) {
 	s := &Scrape{Help: make(map[string]string), Type: make(map[string]string)}
 	for ln, line := range strings.Split(text, "\n") {

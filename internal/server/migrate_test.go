@@ -199,7 +199,8 @@ func TestMigrationStreamEquivalence(t *testing.T) {
 
 	// Walk the tenant across all three shards while the stream runs, pacing
 	// each move on ack progress (a zero-pause migrate loop would starve the
-	// single-P scheduler; real moves are endpoint-paced too).
+	// single-P scheduler; real moves are endpoint-paced too). The pacing
+	// also ends when the receiver exits, so a mismatch fails at once.
 	migrations := 0
 	for done := false; !done; {
 		select {
@@ -214,7 +215,7 @@ func TestMigrationStreamEquivalence(t *testing.T) {
 			}
 			migrations++
 			before := acked.Load()
-			for acked.Load() == before && acked.Load() < total {
+			for acked.Load() == before && acked.Load() < total && len(recvDone) == 0 {
 				time.Sleep(200 * time.Microsecond)
 			}
 		}

@@ -695,11 +695,11 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	free := make(chan *ackMsg, tickInFlight)
 	writerGone := make(chan struct{})
 	ackCell := s.ackCell(id)
+	streamed := false // the 200 went out; read once writerGone is closed
 	go func() {
 		defer close(writerGone)
 		enc := json.NewEncoder(w)
 		var lineBuf []byte
-		streamed := false
 		for msg := range acks {
 			if msg.errText == "" {
 				if err := msg.commit.Wait(); err != nil {
@@ -711,6 +711,12 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			if msg.errText != "" {
+				// The reader may be blocked on a client that waits for
+				// this reply to end before it sends or closes anything.
+				// Wake it: at once before the stream started, and after
+				// the second the drain below gives a stream refused
+				// mid-body.
+				wake := time.Now()
 				if !streamed {
 					// Keep the retry marker even pre-stream: a durability
 					// hiccup on the first row is as recoverable as on any
@@ -718,13 +724,18 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 					// explicitly — the handler goroutine is still blocked
 					// reading the request body (full duplex), so nothing
 					// else pushes the buffered response out until the
-					// client gives up.
+					// client gives up. The client may still be sending:
+					// close the connection after this reply, or net/http's
+					// post-handler body close races its keep-alive read of
+					// the next request.
+					w.Header().Set("Connection", "close")
 					writeJSON(w, msg.status, apiError{Error: msg.errText, Retry: msg.retry})
-					rc.Flush()
 				} else {
 					enc.Encode(apiError{Error: msg.errText, Retry: msg.retry})
-					rc.Flush()
+					wake = wake.Add(time.Second)
 				}
+				rc.Flush()
+				rc.SetReadDeadline(wake)
 				return
 			}
 			// The durability wait ends here; what follows is the ack write.
@@ -796,6 +807,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		rsp shard.BatchResponse
 		in  wire.TickIn
 		one [1][]float64 // a values line's one-row batch
+		eof bool         // the request body was read to its end
 	)
 reading:
 	for {
@@ -803,6 +815,7 @@ reading:
 			if err := sc.Err(); err != nil {
 				fail(http.StatusBadRequest, "reading tick line: %v", err)
 			}
+			eof = sc.Err() == nil
 			break
 		}
 		line := sc.Bytes()
@@ -877,6 +890,15 @@ reading:
 	}
 	close(acks)
 	<-writerGone
+	if streamed && !eof {
+		// A stream refused mid-body: its client is still sending, and the
+		// connection stays open. Consume the rest of the body here, so its
+		// end falls inside the handler; otherwise net/http's post-handler
+		// body close starts a background read that races its keep-alive
+		// read of the next request.
+		rc.SetReadDeadline(time.Now().Add(time.Second))
+		io.Copy(io.Discard, r.Body)
+	}
 }
 
 // ackCell returns the tenant's last-ack latency cell, creating it on first

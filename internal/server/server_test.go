@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"log/slog"
 	"math"
 	"net/http"
@@ -15,11 +17,13 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tkcm/internal/core"
 	"tkcm/internal/shard"
+	"tkcm/internal/wal"
 )
 
 func quietLog() *slog.Logger {
@@ -769,5 +773,175 @@ func TestBatchTickLines(t *testing.T) {
 	}
 	if _, err := stBad.sendBatch(109, all[:1]); err == nil || !strings.Contains(err.Error(), "both values and rows") {
 		t.Fatalf("mixed line: err = %v, want refusal", err)
+	}
+}
+
+// openRawStream POSTs a tick stream to tenant whose request body is a pipe,
+// sends first on it and returns the pipe's writer with the response. The
+// body stays open until the caller closes it or the test ends.
+func openRawStream(t *testing.T, ts *httptest.Server, tenant, first string) (*io.PipeWriter, *http.Response) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() })
+	req, err := http.NewRequest("POST", ts.URL+"/v1/tenants/"+tenant+"/ticks", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	respc := make(chan *http.Response, 1)
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			errc <- err
+			return
+		}
+		respc <- resp
+	}()
+	io.WriteString(pw, first)
+	select {
+	case resp := <-respc:
+		t.Cleanup(func() { resp.Body.Close() })
+		return pw, resp
+	case err = <-errc:
+	case <-time.After(10 * time.Second):
+		err = errors.New("no response")
+	}
+	t.Fatalf("stream to %s: %v", tenant, err)
+	return nil, nil
+}
+
+// TestRefusedTickStreamsEndCleanly refuses tick streams while their clients
+// are still sending, and asserts net/http logged no recovered panic. Two
+// refusals are driven 100 times each: the first line is refused (unknown
+// tenant, a pre-stream error response), and a sequence gap after one acked
+// row (a mid-stream error line). Each client sends one more line, closes its
+// body and reads the refusal. Unless the handler closes the connection
+// (pre-stream) or consumes the body itself (mid-stream), the server's
+// post-handler body close and its keep-alive read of the next request race
+// on the connection ("invalid concurrent Body.Read call").
+func TestRefusedTickStreamsEndCleanly(t *testing.T) {
+	m := shard.New(shard.Options{Shards: 2, QueueLen: 16})
+	defer m.Close()
+	s := New(Options{Manager: m, Log: quietLog()})
+	var errLog logBuffer
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ErrorLog = log.New(&errLog, "", 0)
+	ts.Start()
+	defer ts.Close()
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("net/http log:\n%s", errLog.String())
+		}
+	})
+	resp := createTenant(t, ts.URL, "gap", testTenantBody)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d", resp.StatusCode)
+	}
+
+	line := func(seq int) string {
+		return fmt.Sprintf(`{"seq":%d,"values":[1,2,3,4]}`+"\n", seq)
+	}
+	// refuse sends a refused line (after an acked one when acked) and one
+	// more, closes the body, and returns the response status and last
+	// line. Writes after the refusal may fail once the transport gives up
+	// on the body; the refusal is what is checked.
+	refuse := func(tenant string, acked bool, seq int) (int, string) {
+		first := line(seq + 2)
+		if acked {
+			first = line(seq)
+		}
+		pw, resp := openRawStream(t, ts, tenant, first)
+		sc := bufio.NewScanner(resp.Body)
+		if acked {
+			if !sc.Scan() {
+				t.Fatalf("no ack: %v", sc.Err())
+			}
+			io.WriteString(pw, line(seq+2))
+		}
+		io.WriteString(pw, line(seq+3))
+		pw.Close()
+		var last string
+		for sc.Scan() {
+			last = sc.Text()
+		}
+		return resp.StatusCode, last
+	}
+	for i := 0; i < 100; i++ {
+		if status, last := refuse("ghost", false, 1); status != http.StatusNotFound {
+			t.Fatalf("unknown tenant: %d %s, want 404", status, last)
+		}
+	}
+	for i := 1; i <= 100; i++ {
+		if status, last := refuse("gap", true, i); status != http.StatusOK || !strings.Contains(last, "sequence gap") {
+			t.Fatalf("stream %d: %d, last line %q, want a sequence gap", i, status, last)
+		}
+	}
+	ts.Close() // waits for every connection, so the log is complete
+	if strings.Contains(errLog.String(), "panic serving") {
+		t.Fatal("net/http recovered a panic")
+	}
+}
+
+// TestRefusalEndsResponseWhileBodyOpen refuses rows whose WAL sync fails
+// (fail-stop latched through the fault seam) while the client keeps its
+// request body open and reads the response to its end, as the Go client
+// reads a pre-stream error. The refusal must end the response: a handler
+// still blocked reading the next line would hold both sides until the
+// client gave up.
+func TestRefusalEndsResponseWhileBodyOpen(t *testing.T) {
+	var failSync atomic.Bool
+	walOpts := wal.Options{SyncInterval: time.Millisecond}.WithFailSync(func() error {
+		if failSync.Load() {
+			return errors.New("injected fsync failure")
+		}
+		return nil
+	})
+	s, _, _ := newWALServer(t, t.TempDir(), t.TempDir(), walOpts)
+	ts := newHTTPServer(t, s)
+	for _, id := range []string{"mid", "pre"} {
+		resp := createTenant(t, ts.URL, id, testTenantBody)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s: %d", id, resp.StatusCode)
+		}
+	}
+	const row = `{"values":[1,2,3,4]}` + "\n"
+	// readToEnd returns the rest of body once the server ends it.
+	readToEnd := func(tenant string, body io.Reader) string {
+		done := make(chan []byte, 1)
+		go func() {
+			b, _ := io.ReadAll(body)
+			done <- b
+		}()
+		select {
+		case b := <-done:
+			return string(b)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: refused, but the response did not end within 5s", tenant)
+		}
+		return ""
+	}
+
+	// Mid-stream: the first row is acked, the second is not durable.
+	pw, resp := openRawStream(t, ts, "mid", row)
+	sc := bufio.NewScanner(resp.Body)
+	if !sc.Scan() {
+		t.Fatalf("mid: no ack: %v", sc.Err())
+	}
+	failSync.Store(true)
+	io.WriteString(pw, row)
+	if !sc.Scan() || !strings.Contains(sc.Text(), "not durable") {
+		t.Fatalf("mid: %q, want a not-durable error line", sc.Text())
+	}
+	readToEnd("mid", resp.Body)
+
+	// Pre-stream: the first row is not durable.
+	_, resp = openRawStream(t, ts, "pre", row)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("pre: status %d, want 500", resp.StatusCode)
+	}
+	if body := readToEnd("pre", resp.Body); !strings.Contains(body, "not durable") {
+		t.Fatalf("pre: body %q, want a not-durable error", body)
 	}
 }

@@ -31,6 +31,12 @@ func (lb *logBuffer) Write(p []byte) (int, error) {
 	return lb.b.Write(p)
 }
 
+func (lb *logBuffer) String() string {
+	lb.mu.Lock()
+	defer lb.mu.Unlock()
+	return lb.b.String()
+}
+
 // traceLines parses the buffered JSON log and returns every "tick trace"
 // record.
 func (lb *logBuffer) traceLines(t *testing.T) []map[string]any {
