@@ -20,7 +20,7 @@ var (
 		"internal/audit", "internal/baseline", "internal/benchcases",
 		"internal/cd", "internal/core", "internal/dataset", "internal/dtw",
 		"internal/experiments", "internal/fft", "internal/linalg", "internal/muscles",
-		"internal/obs", "internal/ring", "internal/server", "internal/shard",
+		"internal/obs", "internal/server", "internal/shard",
 		"internal/spirit", "internal/stats", "internal/timeseries", "internal/wal",
 		"internal/window", "internal/wire",
 	}

@@ -13,8 +13,7 @@
 //  4. imputes the missing value as the mean of s at those anchors (Def. 4).
 //
 // The package exposes both a slice-based imputation primitive (Impute) and a
-// ring-buffer streaming form mirroring the paper's Algorithm 1
-// (ImputeWindow), plus diagnostics for the pattern-determining property of
+// streaming-window form mirroring the paper's Algorithm 1 (ImputeWindow), plus diagnostics for the pattern-determining property of
 // Sec. 5.3 and ablation variants (greedy selection, overlapping anchors,
 // alternative norms, weighted means) referenced by DESIGN.md.
 package core
@@ -147,11 +146,12 @@ func DefaultConfig() Config {
 // NewEngine accepts can be snapshotted and restored, and a crafted snapshot
 // image cannot demand absurd allocations through a huge decoded Config.
 // MaxWindowLength is ~160× the paper's two-year hourly window (105120) yet
-// bounds one stream's ring at 128 MiB; no machine has 2^16 cores.
-// MaxWindowCells bounds streams × WindowLength, the window floats NewEngine
-// allocates up front: 2^27 cells are 1 GiB of rings (about 6 GiB once every
-// stream serves as a reference, see Engine.MemoryBytes), or 1,276 streams
-// at DefaultConfig's window. A create request or a snapshot of a few KB can
+// bounds one stream's window at 128 MiB; no machine has 2^16 cores.
+// MaxWindowCells bounds streams × WindowLength, the window values an engine
+// retains: 2^27 cells are 1 GiB of window values, 2 GiB of window backing
+// from the first tick and about 4.25 GiB once every stream serves as a
+// reference (see Engine.MemoryBytes), or 1,276 streams at DefaultConfig's
+// window. A create request or a snapshot of a few KB can
 // name thousands of streams at the maximum window length; this is what
 // keeps it from asking for terabytes.
 const (

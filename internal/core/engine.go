@@ -18,10 +18,11 @@ import (
 // Pattern extraction — the dominant phase (Sec. 7.4) — runs through the
 // profiler Config.Profiler selects. The default (ProfilerAuto under L2) is
 // the incremental profiler with demand-driven state: recording a tick costs
-// O(1) per stream and profile aggregates are caught up only for streams
-// actually consulted as references, so per-tick cost scales with the missing
-// work, not the stream count. With Config.Workers > 1, the per-stream
-// imputations of one tick fan out across a persistent worker pool.
+// one window append per stream — the profiler reads its history from the
+// window, with no copy of its own — and profile aggregates are caught up
+// only for streams actually consulted as references, so per-tick cost scales
+// with the missing work, not the stream count. With Config.Workers > 1, the
+// per-stream imputations of one tick fan out across a persistent worker pool.
 type Engine struct {
 	cfg  Config
 	w    *window.Window
@@ -102,17 +103,27 @@ func NewEngine(cfg Config, names []string, refs map[string]ReferenceSet) (*Engin
 	if refs == nil {
 		refs = make(map[string]ReferenceSet)
 	}
+	kind := cfg.engineProfilerKind()
+	L := cfg.WindowLength
+	capacity := L + backingSlack(L)
+	if kind == ProfilerIncremental {
+		// The profiler replays deferred ticks against the values left of the
+		// window until the next compaction, and its replay-vs-rebuild choices
+		// (and so the output bits) follow the compaction points of this
+		// capacity.
+		capacity = 2 * L
+	}
 	e := &Engine{
 		cfg:  cfg,
-		w:    window.New(cfg.WindowLength, names...),
+		w:    window.New(L, capacity, names...),
 		refs: refs,
 		last: make([]float64, len(names)),
 	}
-	switch cfg.engineProfilerKind() {
+	switch kind {
 	case ProfilerFFT:
 		e.prof = FFTProfiler{}
 	case ProfilerIncremental:
-		e.inc = NewIncrementalProfiler(cfg.PatternLength, len(names), cfg.WindowLength)
+		e.inc = NewIncrementalProfiler(cfg.PatternLength, e.w)
 		e.prof = e.inc
 	default:
 		e.prof = NaiveProfiler{}
@@ -144,22 +155,24 @@ func (e *Engine) Seq() uint64 { return uint64(e.tick) }
 // stream has served as a reference. Per stream of window length L it counts,
 // in float64s:
 //
-//   - the window ring: L;
-//   - under the incremental profiler, the history backing: 2L;
-//   - the candidate-energy backing: 2L;
-//   - the cross products: L − 2l + 1 ≈ L.
+//   - the window backing: 2L under the incremental profiler, whose replay
+//     reads slid-out values, and L + L/4 under the stateless ones;
+//   - under the incremental profiler, the candidate energies: L − 2l + 1
+//     live entries plus L/4 slack;
+//   - and the cross products: L − 2l + 1.
 //
-// That is 6× the window bytes with the incremental profiler and 1× without.
-// Streams never consulted as references do not allocate the last two
-// buffers, and the per-worker selection scratch (about (k+2)·L floats) is
-// not counted. It is a sizing estimate for residency budgeting
-// (shard.Options.ResidentBytes), not an exact accounting.
+// That is about 4.25× the window bytes with the incremental profiler and
+// 1.25× without. Streams never consulted as references do not allocate the
+// last two buffers, a never-ticked engine holds no window backing yet, and
+// the per-worker selection scratch (about (k+2)·L floats) is not counted. It
+// is a sizing estimate for residency budgeting (shard.Options.ResidentBytes),
+// not an exact accounting.
 func (e *Engine) MemoryBytes() int64 {
-	win := int64(e.w.Width()) * int64(e.cfg.WindowLength) * 8
+	perStream := int64(e.w.Capacity())
 	if e.inc != nil {
-		return 6 * win
+		perStream += int64(e.inc.energyLen + e.inc.maxCand)
 	}
-	return win
+	return int64(e.w.Width()) * perStream * 8
 }
 
 // ValidateRow checks row against the engine's stream width and value domain
@@ -212,11 +225,13 @@ func (e *Engine) Tick(row []float64) ([]float64, []*Result, error) {
 	return e.out, e.results, nil
 }
 
-// tickApplied is the post-validation body of Tick: it advances the window and
-// profiler state by the (already validated) row and imputes every missing
-// value, writing the completed row into out and the per-stream results into
-// results. The columnar path calls it for ticks that contain missing values,
-// so batched and unbatched ingest run literally the same imputation code.
+// tickApplied is the post-validation body of Tick: it advances the window by
+// the (already validated) row — NaN stays in a missing stream's newest slot
+// until its imputed or cold-filled value overwrites it — and imputes every
+// missing value, writing the completed row into out and the per-stream
+// results into results. The columnar path calls it for ticks that contain
+// missing values, so batched and unbatched ingest run literally the same
+// imputation code.
 func (e *Engine) tickApplied(row []float64, out []float64, results []*Result) {
 	e.w.Advance(row)
 	e.tick++
@@ -232,7 +247,6 @@ func (e *Engine) tickApplied(row []float64, out []float64, results []*Result) {
 			continue
 		}
 		e.last[i] = v
-		e.advanceState(i, out)
 	}
 	e.missing = missing
 	if len(missing) == 0 {
@@ -255,7 +269,7 @@ type Columns [][]float64
 // exactly the same state, imputed values, and statistics as ticking the rows
 // one by one (bit-identical under every profiler). Runs of complete ticks —
 // the steady state of a healthy feed — are bulk-appended: one contiguous copy
-// per stream into the window ring and the incremental profiler's history,
+// per stream into the window backing, which the incremental profiler reads,
 // skipping all per-tick dispatch; the profiler's demand-driven aggregates
 // then catch up across the whole run at the next consult (per-batch catch-up
 // instead of per-tick bookkeeping). Ticks containing missing values fall back
@@ -344,9 +358,6 @@ func (e *Engine) TickColumns(cols Columns) (Columns, [][]*Result, error) {
 			for i, col := range cols {
 				copy(out[i][t:r], col[t:r])
 				e.last[i] = col[r-1]
-				if e.inc != nil {
-					e.inc.AdvanceBulk(i, col[t:r])
-				}
 			}
 			t = r
 			continue
@@ -375,17 +386,6 @@ func (e *Engine) TickColumns(cols Columns) (Columns, [][]*Result, error) {
 	return out, res, nil
 }
 
-// advanceState feeds stream i's now-final value for the current tick —
-// out[i] of the completed row — into the incremental profiler (no-op for
-// stateless profilers). It must run exactly once per stream per tick, after
-// the stream's value is final.
-func (e *Engine) advanceState(i int, out []float64) {
-	if e.inc == nil {
-		return
-	}
-	e.inc.AdvanceBulk(i, out[i:i+1])
-}
-
 // imputeMissingSerial is the classic tick: missing streams are imputed in
 // index order, so an earlier imputation may serve as a reference value for a
 // later stream in the same tick.
@@ -404,20 +404,19 @@ func (e *Engine) imputeMissingSerial(missing []int, out []float64, results []*Re
 			e.Stats.ReferenceErrors++
 			out[i] = e.coldFill(i)
 		}
-		e.advanceState(i, out)
 	}
 }
 
 // imputeMissingParallel fans the tick's extraction + selection work out
 // across the persistent worker pool (started on first use). Reference
-// picking, deduplication, stats, cold fills, incremental catch-up, value
-// aggregation, and incremental-state advances stay serial; only profile
-// assembly and anchor selection — the ~92% phase — run concurrently, with
-// exactly one job per distinct reference set (targets sharing references
-// share the job). Each worker owns its scratch and writes only its own
-// job's selection slot, and every referenced stream's aggregates are caught
-// up before the fan-out, so the concurrent profile assemblies only read
-// them.
+// picking, deduplication, stats, cold fills, incremental catch-up and value
+// aggregation (which writes each imputed value into the window) stay serial;
+// only profile assembly and anchor selection — the ~92% phase — run
+// concurrently, with exactly one job per distinct reference set (targets
+// sharing references share the job). Each worker owns its scratch and writes
+// only its own job's selection slot, and every referenced stream's
+// aggregates are caught up before the fan-out, so the concurrent profile
+// assemblies only read them.
 func (e *Engine) imputeMissingParallel(missing []int, out []float64, results []*Result) {
 	nJobs := 0
 	tgts := e.targets[:0]
@@ -427,7 +426,6 @@ func (e *Engine) imputeMissingParallel(missing []int, out []float64, results []*
 		if err != nil {
 			e.Stats.ReferenceErrors++
 			out[i] = e.coldFill(i)
-			e.advanceState(i, out)
 			continue
 		}
 		j := -1
@@ -481,7 +479,6 @@ func (e *Engine) imputeMissingParallel(missing []int, out []float64, results []*
 			e.Stats.ReferenceErrors++
 			out[i] = e.coldFill(i)
 		}
-		e.advanceState(i, out)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // streams [s, r1, r2, r3] and s(14:20) missing.
 func newTable2Window(t *testing.T) *window.Window {
 	t.Helper()
-	w := window.New(12, "s", "r1", "r2", "r3")
+	w := window.New(12, 24, "s", "r1", "r2", "r3")
 	for i := 0; i < 12; i++ {
 		sv := table2S[i]
 		if i == 11 {
@@ -269,7 +269,7 @@ func warmEngine(t testing.TB, cfg Config, width int) (*Engine, []float64) {
 
 // TestTickNothingMissingZeroAllocs pins the nothing-missing fast path: a
 // steady-state Tick over a complete row must not allocate, whatever the
-// profiler, so impute-free ingest is pure ring-buffer work.
+// profiler, so impute-free ingest is pure window appends.
 func TestTickNothingMissingZeroAllocs(t *testing.T) {
 	for _, kind := range []ProfilerKind{ProfilerIncremental, ProfilerNaive} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -336,56 +336,113 @@ func TestNewEngineRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestMemoryBytesMatchesLiveHeap: once every stream has served as a
-// reference, the live heap an engine holds is within ±15% of its
-// MemoryBytes estimate (window ring, history, energies and cross products),
-// at the serving benchmark's impute shape.
-func TestMemoryBytesMatchesLiveHeap(t *testing.T) {
-	const (
-		width = 16
-		L     = 4032
-	)
-	cfg := Config{K: 5, PatternLength: 72, D: 3, WindowLength: L}
+// TestWindowCapacityFollowsProfiler: the incremental profiler replays
+// deferred ticks against values that slid out of the window, so its engines
+// back each stream with 2L; the stateless profilers replay nothing and keep
+// L + L/4. MemoryBytes stays within 4.25× and 1.25× of the window bytes
+// respectively, and a never-ticked engine holds no window backing yet.
+func TestWindowCapacityFollowsProfiler(t *testing.T) {
+	const width, L = 16, 4032
 	names := make([]string, width)
 	for i := range names {
 		names[i] = fmt.Sprintf("s%d", i)
 	}
-	// Stream i references the next three, so a gap in every stream
-	// consults every stream.
-	refs := make(map[string]ReferenceSet, width)
-	for i, n := range names {
-		refs[n] = ReferenceSet{Stream: n, Candidates: []string{names[(i+1)%width], names[(i+2)%width], names[(i+3)%width]}}
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	eng, err := NewEngine(cfg, names, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := make([]float64, width)
-	for tick := 0; tick < L+width; tick++ {
-		ph := 2 * math.Pi * float64(tick) / 288
-		for j := range row {
-			row[j] = math.Sin(ph + 0.3*float64(j))
-		}
-		if tick >= L {
-			row[tick-L] = math.NaN()
-		}
-		if _, _, err := eng.Tick(row); err != nil {
+	for _, tc := range []struct {
+		kind     ProfilerKind
+		capacity int
+		factor   int64 // MemoryBytes bound, in quarters of the window bytes
+	}{
+		{ProfilerAuto, 2 * L, 17},
+		{ProfilerIncremental, 2 * L, 17},
+		{ProfilerNaive, L + L/4, 5},
+		{ProfilerFFT, L + L/4, 5},
+	} {
+		eng, err := NewEngine(Config{K: 5, PatternLength: 72, D: 3, WindowLength: L, Profiler: tc.kind}, names, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		w := eng.Window()
+		if got := w.Capacity(); got != tc.capacity {
+			t.Errorf("%v: window capacity %d, want %d", tc.kind, got, tc.capacity)
+		}
+		if h, _ := w.Backing(0); h != nil {
+			t.Errorf("%v: a never-ticked engine holds %d window values", tc.kind, len(h))
+		}
+		if got, bound := eng.MemoryBytes(), tc.factor*width*L*8/4; got > bound {
+			t.Errorf("%v: MemoryBytes %d exceeds %d/4 of the window bytes (%d)", tc.kind, got, tc.factor, bound)
+		}
 	}
-	if got := eng.Stats.Imputations; got != width {
-		t.Fatalf("%d imputations, want one per stream (%d)", got, width)
+}
+
+// TestMemoryBytesMatchesLiveHeap: once every stream has served as a
+// reference, the live heap an engine holds is within ±15% of its
+// MemoryBytes estimate (window backing, energies and cross products), at
+// the serving benchmark's impute and ingest shapes. An engine whose streams
+// never serve as references holds its window backing only, so there the
+// estimate is an upper bound.
+func TestMemoryBytesMatchesLiveHeap(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		width, L     int
+		noReferences bool
+	}{
+		{name: "impute", width: 16, L: 4032},
+		{name: "ingest", width: 64, L: 1024},
+		{name: "history-only", width: 16, L: 4032, noReferences: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			width, L := tc.width, tc.L
+			cfg := Config{K: 5, PatternLength: 72, D: 3, WindowLength: L}
+			names := make([]string, width)
+			for i := range names {
+				names[i] = fmt.Sprintf("s%d", i)
+			}
+			// Stream i references the next three, so a gap in every stream
+			// consults every stream.
+			refs := make(map[string]ReferenceSet, width)
+			for i, n := range names {
+				refs[n] = ReferenceSet{Stream: n, Candidates: []string{names[(i+1)%width], names[(i+2)%width], names[(i+3)%width]}}
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			eng, err := NewEngine(cfg, names, refs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := make([]float64, width)
+			for tick := 0; tick < L+width; tick++ {
+				ph := 2 * math.Pi * float64(tick) / 288
+				for j := range row {
+					row[j] = math.Sin(ph + 0.3*float64(j))
+				}
+				if tick >= L && !tc.noReferences {
+					row[tick-L] = math.NaN()
+				}
+				if _, _, err := eng.Tick(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := width
+			if tc.noReferences {
+				want = 0
+			}
+			if got := eng.Stats.Imputations; got != want {
+				t.Fatalf("%d imputations, want %d", got, want)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			live := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+			est := float64(eng.MemoryBytes())
+			if tc.noReferences {
+				if live > est {
+					t.Fatalf("live heap grew %.0f bytes, above the MemoryBytes bound %.0f", live, est)
+				}
+			} else if math.Abs(live-est) > 0.15*est {
+				t.Fatalf("live heap grew %.0f bytes, MemoryBytes estimates %.0f (%.1f%% off, want within 15%%)", live, est, 100*(live-est)/est)
+			}
+			t.Logf("live heap %.0f bytes, MemoryBytes %.0f (%+.1f%%)", live, est, 100*(live-est)/est)
+			runtime.KeepAlive(eng)
+		})
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	live := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-	est := float64(eng.MemoryBytes())
-	if math.Abs(live-est) > 0.15*est {
-		t.Fatalf("live heap grew %.0f bytes, MemoryBytes estimates %.0f (%.1f%% off, want within 15%%)", live, est, 100*(live-est)/est)
-	}
-	t.Logf("live heap %.0f bytes, MemoryBytes %.0f (%+.1f%%)", live, est, 100*(live-est)/est)
-	runtime.KeepAlive(eng)
 }

@@ -3,16 +3,16 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"tkcm/internal/window"
 )
 
-// TestImputeWindowEquivalence: on random data, the ring-buffer streaming
-// form (ImputeWindow) and the slice form (Impute) must produce identical
-// results — including after the window has wrapped, which exercises the
-// modular index arithmetic of Algorithm 1.
+// TestImputeWindowEquivalence: on random data, the streaming-window form
+// (ImputeWindow) and the slice form (Impute) must produce identical results
+// — including after the window has slid and compacted its backing.
 func TestImputeWindowEquivalence(t *testing.T) {
 	f := func(seed int64, extraRaw uint8) bool {
 		const L = 60
@@ -20,7 +20,7 @@ func TestImputeWindowEquivalence(t *testing.T) {
 		extra := int(extraRaw)%100 + 1 // force wrap-around by over-filling
 
 		data := randomRefs(seed, 3, L+extra) // row 0 = s, rows 1-2 = refs
-		w := window.New(L, "s", "r1", "r2")
+		w := window.New(L, 2*L, "s", "r1", "r2")
 		for i := 0; i < L+extra; i++ {
 			w.Advance([]float64{data[0][i], data[1][i], data[2][i]})
 		}
@@ -64,7 +64,7 @@ func TestImputeWindowAllNorms(t *testing.T) {
 		const L = 40
 		cfg := Config{K: 2, PatternLength: 3, D: 2, WindowLength: L, Norm: norm, Selection: SelectDP}
 		data := randomRefs(7, 3, L+13)
-		w := window.New(L, "s", "r1", "r2")
+		w := window.New(L, 2*L, "s", "r1", "r2")
 		for i := range data[0] {
 			w.Advance([]float64{data[0][i], data[1][i], data[2][i]})
 		}
@@ -108,7 +108,7 @@ func TestEngineWindowAlwaysComplete(t *testing.T) {
 			}
 			w := eng.Window()
 			for j := 0; j < w.Width(); j++ {
-				if w.Stream(j).CountMissing() != 0 {
+				if slices.ContainsFunc(w.Snapshot(j), math.IsNaN) {
 					return false
 				}
 			}
@@ -158,7 +158,7 @@ func TestEngineReferenceFailureInjection(t *testing.T) {
 	// The reference stream itself is never imputed by TKCM (it has no
 	// reference set entry and auto-ranking needs the target present), but
 	// the window must still be complete.
-	if eng.Window().Stream(1).CountMissing() != 0 {
+	if slices.ContainsFunc(eng.Window().Snapshot(1), math.IsNaN) {
 		t.Fatal("reference hole left in the window")
 	}
 }

@@ -38,7 +38,7 @@ func (r *Result) PatternDetermining(eps float64) bool { return r.Epsilon <= eps 
 // were themselves imputed on arrival.
 //
 // This is the slice-based form used by the experiment harness; ImputeWindow
-// is the streaming ring-buffer form of Algorithm 1.
+// is the streaming-window form of Algorithm 1.
 func Impute(cfg Config, s []float64, refs [][]float64) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -72,9 +72,9 @@ func Impute(cfg Config, s []float64, refs [][]float64) (*Result, error) {
 }
 
 // ImputeWindow recovers the missing value of the stream at index sIdx of w at
-// the current time tn, reading reference histories from the ring buffers of
-// the streams at refIdx, and stores the imputed value back into the window
-// (Algorithm 1 line 26). It mirrors the paper's Algorithm 1 on ring buffers.
+// the current time tn, reading reference histories from the window's streams
+// at refIdx, and stores the imputed value back into the window (Algorithm 1
+// line 26). It mirrors the paper's Algorithm 1 on a sliding window.
 // The dissimilarity profile is computed by the profiler Config.Profiler
 // selects (the incremental profiler has no state here and degrades to FFT).
 // It always builds full diagnostics; Config.SkipDiagnostics only applies to
@@ -142,8 +142,7 @@ func (sel *anchorSelection) fill(cfg Config, d []float64, sc *selectScratch) boo
 // 1; aggregateWindow finishes an imputation from it. A stateful
 // IncrementalProfiler assembles the profile straight from its maintained
 // aggregates (catching the referenced streams up on demand); every other
-// profiler runs over reference snapshots materialized into the scratch
-// (plain slices, no per-element ring calls).
+// profiler runs over reference snapshots copied into the scratch.
 func profileSelectWindow(cfg Config, w *window.Window, refIdx []int, prof Profiler, sc *imputeScratch, sel *anchorSelection) error {
 	l, k := cfg.PatternLength, cfg.K
 	filled := w.Filled()
@@ -187,7 +186,7 @@ func profileSelectWindow(cfg Config, w *window.Window, refIdx []int, prof Profil
 // when skipDiag is set.
 func aggregateWindow(cfg Config, w *window.Window, sIdx int, sel *anchorSelection, skipDiag bool) (float64, *Result, error) {
 	val, res, err := aggregateAnchors(cfg, sel, func(candidate int) float64 {
-		return w.Stream(sIdx).At(candidate + cfg.PatternLength - 1)
+		return w.At(sIdx, candidate+cfg.PatternLength-1)
 	}, skipDiag)
 	if err != nil {
 		return 0, nil, err

@@ -36,7 +36,7 @@ func TestRunningExample(t *testing.T) {
 }
 
 // TestImputeWindowMatchesSliceForm runs the running example through the
-// ring-buffer streaming form and checks it agrees with the slice form and
+// streaming-window form and checks it agrees with the slice form and
 // stores the value back into the window (Algorithm 1 line 26).
 func TestImputeWindowMatchesSliceForm(t *testing.T) {
 	w := newTable2Window(t)

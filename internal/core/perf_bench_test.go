@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"tkcm/internal/window"
 )
 
 // BenchmarkSelectAnchors isolates the anchor-selection phase (the ~8%
@@ -32,10 +34,9 @@ func BenchmarkSelectAnchors(b *testing.B) {
 	}
 }
 
-// profileWindowBench advances an incremental profiler over `width` streams
-// to a full window of length L, then measures one consult of steady-state
-// work: `every` ticks of Advance per stream followed by one ProfileWindow per
-// target. With shared reference sets every target consults the same
+// profileWindowBench advances a window over `width` streams to its full
+// length L, then measures one consult of steady-state work: `every` ticks of
+// Advance followed by one ProfileWindow per target. With shared reference sets every target consults the same
 // streams, so only the first assembly pays the catch-up; with disjoint sets
 // each target catches up its own references. Consulting every tick keeps
 // catch-up at one replayed slide; every 8 ticks replays 8 deferred slides
@@ -46,11 +47,14 @@ func profileWindowBench(b *testing.B, L, targets, d, every int, shared bool) {
 	if shared {
 		width = d
 	}
-	p := NewIncrementalProfiler(l, width, L)
-	data := randomRefs(23, width, 2*L)
-	for i := 0; i < width; i++ {
-		p.AdvanceBulk(i, data[i][:L])
+	names := make([]string, width)
+	for i := range names {
+		names[i] = fmt.Sprint(i)
 	}
+	w := window.New(L, 2*L, names...)
+	p := NewIncrementalProfiler(l, w)
+	data := randomRefs(23, width, 2*L)
+	w.AdvanceColumns(data, 0, L)
 	refSets := make([][]int, targets)
 	for t := range refSets {
 		refs := make([]int, d)
@@ -72,9 +76,7 @@ func profileWindowBench(b *testing.B, L, targets, d, every int, shared bool) {
 	for i := 0; i < b.N; i++ {
 		for u := 0; u < every; u++ {
 			n := pos % len(data[0])
-			for s := 0; s < width; s++ {
-				p.AdvanceBulk(s, data[s][n:n+1])
-			}
+			w.AdvanceColumns(data, n, n+1)
 			pos++
 		}
 		for _, refs := range refSets {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"tkcm/internal/window"
 )
 
 // ProfilerKind selects the pattern-extraction strategy — the implementation
@@ -102,9 +104,16 @@ func (FFTProfiler) Profile(refs [][]float64, l int, norm Norm, dst []float64) []
 // maintained profile within ~1e-9 of the naive one.
 const incRebuildEvery = 8192
 
-// incStreamState holds one stream's retained history plus its (possibly
-// stale) sliding profile aggregates. With v the stream's window (oldest
-// first, m ticks) and qs = m − l:
+// backingSlack is the spare room of the backings that no replay reads: the
+// candidate energies past the maxCand live ones, and the window past its L
+// values under the stateless profilers. At L/4 a backing compacts once every
+// L/4 slides (four copies per slide, amortized) and costs 1.25× its live
+// size.
+func backingSlack(L int) int { return max(1, L/4) }
+
+// incStreamState holds one stream's (possibly stale) sliding profile
+// aggregates. With v the stream's window (oldest first, m ticks) and
+// qs = m − l:
 //
 //	eq        = Σ_{x<l} v[qs+x]²           (query pattern energy)
 //	energy[j] = Σ_{x<l} v[j+x]²            (candidate pattern energy)
@@ -117,45 +126,39 @@ const incRebuildEvery = 8192
 // one addition — the same observation that powers the STOMP matrix-profile
 // algorithm.
 //
-// The history lives in a contiguous backing of capacity 2L, slid with
-// amortized-O(1) compaction (shifted to the front when the right edge is
-// reached), so the hot loops run over plain slices. Aggregates are
-// demand-driven: AdvanceBulk only appends, and sync catches the aggregates
-// up to the current tick when the stream is actually consulted — replaying
-// the deferred diagonal updates tick by tick when that is cheaper,
-// rebuilding from scratch otherwise. syncStart/syncM record the window
-// geometry at the last sync so the replay can reconstruct every
-// intermediate window directly from the backing.
+// The history itself is the engine window's backing (window.Window.Backing),
+// which slides with amortized-O(1) compaction, so the hot loops run over
+// plain slices. Aggregates are demand-driven: sync catches them up to the
+// current tick when the stream is actually consulted — replaying the
+// deferred diagonal updates tick by tick when that is cheaper, rebuilding
+// from scratch otherwise. syncPos/syncM record the window geometry at the
+// last sync, syncPos as an absolute position (Window.Shifted + start) that
+// compactions do not move, so the replay can reconstruct every intermediate
+// window directly from the backing while its values are still there.
 type incStreamState struct {
-	hist  []float64 // backing, len 2L; window = hist[start : start+m]
-	start int
-	m     int // filled ticks, ≤ L
-	ticks int // engine ticks absorbed
-
 	// Aggregates; valid only while aggOK, and then describe the window as it
-	// was `deferred` ticks ago.
+	// was at the last sync.
 	aggOK        bool
-	deferred     int // ticks absorbed since the last sync
-	syncStart    int // start at the last sync (adjusted on compaction)
-	syncM        int // m at the last sync
+	syncPos      int // absolute position of the window's oldest value at the last sync
+	syncM        int // filled ticks at the last sync
 	sinceRebuild int // synced ticks since the last full rebuild
 
 	cross  []float64 // len = candidate count at last sync, cap maxCand
-	energy []float64 // backing, len 2L; entries = energy[estart : estart+nCand]
+	energy []float64 // backing, len maxCand + slack; entries = energy[estart : estart+nCand]
 	estart int
 	eq     float64
 }
 
 // IncrementalProfiler maintains per-stream profile aggregates inside the
 // engine, replacing the O(d·l·L) per-tick recompute with demand-driven
-// incremental maintenance. It is stateful: the engine feeds every stream's
-// finalized values through AdvanceBulk in tick order — one value per tick on
-// the scalar tick path, whole runs on the columnar path — and assembles
-// profiles for any reference subset via ProfileWindow.
+// incremental maintenance. It reads the stream histories from the engine's
+// window — whose backing of capacity 2L keeps slid-out values until the next
+// compaction — and keeps no copy of them, and assembles profiles for any
+// reference subset via ProfileWindow.
 //
-// AdvanceBulk only appends to the stream's history. A stream's aggregates
-// are caught up when it is first consulted in a tick, choosing the cheaper
-// of replaying the t deferred diagonal updates (O(t·L)) and a full rebuild
+// Recording a tick costs the profiler nothing. A stream's aggregates are
+// caught up when it is first consulted in a tick, choosing the cheaper of
+// replaying the t deferred diagonal updates (O(t·L)) and a full rebuild
 // (O(l·L)), so per-tick engine cost scales with the streams that actually
 // serve as references, not with the total width.
 //
@@ -167,21 +170,26 @@ type incStreamState struct {
 // Its stateless Profile method (the Profiler interface) delegates to the FFT
 // profiler — one-shot slice imputations have no tick-to-tick state to exploit.
 type IncrementalProfiler struct {
-	l       int
-	winLen  int
-	maxCand int
-	states  []*incStreamState
-	fallbak FFTProfiler
+	l         int
+	maxCand   int
+	energyLen int // maxCand live candidate energies plus backingSlack
+	w         *window.Window
+	states    []*incStreamState
+	fallbak   FFTProfiler
 }
 
 // NewIncrementalProfiler creates the engine-side incremental profiler for
-// pattern length l over width streams of a window with capacity winLen.
-func NewIncrementalProfiler(l, width, winLen int) *IncrementalProfiler {
-	maxCand := winLen - 2*l + 1
-	if maxCand < 0 {
-		maxCand = 0
+// pattern length l over the streams of w. Consulted streams must be complete
+// over w's retained window, the engine's continuous-imputation invariant.
+func NewIncrementalProfiler(l int, w *window.Window) *IncrementalProfiler {
+	maxCand := max(w.Length()-2*l+1, 0)
+	p := &IncrementalProfiler{
+		l:         l,
+		maxCand:   maxCand,
+		energyLen: maxCand + backingSlack(w.Length()),
+		w:         w,
+		states:    make([]*incStreamState, w.Width()),
 	}
-	p := &IncrementalProfiler{l: l, winLen: winLen, maxCand: maxCand, states: make([]*incStreamState, width)}
 	for i := range p.states {
 		p.states[i] = &incStreamState{}
 	}
@@ -197,119 +205,69 @@ func (p *IncrementalProfiler) Profile(refs [][]float64, l int, norm Norm, dst []
 	return p.fallbak.Profile(refs, l, norm, dst)
 }
 
-// AdvanceBulk absorbs a run of ticks of stream i whose finalized values
-// (observed or imputed) are vs, oldest first. Every tick of every stream
-// passes through it exactly once, in tick order: the scalar tick hands it a
-// one-value run, the columnar path and restore whole runs. The history append
-// happens in at most a few contiguous copies, and the backing compacts only
-// when its right edge is reached, so the compaction points — and with them
-// sync's deferred replay — are the same however the ticks were split into
-// runs: batched and unbatched engines stay bit-identical. Aggregate
-// maintenance is deferred until the stream is consulted.
-func (p *IncrementalProfiler) AdvanceBulk(i int, vs []float64) {
-	st := p.states[i]
-	L := p.winLen
-	if st.hist == nil {
-		st.hist = make([]float64, 2*L)
-	}
-	st.ticks += len(vs)
-	if st.aggOK {
-		st.deferred += len(vs)
-	}
-	for len(vs) > 0 {
-		if st.m < L {
-			// Warm-up: the window grows in place (start stays 0).
-			n := L - st.m
-			if n > len(vs) {
-				n = len(vs)
-			}
-			copy(st.hist[st.start+st.m:], vs[:n])
-			st.m += n
-			vs = vs[n:]
-			continue
-		}
-		// Steady state: append after the window, compacting the backing when
-		// the right edge is reached. Values left of the window stay
-		// addressable until then, so deferred diagonal updates can be
-		// replayed against them; the compaction shifts the whole history down
-		// by start, and the sync anchor moves with it (going negative when the
-		// sync point predates the surviving values, which sync detects).
-		room := len(st.hist) - (st.start + st.m)
-		if room == 0 {
-			copy(st.hist, st.hist[st.start:st.start+st.m])
-			st.syncStart -= st.start
-			st.start = 0
-			room = len(st.hist) - st.m
-		}
-		n := room
-		if n > len(vs) {
-			n = len(vs)
-		}
-		copy(st.hist[st.start+st.m:st.start+st.m+n], vs[:n])
-		st.start += n
-		vs = vs[n:]
-	}
-}
-
-// sync brings st's aggregates up to the current tick. It replays the
+// sync brings stream i's aggregates up to the current tick. It replays the
 // deferred per-tick diagonal updates when the aggregates are recent enough
 // for that to beat a rebuild (t deferred ticks cost O(t·L) vs the rebuild's
 // O(l·L)), and rebuilds from the raw window otherwise.
-func (p *IncrementalProfiler) sync(st *incStreamState) {
-	if st.aggOK && st.deferred == 0 {
+func (p *IncrementalProfiler) sync(i int) {
+	st := p.states[i]
+	hist, start := p.w.Backing(i)
+	m := p.w.Filled()
+	pos := p.w.Shifted() + start
+	if st.aggOK && pos == st.syncPos && m == st.syncM {
 		return
 	}
 	l := p.l
-	nCand := st.m - 2*l + 1
+	nCand := m - 2*l + 1
 	if nCand <= 0 {
 		// Window too short for any candidate; nothing to maintain yet.
 		st.aggOK = false
 		return
 	}
 	if st.energy == nil {
-		// Aggregate storage is allocated on first consult, not on first
-		// AdvanceBulk, so never-referenced streams only pay for their history.
-		st.energy = make([]float64, len(st.hist))
+		// Aggregate storage is allocated on first consult, so
+		// never-referenced streams only pay for their window.
+		st.energy = make([]float64, p.energyLen)
 		st.cross = make([]float64, 0, p.maxCand)
 	}
-	grow := st.m - st.syncM
-	slide := st.start - st.syncStart
-	// Replay needs: valid aggregates that already covered ≥ 1 candidate, a
-	// deferral expressible as growth-then-slide steps over values still in
-	// the backing, staying under the drift-rebuild budget — and it must be
-	// cheaper than the O(m + nCand·l) rebuild.
+	// Each deferred tick either grew the window or slid it by one.
+	grow := m - st.syncM
+	slide := pos - st.syncPos
+	deferred := grow + slide
+	syncStart := st.syncPos - p.w.Shifted() // negative once compacted away
+	// Replay needs: valid aggregates that already covered ≥ 1 candidate, the
+	// sync point's values still in the backing, staying under the
+	// drift-rebuild budget — and it must be cheaper than the O(m + nCand·l)
+	// rebuild.
 	replay := st.aggOK &&
 		st.syncM-2*l+1 >= 1 &&
-		st.syncStart >= 0 && grow >= 0 && slide >= 0 && grow+slide == st.deferred &&
-		st.sinceRebuild+st.deferred < incRebuildEvery &&
-		st.deferred*(nCand+l) <= st.m+nCand*l
+		syncStart >= 0 &&
+		st.sinceRebuild+deferred < incRebuildEvery &&
+		deferred*(nCand+l) <= m+nCand*l
 	if !replay {
-		st.rebuild(st.hist[st.start:st.start+st.m], l)
-		st.syncStart = st.start
-		st.syncM = st.m
-		st.deferred = 0
+		st.rebuild(hist[start:start+m], l)
+		st.syncPos = pos
+		st.syncM = m
 		st.aggOK = true
 		return
 	}
 	for g := 1; g <= grow; g++ {
-		st.replayGrowth(st.syncM+g, l)
+		st.replayGrowth(hist[syncStart:syncStart+st.syncM+g], l)
 	}
 	if slide > 0 {
-		st.replaySlides(st.syncStart+1, slide, st.m, l)
+		st.replaySlides(hist, syncStart+1, slide, m, l)
 	}
-	st.sinceRebuild += st.deferred
-	st.syncStart = st.start
-	st.syncM = st.m
-	st.deferred = 0
+	st.sinceRebuild += deferred
+	st.syncPos = pos
+	st.syncM = m
 }
 
-// replayGrowth replays one deferred warm-up tick: the window grew from m-1
-// to m values (start unchanged at 0 during warm-up), adding one candidate.
-// Old cross entry j-1 slides diagonally into entry j; entry 0 is computed
-// fresh in O(l); the new candidate's energy extends its neighbor by one
-// pair.
-func (st *incStreamState) replayGrowth(m, l int) {
-	w := st.hist[st.syncStart : st.syncStart+m]
+// replayGrowth replays one deferred warm-up tick: the window grew by one to
+// w (start unchanged at 0 during warm-up), adding one candidate. Old cross
+// entry j-1 slides diagonally into entry j; entry 0 is computed fresh in
+// O(l); the new candidate's energy extends its neighbor by one pair.
+func (st *incStreamState) replayGrowth(w []float64, l int) {
+	m := len(w)
 	nCand := m - 2*l + 1
 	qs := m - l
 	vNew := w[m-1]
@@ -343,10 +301,9 @@ func (st *incStreamState) replayGrowth(m, l int) {
 // order, so every entry sees exactly the roundings of four separate passes
 // while cross is loaded and stored once per four ticks. The O(1) per-tick
 // bumps of the candidate and query energies follow.
-func (st *incStreamState) replaySlides(s0, t, m, l int) {
+func (st *incStreamState) replaySlides(hist []float64, s0, t, m, l int) {
 	nCand := m - 2*l + 1
 	qs := m - l
-	hist := st.hist
 	cross := st.cross[:nCand]
 	end := s0 + t
 	s := s0
@@ -458,7 +415,7 @@ func (st *incStreamState) rebuild(nv []float64, l int) {
 // concurrent ProfileWindow calls only read the aggregates.
 func (p *IncrementalProfiler) Prepare(refIdx []int) {
 	for _, ri := range refIdx {
-		p.sync(p.states[ri])
+		p.sync(ri)
 	}
 }
 
@@ -468,29 +425,20 @@ func (p *IncrementalProfiler) Prepare(refIdx []int) {
 // in one pass, and the last reference's pass also takes the square root.
 // Streams not yet caught up are synced on demand (catch-up mutates state —
 // concurrent callers must Prepare their reference streams first, as the
-// engine does). All referenced states must be advanced to the same tick and
-// hold the same candidate count; it panics otherwise (an engine sequencing
-// bug, not a data condition).
+// engine does).
 func (p *IncrementalProfiler) ProfileWindow(refIdx []int, dst []float64) []float64 {
 	if len(refIdx) == 0 {
 		panic("core: ProfileWindow needs at least one reference stream")
 	}
-	first := p.states[refIdx[0]]
-	p.sync(first)
-	nCand := len(first.cross)
-	tick := first.ticks
+	nCand := max(p.w.Filled()-2*p.l+1, 0)
 	if dst == nil {
 		dst = make([]float64, nCand)
 	}
 	dst = dst[:nCand:nCand]
 	last := len(refIdx) - 1
 	for x, ri := range refIdx {
+		p.sync(ri)
 		st := p.states[ri]
-		p.sync(st)
-		if st.ticks != tick || len(st.cross) != nCand {
-			panic(fmt.Sprintf("core: incremental state for stream %d out of sync (tick %d/%d, candidates %d/%d)",
-				ri, st.ticks, tick, len(st.cross), nCand))
-		}
 		energy := st.energy[st.estart:]
 		energy, cross := energy[:len(dst)], st.cross[:len(dst)]
 		eq := st.eq

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"tkcm/internal/ring"
 	"tkcm/internal/window"
 )
 
@@ -19,7 +18,7 @@ const profileTol = 1e-6
 // implementation must agree with the naive Def. 2 loop across norms,
 // pattern lengths and reference counts.
 func TestProfilerSliceEquivalence(t *testing.T) {
-	profilers := []Profiler{NaiveProfiler{}, FFTProfiler{}, NewIncrementalProfiler(1, 1, 1)}
+	profilers := []Profiler{NaiveProfiler{}, FFTProfiler{}, NewIncrementalProfiler(1, window.New(2, 4, "x"))}
 	for _, norm := range []Norm{L2, L1, LInf} {
 		for _, l := range []int{1, 3, 8, 17} {
 			for _, d := range []int{1, 2, 4} {
@@ -43,9 +42,9 @@ func TestProfilerSliceEquivalence(t *testing.T) {
 }
 
 // TestIncrementalProfilerMatchesNaive drives the stateful incremental
-// profiler tick by tick through warm-up, steady state and hundreds of ring
-// wraps, checking the maintained L2 profile against a from-scratch naive
-// profile at every tick.
+// profiler tick by tick through warm-up, steady state and several backing
+// compactions, checking the maintained L2 profile against a from-scratch
+// naive profile at every tick.
 func TestIncrementalProfilerMatchesNaive(t *testing.T) {
 	const (
 		L     = 64
@@ -54,24 +53,17 @@ func TestIncrementalProfilerMatchesNaive(t *testing.T) {
 		d     = 3
 	)
 	data := randomRefs(42, d, ticks)
-	bufs := make([]*ring.Buffer, d)
-	for i := range bufs {
-		bufs[i] = ring.New(L)
-	}
-	p := NewIncrementalProfiler(l, d, L)
+	w := window.New(L, 2*L, "a", "b", "c")
+	p := NewIncrementalProfiler(l, w)
 	refIdx := []int{0, 1, 2}
 	snaps := make([][]float64, d)
 	for n := 0; n < ticks; n++ {
-		for i, b := range bufs {
-			b.Push(data[i][n])
-			p.AdvanceBulk(i, data[i][n:n+1])
-		}
-		m := bufs[0].Len()
-		if m < 2*l {
+		w.AdvanceColumns(data, n, n+1)
+		if w.Filled() < 2*l {
 			continue
 		}
-		for i, b := range bufs {
-			snaps[i] = b.Snapshot(nil)
+		for i := range snaps {
+			snaps[i] = w.Snapshot(i)
 		}
 		want := dissimilarityProfile(snaps, l, L2, nil)
 		got := p.ProfileWindow(refIdx, nil)
@@ -96,21 +88,13 @@ func TestIncrementalProfilerSubsetAssembly(t *testing.T) {
 		d = 4
 	)
 	data := randomRefs(7, d, 3*L)
-	bufs := make([]*ring.Buffer, d)
-	for i := range bufs {
-		bufs[i] = ring.New(L)
-	}
-	p := NewIncrementalProfiler(l, d, L)
-	for n := 0; n < 3*L; n++ {
-		for i, b := range bufs {
-			b.Push(data[i][n])
-			p.AdvanceBulk(i, data[i][n:n+1])
-		}
-	}
+	w := window.New(L, 2*L, "a", "b", "c", "d")
+	p := NewIncrementalProfiler(l, w)
+	w.AdvanceColumns(data, 0, 3*L)
 	for _, subset := range [][]int{{0}, {2}, {1, 3}, {3, 0, 2}} {
 		snaps := make([][]float64, len(subset))
 		for x, i := range subset {
-			snaps[x] = bufs[i].Snapshot(nil)
+			snaps[x] = w.Snapshot(i)
 		}
 		want := dissimilarityProfile(snaps, l, L2, nil)
 		got := p.ProfileWindow(subset, nil)
@@ -284,7 +268,7 @@ func TestImputeWindowHonorsProfilerConfig(t *testing.T) {
 	const L = 60
 	data := randomRefs(3, 3, L+17)
 	mkWindow := func() *window.Window {
-		w := window.New(L, "s", "r1", "r2")
+		w := window.New(L, 2*L, "s", "r1", "r2")
 		for i := range data[0] {
 			w.Advance([]float64{data[0][i], data[1][i], data[2][i]})
 		}
@@ -313,54 +297,57 @@ func TestImputeWindowHonorsProfilerConfig(t *testing.T) {
 // compaction handling, applying each deferred slide in its own pass over
 // cross. It is the oracle the fused replay and the blocked rebuild must
 // match bit for bit.
-func syncReference(p *IncrementalProfiler, st *incStreamState) {
-	if st.aggOK && st.deferred == 0 {
+func syncReference(p *IncrementalProfiler, i int) {
+	st := p.states[i]
+	hist, start := p.w.Backing(i)
+	m := p.w.Filled()
+	pos := p.w.Shifted() + start
+	if st.aggOK && pos == st.syncPos && m == st.syncM {
 		return
 	}
 	l := p.l
-	nCand := st.m - 2*l + 1
+	nCand := m - 2*l + 1
 	if nCand <= 0 {
 		st.aggOK = false
 		return
 	}
 	if st.energy == nil {
-		st.energy = make([]float64, len(st.hist))
+		st.energy = make([]float64, p.energyLen)
 		st.cross = make([]float64, 0, p.maxCand)
 	}
-	grow := st.m - st.syncM
-	slide := st.start - st.syncStart
+	grow := m - st.syncM
+	slide := pos - st.syncPos
+	deferred := grow + slide
+	syncStart := st.syncPos - p.w.Shifted()
 	replay := st.aggOK &&
 		st.syncM-2*l+1 >= 1 &&
-		st.syncStart >= 0 && grow >= 0 && slide >= 0 && grow+slide == st.deferred &&
-		st.sinceRebuild+st.deferred < incRebuildEvery &&
-		st.deferred*(nCand+l) <= st.m+nCand*l
+		syncStart >= 0 &&
+		st.sinceRebuild+deferred < incRebuildEvery &&
+		deferred*(nCand+l) <= m+nCand*l
 	if !replay {
-		rebuildReference(st, st.hist[st.start:st.start+st.m], l)
-		st.syncStart = st.start
-		st.syncM = st.m
-		st.deferred = 0
+		rebuildReference(st, hist[start:start+m], l)
+		st.syncPos = pos
+		st.syncM = m
 		st.aggOK = true
 		return
 	}
 	for g := 1; g <= grow; g++ {
-		st.replayGrowth(st.syncM+g, l)
+		st.replayGrowth(hist[syncStart:syncStart+st.syncM+g], l)
 	}
-	for s := st.syncStart + 1; s <= st.start; s++ {
-		replaySlideReference(st, s, st.m, l)
+	for s := syncStart + 1; s <= start; s++ {
+		replaySlideReference(st, hist, s, m, l)
 	}
-	st.sinceRebuild += st.deferred
-	st.syncStart = st.start
-	st.syncM = st.m
-	st.deferred = 0
+	st.sinceRebuild += deferred
+	st.syncPos = pos
+	st.syncM = m
 }
 
 // replaySlideReference replays one deferred steady-state tick, after which
 // the window sat at hist[s : s+m]: one pass over cross, then the energy and
 // query-energy bumps.
-func replaySlideReference(st *incStreamState, s, m, l int) {
+func replaySlideReference(st *incStreamState, hist []float64, s, m, l int) {
 	nCand := m - 2*l + 1
 	qs := m - l
-	hist := st.hist
 	vNew := hist[s+m-1]
 	qold := hist[s+qs-1]
 	for j := 0; j < nCand; j++ {
@@ -418,7 +405,7 @@ func rebuildReference(st *incStreamState, nv []float64, l int) {
 func profileWindowReference(p *IncrementalProfiler, refIdx []int) []float64 {
 	var dst []float64
 	for x, ri := range refIdx {
-		syncReference(p, p.states[ri])
+		syncReference(p, ri)
 		st := p.states[ri]
 		nCand := len(st.cross)
 		c := make([]float64, nCand)
@@ -480,13 +467,11 @@ func TestFusedReplayMatchesPerSlide(t *testing.T) {
 	for gap := 1; gap <= 80; gap++ {
 		ticks := 5*L/2 + 2*gap
 		data := randomRefs(int64(1000+gap), d, ticks)
-		got := NewIncrementalProfiler(l, d, L)
-		want := NewIncrementalProfiler(l, d, L)
+		w := window.New(L, 2*L, "a", "b", "c")
+		got := NewIncrementalProfiler(l, w)
+		want := NewIncrementalProfiler(l, w)
 		for n := 0; n < ticks; n++ {
-			for i := 0; i < d; i++ {
-				got.AdvanceBulk(i, data[i][n:n+1])
-				want.AdvanceBulk(i, data[i][n:n+1])
-			}
+			w.AdvanceColumns(data, n, n+1)
 			if n < 2*l || (n+1)%gap != 0 {
 				continue
 			}

@@ -46,9 +46,9 @@ import (
 // The incremental profiler's aggregates are deliberately NOT serialized:
 // they are demand-driven derived state (see IncrementalProfiler), exactly
 // reconstructible from the retained windows, so restore bulk-loads the
-// windows into the profiler and lets the first consult rebuild the
-// aggregates. This keeps the format independent of profiler internals —
-// a snapshot taken with one Config.Profiler restores under any other.
+// windows and lets the first consult rebuild the aggregates from them. This
+// keeps the format independent of profiler internals — a snapshot taken with
+// one Config.Profiler restores under any other.
 const (
 	snapMagic   = "TKCMSNAP"
 	snapVersion = 3
@@ -337,10 +337,10 @@ func decodeSnapMeta(dec *snapDecoder, version uint32) (*snapMeta, error) {
 	m := &snapMeta{}
 	m.cfg = dec.decodeConfig(version)
 	// Bound the decoded dimensions before any size computed from them is
-	// allocated or handed to the window constructor. The window's rings are
-	// allocated eagerly (WindowLength floats per stream) and Workers sizes
-	// the tick pool's scratch, so both are checked before NewEngine can
-	// allocate from them. The caps are the same ones Validate enforces, so
+	// allocated or handed to the window constructor. The restore's first
+	// append allocates the window backing (up to 2·WindowLength floats per
+	// stream) and Workers sizes the tick pool's scratch, so both are checked
+	// before NewEngine can allocate from them. The caps are the same ones Validate enforces, so
 	// every engine that could be snapshotted restores.
 	if dec.err == nil && (m.cfg.WindowLength < 0 || m.cfg.WindowLength > MaxWindowLength) {
 		dec.fail(fmt.Errorf("implausible window length %d", m.cfg.WindowLength))
@@ -434,11 +434,6 @@ func (m *snapMeta) finish(hist []float64) (*Engine, error) {
 			cols[i] = hist[i*m.filled : (i+1)*m.filled]
 		}
 		e.w.AdvanceColumns(cols, 0, m.filled)
-		if e.inc != nil {
-			for i := range cols {
-				e.inc.AdvanceBulk(i, cols[i])
-			}
-		}
 	}
 	e.tick = m.tick
 	e.w.SetTick(m.wTick)

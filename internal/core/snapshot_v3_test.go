@@ -194,7 +194,7 @@ func TestRestoreAllocatesWhatItReads(t *testing.T) {
 
 // TestRestoreRefusesOversizedEngine: a CRC-valid v3 image of a few KB that
 // names 256 one-byte streams at WindowLength 2^24 — 2^32 window cells, 32
-// GiB of rings — must fail on MaxWindowCells from RestoreEngineBytes with
+// GiB of window values — must fail on MaxWindowCells from RestoreEngineBytes with
 // under 1 MiB allocated.
 func TestRestoreRefusesOversizedEngine(t *testing.T) {
 	const width = 256

@@ -326,6 +326,11 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, shard.ErrClosed):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, wal.ErrLogFailed):
+		// A fail-stopped log is a server fault, not bad input: the row was
+		// refused before the engine applied it, and /healthz answers 503
+		// degraded for the same tenant.
+		return http.StatusServiceUnavailable
 	case errors.Is(err, shard.ErrSeqGap):
 		return http.StatusConflict
 	default:

@@ -504,7 +504,7 @@ func TestAPIValidation(t *testing.T) {
 		t.Errorf("invalid core config: %d", resp.StatusCode)
 	}
 	// A small body naming 16 streams at the maximum window length asks for
-	// 2 GiB of window rings; the engine size bound refuses it by name.
+	// 2 GiB of window values; the engine size bound refuses it by name.
 	names := make([]string, 16)
 	for i := range names {
 		names[i] = fmt.Sprintf(`"s%d"`, i)
@@ -943,5 +943,45 @@ func TestRefusalEndsResponseWhileBodyOpen(t *testing.T) {
 	}
 	if body := readToEnd("pre", resp.Body); !strings.Contains(body, "not durable") {
 		t.Fatalf("pre: body %q, want a not-durable error", body)
+	}
+}
+
+// TestLatchedLogAnswers503: once a failed fsync has latched a tenant's
+// write-ahead log, every later append is refused before the engine applies
+// the row. That is a server fault the client recovers from by replaying, so
+// a new stream's refusal must be 503 with the retry marker — the status
+// /healthz reports as degraded for the same tenant — not a 400.
+func TestLatchedLogAnswers503(t *testing.T) {
+	var failSync atomic.Bool
+	walOpts := wal.Options{SyncInterval: time.Millisecond}.WithFailSync(func() error {
+		if failSync.Load() {
+			return errors.New("injected fsync failure")
+		}
+		return nil
+	})
+	s, _, _ := newWALServer(t, t.TempDir(), t.TempDir(), walOpts)
+	ts := newHTTPServer(t, s)
+	resp := createTenant(t, ts.URL, "latched", testTenantBody)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d", resp.StatusCode)
+	}
+	const row = `{"values":[1,2,3,4]}` + "\n"
+	failSync.Store(true)
+	_, resp = openRawStream(t, ts, "latched", row)
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "not durable") {
+		t.Fatalf("first row: %d %s, want 500 not durable", resp.StatusCode, body)
+	}
+
+	_, resp = openRawStream(t, ts, "latched", row)
+	var refusal apiError
+	if err := json.NewDecoder(resp.Body).Decode(&refusal); err != nil {
+		t.Fatalf("latched refusal body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !refusal.Retry ||
+		!strings.Contains(refusal.Error, "wal: log failed, refusing append: wal: sync: injected fsync failure") {
+		t.Fatalf("latched log: %d %+v, want 503 with retry naming the latched cause", resp.StatusCode, refusal)
 	}
 }

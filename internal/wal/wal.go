@@ -69,6 +69,11 @@ var (
 	// unreadable record — acked data after it cannot be recovered, which the
 	// caller must surface rather than silently skip.
 	ErrCorrupt = errors.New("wal: corrupt segment")
+	// ErrLogFailed is wrapped, with the latched cause, by AppendBatch once a
+	// write or fsync failure has fail-stopped the log. The refused batch was
+	// not written, so a caller that applies rows only after a successful
+	// append never applied it, and replaying it after a restart is safe.
+	ErrLogFailed = errors.New("wal: log failed")
 )
 
 // Options tunes a Log. The zero value gets conservative defaults.
@@ -601,7 +606,7 @@ func (l *Log) AppendBatch(seq uint64, rows [][]float64) (Commit, error) {
 	if l.failed != nil {
 		err := l.failed
 		l.mu.Unlock()
-		return Commit{}, fmt.Errorf("wal: log failed, refusing append: %w", err)
+		return Commit{}, fmt.Errorf("%w, refusing append: %w", ErrLogFailed, err)
 	}
 	if seq != l.nextSeq {
 		l.mu.Unlock()

@@ -1,52 +1,66 @@
 // Package window maintains the streaming window W = {tn-L+1, ..., tn} over a
-// set of co-evolving streams. Each stream is backed by a ring.Buffer of
-// capacity L; advancing the current time is O(1) per stream (Lemma 6.1).
+// set of co-evolving streams (Sec. 3). Each stream's retained values sit
+// contiguously in a backing array of fixed capacity C > L: a tick writes its
+// value right after the window and slides the window's start, and when the
+// right edge is reached the window is copied to the front. That is L copies
+// every C−L ticks — an amortized O(1) advance, like the ring buffer of Sec.
+// 6.2 (Lemma 6.1) — and every scan runs over one plain slice.
 //
-// The window is the substrate the TKCM imputer (internal/core) and the
-// streaming baselines operate on: at every tick each stream receives exactly
-// one value (possibly missing), and imputers overwrite the newest slot of
-// incomplete streams so the retained history is always complete.
+// Values that slid out of the window stay readable left of its start until
+// the next compaction; the incremental profiler (internal/core) replays
+// deferred ticks against them instead of keeping a second copy of the
+// history. Every tick delivers exactly one value per stream (NaN marks a
+// missing one), so all streams share one geometry — start, filled count and
+// compaction points — and imputers overwrite the newest slot of incomplete
+// streams (SetCurrent), so the retained history is always complete.
 package window
 
-import (
-	"fmt"
-	"math"
-
-	"tkcm/internal/ring"
-)
+import "fmt"
 
 // Window holds the last L values of a fixed set of named streams.
 type Window struct {
-	length  int
-	names   []string
-	index   map[string]int
-	buffers []*ring.Buffer
+	length   int
+	capacity int
+	names    []string
+	index    map[string]int
+	// hist holds one backing slice of len capacity per stream, allocated on
+	// the first Advance; stream i's window is hist[i][start : start+filled].
+	hist    [][]float64
+	start   int
+	filled  int
+	shifted int // total positions compactions moved the backings down by
 	// tick is the index of the current time tn, counted from the first
 	// Advance call (first tick is 0). It is -1 before any data arrives.
 	tick int
 }
 
-// New creates a window of length L over the given stream names.
-// It panics if L <= 0, if no names are given, or on duplicate names.
-func New(length int, names ...string) *Window {
+// New creates a window of length L over the given stream names, backed by
+// capacity values per stream. A larger capacity compacts less often and keeps
+// slid-out values readable for longer (see Backing). It panics if L <= 0, if
+// capacity <= L, if no names are given, or on duplicate names.
+func New(length, capacity int, names ...string) *Window {
 	if length <= 0 {
 		panic(fmt.Sprintf("window: length must be positive, got %d", length))
+	}
+	if capacity <= length {
+		panic(fmt.Sprintf("window: capacity %d must exceed the length %d", capacity, length))
 	}
 	if len(names) == 0 {
 		panic("window: at least one stream is required")
 	}
 	w := &Window{
-		length: length,
-		names:  append([]string(nil), names...),
-		index:  make(map[string]int, len(names)),
-		tick:   -1,
+		length:   length,
+		capacity: capacity,
+		names:    append([]string(nil), names...),
+		index:    make(map[string]int, len(names)),
+		hist:     make([][]float64, len(names)),
+		tick:     -1,
 	}
 	for i, name := range names {
 		if _, dup := w.index[name]; dup {
 			panic(fmt.Sprintf("window: duplicate stream name %q", name))
 		}
 		w.index[name] = i
-		w.buffers = append(w.buffers, ring.New(length))
 	}
 	return w
 }
@@ -54,8 +68,11 @@ func New(length int, names ...string) *Window {
 // Length returns L, the number of ticks retained per stream.
 func (w *Window) Length() int { return w.length }
 
+// Capacity returns the per-stream backing capacity.
+func (w *Window) Capacity() int { return w.capacity }
+
 // Width returns the number of streams.
-func (w *Window) Width() int { return len(w.buffers) }
+func (w *Window) Width() int { return len(w.hist) }
 
 // Names returns the stream names in declaration order.
 func (w *Window) Names() []string { return w.names }
@@ -75,59 +92,77 @@ func (w *Window) SetTick(t int) {
 }
 
 // Filled returns the number of ticks currently retained (≤ L).
-func (w *Window) Filled() int {
-	if len(w.buffers) == 0 {
-		return 0
-	}
-	return w.buffers[0].Len()
-}
-
-// Warm reports whether the window retains L full ticks.
-func (w *Window) Warm() bool { return w.Filled() == w.length }
+func (w *Window) Filled() int { return w.filled }
 
 // Advance moves the current time to the next tick and records one value per
 // stream. row must have one entry per stream, in declaration order; NaN marks
 // a missing measurement. It returns the new tick index.
 func (w *Window) Advance(row []float64) int {
-	if len(row) != len(w.buffers) {
-		panic(fmt.Sprintf("window: row has %d values, window has %d streams", len(row), len(w.buffers)))
+	if len(row) != len(w.hist) {
+		panic(fmt.Sprintf("window: row has %d values, window has %d streams", len(row), len(w.hist)))
 	}
+	w.room(1)
+	p := w.start + w.filled
 	for i, v := range row {
-		w.buffers[i].Push(v)
+		w.hist[i][p] = v
 	}
+	w.appended(1)
 	w.tick++
 	return w.tick
 }
 
 // AdvanceColumns advances the current time by to−from ticks at once, reading
 // the values from stream-major columns: cols[i][t] is stream i's measurement
-// at batch tick t. Each stream's run [from, to) lands in its ring buffer as
-// one bulk push, so the per-tick cost is one float copy per stream instead of
-// per-element ring arithmetic. It is equivalent to calling Advance row by row
-// and returns the new tick index. It panics on a width mismatch or a column
+// at batch tick t. Each stream's run [from, to) lands in its backing in one
+// contiguous copy per compaction it straddles, and the compactions fall on
+// the same ticks as under row-by-row Advance, which it is equivalent to. It
+// returns the new tick index and panics on a width mismatch or a column
 // shorter than to.
 func (w *Window) AdvanceColumns(cols [][]float64, from, to int) int {
-	if len(cols) != len(w.buffers) {
-		panic(fmt.Sprintf("window: %d columns, window has %d streams", len(cols), len(w.buffers)))
-	}
-	for i, col := range cols {
-		w.buffers[i].PushBulk(col[from:to])
+	if len(cols) != len(w.hist) {
+		panic(fmt.Sprintf("window: %d columns, window has %d streams", len(cols), len(w.hist)))
 	}
 	w.tick += to - from
+	for from < to {
+		n := w.room(to - from)
+		p := w.start + w.filled
+		for i, col := range cols {
+			copy(w.hist[i][p:p+n], col[from:from+n])
+		}
+		w.appended(n)
+		from += n
+	}
 	return w.tick
 }
 
-// Stream returns the ring buffer of stream i. Mutating the buffer through
-// Set/SetNewest is how imputers write recovered values back (Algorithm 1
-// line 26 stores sˆ(tn) into s[O]).
-func (w *Window) Stream(i int) *ring.Buffer { return w.buffers[i] }
-
-// StreamByName returns the buffer for the named stream, or nil if unknown.
-func (w *Window) StreamByName(name string) *ring.Buffer {
-	if i, ok := w.index[name]; ok {
-		return w.buffers[i]
+// room makes space right after the window — allocating the backings on
+// first use, and compacting them when the right edge is reached — and
+// returns how many of n values fit there contiguously.
+func (w *Window) room(n int) int {
+	if w.hist[0] == nil {
+		all := make([]float64, len(w.hist)*w.capacity)
+		for i := range w.hist {
+			w.hist[i] = all[i*w.capacity : (i+1)*w.capacity : (i+1)*w.capacity]
+		}
 	}
-	return nil
+	free := w.capacity - (w.start + w.filled)
+	if free == 0 {
+		for _, h := range w.hist {
+			copy(h, h[w.start:w.start+w.filled])
+		}
+		w.shifted += w.start
+		w.start = 0
+		free = w.capacity - w.filled
+	}
+	return min(n, free)
+}
+
+// appended accounts for n values written right after the window: the window
+// grows until it holds L values, then slides.
+func (w *Window) appended(n int) {
+	grow := min(n, w.length-w.filled)
+	w.filled += grow
+	w.start += n - grow
 }
 
 // IndexOf returns the position of the named stream, or -1 if unknown.
@@ -139,45 +174,47 @@ func (w *Window) IndexOf(name string) int {
 }
 
 // At returns the value of stream i at logical window index j (0 = oldest
-// retained tick, Filled()-1 = tn).
-func (w *Window) At(i, j int) float64 { return w.buffers[i].At(j) }
-
-// Current returns the value of stream i at the current time tn.
-func (w *Window) Current(i int) float64 { return w.buffers[i].Newest() }
-
-// CurrentMissing reports whether stream i is missing its value at tn.
-func (w *Window) CurrentMissing(i int) bool { return math.IsNaN(w.buffers[i].Newest()) }
-
-// SetCurrent overwrites the value of stream i at the current time tn.
-func (w *Window) SetCurrent(i int, v float64) { w.buffers[i].SetNewest(v) }
-
-// MissingNow returns the indices of all streams whose value at tn is missing.
-func (w *Window) MissingNow() []int {
-	var out []int
-	for i, b := range w.buffers {
-		if b.Len() > 0 && math.IsNaN(b.Newest()) {
-			out = append(out, i)
-		}
+// retained tick, Filled()-1 = tn). It panics if j is out of range.
+func (w *Window) At(i, j int) float64 {
+	if j < 0 || j >= w.filled {
+		panic(fmt.Sprintf("window: index %d out of range [0,%d)", j, w.filled))
 	}
-	return out
+	return w.hist[i][w.start+j]
 }
 
+// Current returns the value of stream i at the current time tn.
+func (w *Window) Current(i int) float64 { return w.hist[i][w.start+w.filled-1] }
+
+// SetCurrent overwrites the value of stream i at the current time tn. This
+// is how imputers store a recovered value (Algorithm 1 line 26).
+func (w *Window) SetCurrent(i int, v float64) { w.hist[i][w.start+w.filled-1] = v }
+
+// Backing returns stream i's whole backing array and the position of the
+// oldest retained value in it: the window is hist[start : start+Filled()].
+// Positions left of start hold values that slid out of the window, readable
+// until the next compaction moves the window to the front (see Shifted). The
+// slice aliases the window's storage, is nil before the first Advance, and
+// must not be written through.
+func (w *Window) Backing(i int) (hist []float64, start int) { return w.hist[i], w.start }
+
+// Shifted returns the total number of positions compactions have moved the
+// backings down by: the value at backing position p was appended at absolute
+// position Shifted()+p, counting from 0 at the window's first Advance, so
+// Shifted()+start identifies the window's oldest value across compactions.
+func (w *Window) Shifted() int { return w.shifted }
+
 // Snapshot copies the retained history of stream i (oldest first).
-func (w *Window) Snapshot(i int) []float64 { return w.buffers[i].Snapshot(nil) }
+func (w *Window) Snapshot(i int) []float64 { return w.SnapshotInto(i, nil) }
 
 // SnapshotInto copies the retained history of stream i (oldest first) into
 // dst, reusing its storage when it is large enough; it returns the filled
 // slice of length Filled(). Imputers use this to materialize reference
 // histories into per-engine scratch without allocating per tick.
 func (w *Window) SnapshotInto(i int, dst []float64) []float64 {
-	n := w.buffers[i].Len()
-	if cap(dst) < n {
-		dst = make([]float64, n)
+	if cap(dst) < w.filled {
+		dst = make([]float64, w.filled)
 	}
-	return w.buffers[i].Snapshot(dst[:n])
+	dst = dst[:w.filled]
+	copy(dst, w.hist[i][w.start:])
+	return dst
 }
-
-// Views returns the retained history of stream i as at most two contiguous
-// segments of the backing ring storage, oldest first (see ring.Buffer.Views).
-// The segments alias the buffer and are valid until the next Advance.
-func (w *Window) Views(i int) (a, b []float64) { return w.buffers[i].Views() }

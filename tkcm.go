@@ -17,7 +17,7 @@
 //		...
 //	}
 //
-// The engine keeps a ring-buffered window of the last L ticks per stream and
+// The engine keeps a sliding window of the last L ticks per stream and
 // imputes every missing value the moment it arrives, so the retained history
 // is always complete (the paper's continuous-imputation setting). One-shot
 // imputation over slices is available via Impute; bulk ingest via
