@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -402,6 +403,103 @@ func TestPreStreamErrorHonorsRetryFlag(t *testing.T) {
 		t.Fatalf("connection attempts = %d, want MaxAttempts (3): pre-stream retry flag not honored", got)
 	}
 	st.Close()
+}
+
+// ackServer serves one tenant "t" at seq 0 whose tick stream answers its
+// first row with the line ack, then holds the stream open until the client
+// ends its request body. attempts counts tick-stream connections.
+func ackServer(t *testing.T, ack string, attempts *atomic.Int32) *httptest.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/tenants/{id}", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"id":"t","streams":["a","b","c","d"],"ticks":0,"seq":0}`)
+	})
+	mux.HandleFunc("POST /v1/tenants/{id}/ticks", func(w http.ResponseWriter, r *http.Request) {
+		attempts.Add(1)
+		rc := http.NewResponseController(w)
+		if err := rc.EnableFullDuplex(); err != nil {
+			t.Errorf("full duplex: %v", err)
+		}
+		br := bufio.NewReader(r.Body)
+		br.ReadString('\n')
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(w, ack+"\n")
+		rc.Flush()
+		io.Copy(io.Discard, br) // until the client ends its body
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestAckCompletesSentRow: an ack carries only the imputed cells, in any
+// order, and Recv hands back the sent row with those cells filled in.
+func TestAckCompletesSentRow(t *testing.T) {
+	var attempts atomic.Int32
+	ts := ackServer(t, `{"tick":0,"seq":1,"values":[4.5,2.5],"imputed":[3,1]}`, &attempts)
+	ctx := context.Background()
+	st, err := New(ts.URL).OpenStream(ctx, "t", StreamOptions{Sequenced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Send(ctx, []float64{1, math.NaN(), 3, math.NaN()}); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := st.Recv(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Seq != 1 || fmt.Sprint(ack.Values) != "[1 2.5 3 4.5]" || fmt.Sprint(ack.Imputed) != "[3 1]" {
+		t.Fatalf("ack %+v, want the row [1 2.5 3 4.5] with cells [3 1] imputed", ack)
+	}
+}
+
+// TestForgedAckRefused serves ack lines that do not fit the row they answer.
+// Each must fail the stream with a non-retryable error: a sequenced stream
+// must not reconnect, and on an unsequenced one this check is the only proof
+// that an ack belongs to its row. The negative index takes the encoding/json
+// fallback, which the fast parser leaves to it.
+func TestForgedAckRefused(t *testing.T) {
+	row := []float64{1, math.NaN(), 3, math.NaN()}
+	for _, tc := range []struct{ name, ack, want string }{
+		{"value-count", `{"tick":0,"seq":1,"values":[2],"imputed":[1,3]}`, "1 values for 2 imputed cells"},
+		{"index-out-of-range", `{"tick":0,"seq":1,"values":[2,4],"imputed":[1,4]}`, "cell 4 imputed in a row of 4"},
+		{"negative-index", `{"tick":0,"seq":1,"values":[2,4],"imputed":[-1,3]}`, "cell -1 imputed in a row of 4"},
+		{"repeated-index", `{"tick":0,"seq":1,"values":[2,4],"imputed":[1,1]}`, "cell 1 imputed twice"},
+		{"cell-not-missing", `{"tick":0,"seq":1,"values":[2,4],"imputed":[0,1]}`, "cell 0 imputed but not missing"},
+		{"missing-cell-left-out", `{"tick":0,"seq":1,"values":[2],"imputed":[1]}`, "1 cells imputed, 2 missing"},
+	} {
+		for _, sequenced := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/sequenced=%v", tc.name, sequenced), func(t *testing.T) {
+				var attempts atomic.Int32
+				ts := ackServer(t, tc.ack, &attempts)
+				ctx := context.Background()
+				st, err := New(ts.URL).OpenStream(ctx, "t", StreamOptions{
+					Sequenced: sequenced, MaxAttempts: 3, RetryBackoff: time.Millisecond,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Runs before ackServer's cleanup: an accepted ack would
+				// otherwise leave the stream, and the server, waiting.
+				t.Cleanup(func() { st.Close() })
+				if err := st.Send(ctx, row); err != nil {
+					t.Fatal(err)
+				}
+				ack, err := st.Recv(ctx)
+				if !errors.Is(err, ErrStreamBroken) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Recv: %+v, %v; want ErrStreamBroken naming %q", ack, err, tc.want)
+				}
+				if n := attempts.Load(); n != 1 {
+					t.Fatalf("%d connections, want 1: a forged ack is not retryable", n)
+				}
+				if err := st.Close(); !errors.Is(err, ErrStreamBroken) {
+					t.Fatalf("Close: %v, want ErrStreamBroken", err)
+				}
+			})
+		}
+	}
 }
 
 // TestCloseWithoutRecvDoesNotDeadlock: a caller that sends more rows than

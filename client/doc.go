@@ -28,6 +28,9 @@
 // server's bounded shard queues. Every sent row produces exactly one Ack on
 // Recv, in send order. Against a server running with a write-ahead log, an
 // Ack means the row is on stable storage and will survive a hard crash.
+// The server acks only the imputed values; the stream writes them into its
+// own copy of the sent row, so Ack.Values is the completed row. An ack that
+// does not impute exactly the row's missing cells fails the stream.
 //
 // Sequenced streams (StreamOptions.Sequenced) number each row continuing
 // the tenant's engine sequence. If the connection drops — including the

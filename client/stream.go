@@ -68,20 +68,24 @@ type Ack struct {
 	Tick int `json:"tick"`
 	// Seq is the row's engine sequence number.
 	Seq uint64 `json:"seq"`
-	// Values is the completed row (missing values imputed). Empty for a
-	// Duplicate ack.
+	// Values is the completed row: the sent row with every missing value
+	// imputed. The server sends only the imputed values; the stream fills
+	// them into its own copy of the sent row, which the caller then owns.
+	// Nil for a Duplicate ack.
 	Values []float64 `json:"values"`
 	// Imputed lists the indices that were missing in the input.
 	Imputed []int `json:"imputed"`
 	// Duplicate reports the row was already applied before (it was replayed
-	// across a reconnect); Values is empty then.
+	// across a reconnect); Values is nil then.
 	Duplicate bool `json:"duplicate"`
 }
 
-// pendingRow is one sent-but-unacked row, retained for replay.
+// pendingRow is one sent-but-unacked row, retained for replay and, once its
+// ack arrives, completed in place into that ack's Values.
 type pendingRow struct {
-	seq    uint64 // 0 when unsequenced
-	values []float64
+	seq     uint64 // 0 when unsequenced
+	values  []float64
+	missing int // NaN cells in values
 }
 
 // TickStream is one full-duplex NDJSON tick stream to a tenant. Send and
@@ -164,9 +168,13 @@ func (s *TickStream) Send(ctx context.Context, values []float64) error {
 	// Refuse ±Inf up front: the server would reject the row anyway, and the
 	// wire format cannot even represent it (strconv would emit +Inf, which
 	// is not JSON and would corrupt the NDJSON framing for batched rows).
+	missing := 0
 	for i, v := range values {
 		if math.IsInf(v, 0) {
 			return fmt.Errorf("tkcm: row value %d is %v: non-finite measurements are not accepted (use NaN for missing)", i, v)
+		}
+		if math.IsNaN(v) {
+			missing++
 		}
 	}
 	select {
@@ -188,7 +196,7 @@ func (s *TickStream) Send(ctx context.Context, values []float64) error {
 		}
 		return err
 	}
-	row := pendingRow{values: append([]float64(nil), values...)}
+	row := pendingRow{values: append([]float64(nil), values...), missing: missing}
 	if s.opts.Sequenced {
 		row.seq = s.nextSeq
 		s.nextSeq++
@@ -330,8 +338,10 @@ func (s *TickStream) run() {
 }
 
 // serverLine is one NDJSON response line: an ack, or a terminal error.
+// encoding/json matches keys to field names case-insensitively, so
+// wire.Ack's fields take the ack's keys.
 type serverLine struct {
-	Ack
+	wire.Ack
 	Error string `json:"error"`
 	Retry bool   `json:"retry"`
 }
@@ -392,19 +402,10 @@ func (s *TickStream) connect() (err error, retryable bool) {
 		}
 		// Hot path: the strict single-pass parser handles the exact ack
 		// shape the server emits; error lines and anything unusual fall back
-		// to encoding/json below. The Ack handed to deliver escapes to the
-		// caller, so its slices are fresh copies of the parser's scratch.
+		// to encoding/json below. deliver is done with the parser's scratch
+		// before the next line is parsed.
 		if wire.ParseAck(line, &wa) {
-			a := Ack{
-				Tick:      wa.Tick,
-				Seq:       wa.Seq,
-				Values:    make([]float64, len(wa.Values)),
-				Imputed:   make([]int, len(wa.Imputed)),
-				Duplicate: wa.Duplicate,
-			}
-			copy(a.Values, wa.Values)
-			copy(a.Imputed, wa.Imputed)
-			if derr := s.deliver(a); derr != nil {
+			if derr := s.deliver(&wa); derr != nil {
 				return derr, false
 			}
 			continue
@@ -416,7 +417,7 @@ func (s *TickStream) connect() (err error, retryable bool) {
 		if sl.Error != "" {
 			return &APIError{StatusCode: http.StatusOK, Message: sl.Error, Retry: sl.Retry}, sl.Retry
 		}
-		if derr := s.deliver(sl.Ack); derr != nil {
+		if derr := s.deliver(&sl.Ack); derr != nil {
 			return derr, false
 		}
 	}
@@ -493,18 +494,28 @@ func (s *TickStream) writeLoop(pw *io.PipeWriter, connDead <-chan struct{}, done
 	}
 }
 
-// deliver matches one ack against the oldest unacknowledged row, hands the
-// token back, and buffers the ack for Recv.
-func (s *TickStream) deliver(a Ack) error {
+// deliver matches one ack line against the oldest unacknowledged row,
+// completes that row with the line's imputed cells, hands the token back,
+// and buffers the ack for Recv. It keeps none of wa's slices.
+func (s *TickStream) deliver(wa *wire.Ack) error {
 	s.mu.Lock()
 	if len(s.unacked) == 0 {
 		s.mu.Unlock()
-		return fmt.Errorf("tkcm: ack for seq %d with no row outstanding", a.Seq)
+		return fmt.Errorf("tkcm: ack for seq %d with no row outstanding", wa.Seq)
 	}
 	head := s.unacked[0]
-	if head.seq != 0 && a.Seq != head.seq {
+	if head.seq != 0 && wa.Seq != head.seq {
 		s.mu.Unlock()
-		return fmt.Errorf("tkcm: ack seq %d does not match oldest in-flight row %d", a.Seq, head.seq)
+		return fmt.Errorf("tkcm: ack seq %d does not match oldest in-flight row %d", wa.Seq, head.seq)
+	}
+	a := Ack{Tick: wa.Tick, Seq: wa.Seq, Duplicate: wa.Duplicate}
+	if !wa.Duplicate {
+		if err := head.complete(wa.Values, wa.Imputed); err != nil {
+			s.mu.Unlock()
+			return fmt.Errorf("tkcm: ack for seq %d does not fit the oldest in-flight row: %w", wa.Seq, err)
+		}
+		a.Values = head.values
+		a.Imputed = append([]int(nil), wa.Imputed...)
 	}
 	s.unacked = s.unacked[1:]
 	if s.writeIdx > 0 {
@@ -530,6 +541,37 @@ func (s *TickStream) deliver(a Ack) error {
 	<-s.tokens
 	if flushedNow {
 		s.flOnce.Do(func() { close(s.flushed) })
+	}
+	return nil
+}
+
+// complete writes an ack's imputed values into the row, after checking that
+// the ack names exactly the row's missing cells: one value per index, every
+// index in range, missing (NaN) in the sent row and named once, and every
+// missing cell named. On an unsequenced stream this is the only proof that
+// the ack answers this row. A refused ack fails the stream, so the marks a
+// refusal leaves behind are never replayed.
+func (r pendingRow) complete(values []float64, imputed []int) error {
+	if len(values) != len(imputed) {
+		return fmt.Errorf("%d values for %d imputed cells", len(values), len(imputed))
+	}
+	if len(imputed) != r.missing {
+		return fmt.Errorf("%d cells imputed, %d missing", len(imputed), r.missing)
+	}
+	// Send refuses ±Inf, so +Inf marks the cells already named.
+	for _, c := range imputed {
+		switch {
+		case c < 0 || c >= len(r.values):
+			return fmt.Errorf("cell %d imputed in a row of %d", c, len(r.values))
+		case math.IsInf(r.values[c], 1):
+			return fmt.Errorf("cell %d imputed twice", c)
+		case !math.IsNaN(r.values[c]):
+			return fmt.Errorf("cell %d imputed but not missing", c)
+		}
+		r.values[c] = math.Inf(1)
+	}
+	for x, c := range imputed {
+		r.values[c] = values[x]
 	}
 	return nil
 }

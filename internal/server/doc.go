@@ -21,12 +21,14 @@
 // # Streaming ticks
 //
 // POST /v1/tenants/{id}/ticks is a single long-lived request: the client
-// streams newline-delimited JSON rows and the server streams one completed
-// row back per input line, flushed immediately, so the connection behaves
-// like a duplex imputation pipe:
+// streams newline-delimited JSON rows and the server streams one ack back
+// per row, flushed immediately, so the connection behaves like a duplex
+// imputation pipe. An ack carries only the imputed cells, values[x] being
+// the completed value of stream imputed[x]; the client completes the row
+// it sent:
 //
 //	→ {"values": [21.3, null, 19.8, 20.1]}
-//	← {"tick": 4031, "values": [21.3, 20.44, 19.8, 20.1], "imputed": [1]}
+//	← {"tick": 4031, "seq": 4032, "values": [20.44], "imputed": [1]}
 //
 // null (or NaN-absent) entries mark missing measurements. A row the engine
 // rejects (wrong width, ±Inf) terminates the stream with an {"error": ...}
@@ -35,7 +37,7 @@
 // # Checkpoints
 //
 // With a checkpoint directory configured, a background loop periodically
-// writes every tenant's engine snapshot (core snapshot format v1, written
+// writes every tenant's engine snapshot (core snapshot format v3, written
 // atomically via rename) to <dir>/<tenant>.tkcm; Server.Shutdown takes a
 // final checkpoint after in-flight ticks drain, and RestoreFromCheckpoints
 // re-hosts every saved tenant on startup — the recoverable-service loop of

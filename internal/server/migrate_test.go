@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -128,9 +125,31 @@ func TestMigrationStreamEquivalence(t *testing.T) {
 		t.Fatalf("create: %d", resp.StatusCode)
 	}
 
-	const total = 400
+	// The stream ends on migration progress, not on a row count: it runs
+	// until at least minRows rows are sent and two migrations have
+	// completed, so a slow first migration cannot outlast it. maxRows caps
+	// it.
+	const minRows, maxRows = 400, 4000
 	rowFor := func(n int) []float64 {
 		return e2eRow(n, 0.7)
+	}
+	// newControl feeds the first rows rows through an engine that never
+	// migrates and returns it with its completed rows, indexed by seq.
+	newControl := func(rows int) (*core.Engine, [][]float64) {
+		eng, err := core.NewEngine(testCoreConfig(), []string{"s", "r1", "r2", "r3"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(eng.Close)
+		outs := make([][]float64, rows+1)
+		for n := 1; n <= rows; n++ {
+			out, _, err := eng.Tick(rowFor(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs[n] = append([]float64(nil), out...)
+		}
+		return eng, outs
 	}
 
 	c := client.New(ts.URL)
@@ -141,35 +160,34 @@ func TestMigrationStreamEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Control: the same rows through an engine that never migrates.
-	control, err := core.NewEngine(testCoreConfig(), []string{"s", "r1", "r2", "r3"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer control.Close()
-	want := make([][]float64, total+1)
-	for n := 1; n <= total; n++ {
-		out, _, err := control.Tick(rowFor(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[n] = append([]float64(nil), out...)
-	}
+	// The control's acks, precomputed up to the cap.
+	_, want := newControl(maxRows)
 
-	var acked atomic.Uint64
+	var acked, moved atomic.Uint64 // moved: completed migrations
+	// sent carries each row's seq once Send has accepted it, so the
+	// receiver awaits exactly one ack per sent row. It holds every seq the
+	// cap allows, so the sender never waits on it.
+	sent := make(chan int, maxRows)
 	sendErr := make(chan error, 1)
 	go func() {
-		for n := 1; n <= total; n++ {
+		defer close(sent)
+		for n := 1; n <= minRows || moved.Load() < 2; n++ {
+			if n > maxRows {
+				sendErr <- fmt.Errorf("%d rows sent, only %d migrations completed", maxRows, moved.Load())
+				return
+			}
 			if err := st.Send(ctx, rowFor(n)); err != nil {
 				sendErr <- fmt.Errorf("send %d: %w", n, err)
 				return
 			}
+			sent <- n
 		}
 		sendErr <- nil
 	}()
 	recvDone := make(chan error, 1)
 	go func() {
-		for got := 0; got < total; got++ {
+		got := 0
+		for range sent {
 			ack, err := st.Recv(ctx)
 			if err != nil {
 				recvDone <- fmt.Errorf("recv after %d acks: %w", got, err)
@@ -193,6 +211,7 @@ func TestMigrationStreamEquivalence(t *testing.T) {
 				}
 			}
 			acked.Store(ack.Seq)
+			got++
 		}
 		recvDone <- nil
 	}()
@@ -214,8 +233,9 @@ func TestMigrationStreamEquivalence(t *testing.T) {
 				t.Fatalf("migration %d: %v", migrations, err)
 			}
 			migrations++
+			moved.Store(uint64(migrations))
 			before := acked.Load()
-			for acked.Load() == before && acked.Load() < total && len(recvDone) == 0 {
+			for acked.Load() == before && len(recvDone) == 0 {
 				time.Sleep(200 * time.Microsecond)
 			}
 		}
@@ -229,8 +249,10 @@ func TestMigrationStreamEquivalence(t *testing.T) {
 	if migrations < 2 {
 		t.Fatalf("only %d migrations ran during the stream", migrations)
 	}
+	rows := int(acked.Load())
 
-	// The migrated engine is bit-identical to the control.
+	// The migrated engine is bit-identical to a control fed the same rows.
+	control, _ := newControl(rows)
 	var snap bytes.Buffer
 	if _, err := c.Snapshot(ctx, "eq", &snap); err != nil {
 		t.Fatal(err)
@@ -259,7 +281,7 @@ func TestMigrationStreamEquivalence(t *testing.T) {
 	// sequenced rows on a fresh connection — every one must come back as a
 	// duplicate, and the engine must not advance.
 	raw := openTickStream(t, ts.URL, "eq")
-	for n := total - 20; n <= total; n++ {
+	for n := rows - 20; n <= rows; n++ {
 		out, err := raw.sendSeq(uint64(n), rowFor(n))
 		if err != nil {
 			t.Fatalf("replaying seq %d: %v", n, err)
@@ -269,60 +291,14 @@ func TestMigrationStreamEquivalence(t *testing.T) {
 		}
 	}
 	// And the next fresh row still applies normally.
-	out, err := raw.sendSeq(total+1, rowFor(total+1))
+	out, err := raw.sendSeq(uint64(rows+1), rowFor(rows+1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Duplicate || out.Seq != total+1 {
+	if out.Duplicate || out.Seq != uint64(rows+1) {
 		t.Fatalf("row after replay: %+v", out)
 	}
 	raw.close()
-}
-
-// sendSeq writes one sequenced row and returns the server's ack line.
-func (st *tickStream) sendSeq(seq uint64, row []float64) (tickOut, error) {
-	vals := make([]*float64, len(row))
-	for i := range row {
-		if !math.IsNaN(row[i]) {
-			v := row[i]
-			vals[i] = &v
-		}
-	}
-	if err := st.enc.Encode(tickIn{Seq: seq, Values: vals}); err != nil {
-		return tickOut{}, err
-	}
-	return st.readAck()
-}
-
-// readAck consumes one response line (waiting for headers first if needed).
-func (st *tickStream) readAck() (tickOut, error) {
-	if st.resp == nil {
-		select {
-		case st.resp = <-st.rc:
-		case err := <-st.ec:
-			return tickOut{}, err
-		case <-time.After(10 * time.Second):
-			st.t.Fatal("timeout waiting for response headers")
-		}
-		st.sc = bufio.NewScanner(st.resp.Body)
-		st.sc.Buffer(make([]byte, 1<<20), 1<<20)
-	}
-	if !st.sc.Scan() {
-		if err := st.sc.Err(); err != nil {
-			return tickOut{}, err
-		}
-		return tickOut{}, io.EOF
-	}
-	line := st.sc.Bytes()
-	var e apiError
-	if json.Unmarshal(line, &e) == nil && e.Error != "" {
-		return tickOut{}, fmt.Errorf("server error line: %s", e.Error)
-	}
-	var out tickOut
-	if err := json.Unmarshal(line, &out); err != nil {
-		return tickOut{}, fmt.Errorf("bad line %q: %w", line, err)
-	}
-	return out, nil
 }
 
 // TestRestartWithMoreShardsKeepsPlacement proves the resharding contract

@@ -333,6 +333,11 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, shard.ErrSeqGap):
 		return http.StatusConflict
+	case errors.Is(err, shard.ErrTenantFailed):
+		// A hydration fail-stop is a server fault too, but not a retryable
+		// one: only deleting the tenant clears it, so a replaying client
+		// would spend its reconnect budget for nothing.
+		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}
@@ -632,8 +637,10 @@ func appendNulls(dst []float64, vals []*float64) []float64 {
 	return dst
 }
 
-// tickOut is one NDJSON output line: the completed row. A Duplicate ack
-// carries no values — the row was already applied and durable.
+// tickOut is one NDJSON output line: the row's imputed cells, Values[x]
+// being the completed value of stream Imputed[x]. The client holds every
+// other cell already — it sent them. A Duplicate ack carries neither: the
+// row was already applied and durable.
 type tickOut struct {
 	Tick      int       `json:"tick"`
 	Seq       uint64    `json:"seq"`
@@ -874,7 +881,10 @@ reading:
 			msg.out.Tick = res.Tick
 			msg.out.Seq = res.Seq
 			msg.out.Duplicate = res.Duplicate
-			msg.out.Values = append(msg.out.Values[:0], res.Row...)
+			msg.out.Values = msg.out.Values[:0]
+			for _, c := range res.Imputed {
+				msg.out.Values = append(msg.out.Values, res.Row[c])
+			}
 			msg.out.Imputed = append(msg.out.Imputed[:0], res.Imputed...)
 			// The line's last row carries its stage clocks: its ack completes
 			// the line, so the end-to-end measurement ends with it.

@@ -58,8 +58,8 @@ func testCoreConfig() core.Config {
 }
 
 // tickStream drives one NDJSON /ticks request in lock-step: send a row, read
-// the completed row. The Go HTTP transport's split read/write loops make the
-// request fully duplex.
+// its ack and complete the row from it. The Go HTTP transport's split
+// read/write loops make the request fully duplex.
 type tickStream struct {
 	t    *testing.T
 	pw   *io.PipeWriter
@@ -79,6 +79,9 @@ func openTickStream(t *testing.T, base, tenant string) *tickStream {
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	st := &tickStream{t: t, pw: pw, enc: json.NewEncoder(pw), rc: make(chan *http.Response, 1), ec: make(chan error, 1)}
+	// A test that fails mid-stream skips close; ending the body lets the
+	// handler return, or the server's Close would wait for it forever.
+	t.Cleanup(func() { pw.Close() })
 	go func() {
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -90,18 +93,38 @@ func openTickStream(t *testing.T, base, tenant string) *tickStream {
 	return st
 }
 
-// send writes one row (NaN → null) and returns the server's completed row.
+// send writes one unsequenced row (NaN → null) and returns its ack with
+// Values completed.
 func (st *tickStream) send(row []float64) (tickOut, error) {
+	return st.sendSeq(0, row)
+}
+
+// sendSeq writes one row numbered seq (0 = unsequenced) and returns its ack
+// with Values completed.
+func (st *tickStream) sendSeq(seq uint64, row []float64) (tickOut, error) {
+	if err := st.enc.Encode(tickIn{Seq: seq, Values: nulls(row)}); err != nil {
+		return tickOut{}, err
+	}
+	return st.readAck(row)
+}
+
+// nulls converts a row to its JSON form, NaN becoming null.
+func nulls(row []float64) []*float64 {
 	vals := make([]*float64, len(row))
 	for i := range row {
 		if !math.IsNaN(row[i]) {
-			v := row[i]
-			vals[i] = &v
+			vals[i] = &row[i]
 		}
 	}
-	if err := st.enc.Encode(tickIn{Values: vals}); err != nil {
-		return tickOut{}, err
-	}
+	return vals
+}
+
+// readAck consumes one response line (waiting for headers first if needed)
+// and, unless it is a duplicate, completes sent — the row it answers — from
+// it: the line carries only the imputed cells. Values is then the completed
+// row, and an ack that does not impute exactly sent's missing cells is an
+// error.
+func (st *tickStream) readAck(sent []float64) (tickOut, error) {
 	if st.resp == nil {
 		select {
 		case st.resp = <-st.rc:
@@ -128,6 +151,25 @@ func (st *tickStream) send(row []float64) (tickOut, error) {
 	if err := json.Unmarshal(line, &out); err != nil {
 		return tickOut{}, fmt.Errorf("bad line %q: %w", line, err)
 	}
+	if out.Duplicate {
+		return out, nil
+	}
+	if len(out.Values) != len(out.Imputed) {
+		return tickOut{}, fmt.Errorf("ack %q: %d values for %d imputed cells", line, len(out.Values), len(out.Imputed))
+	}
+	row := append([]float64(nil), sent...)
+	for x, c := range out.Imputed {
+		if c < 0 || c >= len(row) || !math.IsNaN(row[c]) {
+			return tickOut{}, fmt.Errorf("ack %q imputes cell %d of %v", line, c, sent)
+		}
+		row[c] = out.Values[x]
+	}
+	for c, v := range row {
+		if math.IsNaN(v) {
+			return tickOut{}, fmt.Errorf("ack %q leaves cell %d of %v missing", line, c, sent)
+		}
+	}
+	out.Values = row
 	return out, nil
 }
 
@@ -612,49 +654,20 @@ func TestAPIValidation(t *testing.T) {
 }
 
 // sendBatch writes one batch line (NaN → null, seq numbering the first row)
-// and returns the per-row ack lines the server answers with.
+// and returns the per-row acks the server answers with, Values completed.
 func (st *tickStream) sendBatch(seq uint64, rows [][]float64) ([]tickOut, error) {
 	in := tickIn{Seq: seq, Rows: make([][]*float64, len(rows))}
 	for j, row := range rows {
-		vals := make([]*float64, len(row))
-		for i := range row {
-			if !math.IsNaN(row[i]) {
-				v := row[i]
-				vals[i] = &v
-			}
-		}
-		in.Rows[j] = vals
+		in.Rows[j] = nulls(row)
 	}
 	if err := st.enc.Encode(in); err != nil {
 		return nil, err
 	}
-	if st.resp == nil {
-		select {
-		case st.resp = <-st.rc:
-		case err := <-st.ec:
-			return nil, err
-		case <-time.After(10 * time.Second):
-			st.t.Fatal("timeout waiting for response headers")
-		}
-		st.sc = bufio.NewScanner(st.resp.Body)
-		st.sc.Buffer(make([]byte, 1<<20), 1<<20)
-	}
 	outs := make([]tickOut, 0, len(rows))
-	for range rows {
-		if !st.sc.Scan() {
-			if err := st.sc.Err(); err != nil {
-				return outs, err
-			}
-			return outs, io.EOF
-		}
-		line := st.sc.Bytes()
-		var e apiError
-		if json.Unmarshal(line, &e) == nil && e.Error != "" {
-			return outs, fmt.Errorf("server error line: %s", e.Error)
-		}
-		var out tickOut
-		if err := json.Unmarshal(line, &out); err != nil {
-			return outs, fmt.Errorf("bad line %q: %w", line, err)
+	for _, row := range rows {
+		out, err := st.readAck(row)
+		if err != nil {
+			return outs, err
 		}
 		outs = append(outs, out)
 	}
@@ -774,6 +787,90 @@ func TestBatchTickLines(t *testing.T) {
 	if _, err := stBad.sendBatch(109, all[:1]); err == nil || !strings.Contains(err.Error(), "both values and rows") {
 		t.Fatalf("mixed line: err = %v, want refusal", err)
 	}
+}
+
+// TestAckCarriesOnlyImputedCells pins the ack lines themselves: a healthy
+// row acks empty values and imputed arrays; a row with missing cells
+// carries one value per missing cell, bit-equal to a direct engine's
+// imputation; a replayed row acks as a duplicate, both arrays empty.
+func TestAckCarriesOnlyImputedCells(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	resp := createTenant(t, ts.URL, "raw", testTenantBody)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d", resp.StatusCode)
+	}
+	direct, err := core.NewEngine(testCoreConfig(), []string{"s", "r1", "r2", "r3"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	line := func(seq uint64, row []float64) string {
+		b, err := json.Marshal(tickIn{Seq: seq, Values: nulls(row)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+
+	const ticks = 40
+	pw, resp := openRawStream(t, ts, "raw", line(1, e2eRow(0, 0)))
+	sc := bufio.NewScanner(resp.Body)
+	oneMissing := 0
+	for tk := 0; tk < ticks; tk++ {
+		row := e2eRow(tk, 0)
+		if tk > 0 {
+			io.WriteString(pw, line(uint64(tk+1), row))
+		}
+		want, _, err := direct.Tick(append([]float64(nil), row...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sc.Scan() {
+			t.Fatalf("tick %d: no ack: %v", tk, sc.Err())
+		}
+		got := sc.Text()
+		var missing []int
+		for c, v := range row {
+			if math.IsNaN(v) {
+				missing = append(missing, c)
+			}
+		}
+		if len(missing) == 0 {
+			if w := fmt.Sprintf(`{"tick":%d,"seq":%d,"values":[],"imputed":[]}`, tk, tk+1); got != w {
+				t.Fatalf("healthy tick %d acked %s, want %s", tk, got, w)
+			}
+			continue
+		}
+		var out tickOut
+		if err := json.Unmarshal([]byte(got), &out); err != nil {
+			t.Fatalf("tick %d: %v", tk, err)
+		}
+		if out.Tick != tk || out.Seq != uint64(tk+1) || out.Duplicate ||
+			fmt.Sprint(out.Imputed) != fmt.Sprint(missing) || len(out.Values) != len(missing) {
+			t.Fatalf("tick %d with cells %v missing acked %s", tk, missing, got)
+		}
+		for x, c := range missing {
+			if math.Float64bits(out.Values[x]) != math.Float64bits(want[c]) {
+				t.Fatalf("tick %d cell %d: acked %v, direct %v", tk, c, out.Values[x], want[c])
+			}
+		}
+		if len(missing) == 1 {
+			oneMissing++
+		}
+	}
+	if oneMissing == 0 {
+		t.Fatal("no row with exactly one missing cell was sent")
+	}
+
+	io.WriteString(pw, line(1, e2eRow(0, 0)))
+	if !sc.Scan() {
+		t.Fatalf("replayed row: no ack: %v", sc.Err())
+	}
+	if w := fmt.Sprintf(`{"tick":%d,"seq":1,"values":[],"imputed":[],"duplicate":true}`, ticks-1); sc.Text() != w {
+		t.Fatalf("replayed row acked %s, want %s", sc.Text(), w)
+	}
+	pw.Close()
 }
 
 // openRawStream POSTs a tick stream to tenant whose request body is a pipe,
@@ -983,5 +1080,60 @@ func TestLatchedLogAnswers503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || !refusal.Retry ||
 		!strings.Contains(refusal.Error, "wal: log failed, refusing append: wal: sync: injected fsync failure") {
 		t.Fatalf("latched log: %d %+v, want 503 with retry naming the latched cause", resp.StatusCode, refusal)
+	}
+}
+
+// TestHydrationFailStopAnswers500: a parked tenant whose hydration fails is
+// latched fail-stopped. That is a server fault, so its tick stream and its
+// snapshot answer 500, not 400 — and without the retry marker, because only
+// deleting the tenant clears the latch: a replaying client would spend its
+// reconnect budget for nothing.
+func TestHydrationFailStopAnswers500(t *testing.T) {
+	m := shard.New(shard.Options{
+		Shards:          1,
+		ResidentEngines: 1,
+		Parkable:        func(string) bool { return true },
+		Hydrate: func(string) (*core.Engine, error) {
+			return nil, errors.New("injected hydration failure")
+		},
+	})
+	defer m.Close()
+	ts := newHTTPServer(t, New(Options{Manager: m, Log: quietLog()}))
+	// Creating b parks a, the only other resident engine.
+	for _, id := range []string{"a", "b"} {
+		resp := createTenant(t, ts.URL, id, testTenantBody)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s: %d", id, resp.StatusCode)
+		}
+	}
+	refused := func(what string, resp *http.Response) {
+		t.Helper()
+		var refusal apiError
+		if err := json.NewDecoder(resp.Body).Decode(&refusal); err != nil {
+			t.Fatalf("%s: refusal body: %v", what, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || refusal.Retry ||
+			!strings.Contains(refusal.Error, "hydration failed: injected hydration failure") {
+			t.Fatalf("%s: %d %+v, want 500 without retry naming the hydration failure", what, resp.StatusCode, refusal)
+		}
+	}
+	_, resp := openRawStream(t, ts, "a", `{"values":[1,2,3,4]}`+"\n")
+	refused("tick", resp)
+	resp, err := http.Get(ts.URL + "/v1/tenants/a/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("snapshot", resp)
+
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), `"degraded"`) {
+		t.Fatalf("healthz: %d %s, want 503 degraded", resp.StatusCode, body)
 	}
 }

@@ -333,7 +333,8 @@ type Ack struct {
 	Tick int
 	// Seq is the row's sequence number.
 	Seq uint64
-	// Values is the completed row.
+	// Values holds the imputed cells' completed values, Values[x] being
+	// that of stream Imputed[x]; the client completes the row it sent.
 	Values []float64
 	// Imputed lists the indices that were missing.
 	Imputed []int
