@@ -15,8 +15,8 @@ import (
 // Rebalancer policy constants. The rebalancer is deliberately conservative:
 // it moves at most one tenant per interval, and only when one shard is
 // clearly hotter than the fleet — migration is cheap but not free (the
-// tenant's requests park for one snapshot+restore), so oscillation costs
-// more than mild imbalance.
+// tenant's requests park for two shard operations and a routing-table
+// fsync), so oscillation costs more than mild imbalance.
 const (
 	// rebalanceRatio is how far above the mean per-shard tick rate the
 	// hottest shard must sit before a move is considered.
@@ -60,9 +60,9 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	src, err := s.MigrateTenant(context.WithoutCancel(r.Context()), id, *req.Shard)
 	if err != nil {
 		// statusFor's default 400 is for malformed input; a migration can
-		// also fail on server-side faults (snapshot encode, restore, WAL,
-		// routing-table I/O), which must report as 500 or the caller will
-		// treat an out-of-disk condition as its own bad request.
+		// also fail on server-side faults (hydrating a parked tenant, the
+		// WAL handoff, routing-table I/O), which must report as 500 or the
+		// caller will treat an out-of-disk condition as its own bad request.
 		status := statusFor(err)
 		if status == http.StatusBadRequest && !errors.Is(err, shard.ErrBadShard) && !errors.Is(err, shard.ErrBadTable) {
 			status = http.StatusInternalServerError

@@ -881,10 +881,7 @@ reading:
 			msg.out.Tick = res.Tick
 			msg.out.Seq = res.Seq
 			msg.out.Duplicate = res.Duplicate
-			msg.out.Values = msg.out.Values[:0]
-			for _, c := range res.Imputed {
-				msg.out.Values = append(msg.out.Values, res.Row[c])
-			}
+			msg.out.Values = append(msg.out.Values[:0], res.Values...)
 			msg.out.Imputed = append(msg.out.Imputed[:0], res.Imputed...)
 			// The line's last row carries its stage clocks: its ack completes
 			// the line, so the end-to-end measurement ends with it.

@@ -34,14 +34,17 @@
 // a tenant between shards while it serves traffic. The tenant's queued
 // operations drain on the source shard (the capture op runs behind them on
 // the shard goroutine), new operations park in a bounded handoff buffer,
-// the engine image travels through Engine.Snapshot/core.RestoreEngine with
-// its WAL sequence handed off, and the routing table is persisted and
-// fsynced before the in-memory route flips — then the parked operations
-// replay on the destination. Durability is unaffected throughout: the
-// write-ahead log and checkpoints are keyed by tenant, not shard, so a
-// crash at any instant of a migration restores the tenant whole, on exactly
-// one shard, from its checkpoint plus log. Pinning the default hash modulus
-// in the Table is what lets the shard count grow across restarts without
-// rerouting existing tenants; new shards start empty and receive tenants
-// through explicit migrations (typically the server's rebalancer).
+// the source detaches the engine and the destination installs that same
+// engine with its WAL sequence handed off, and the routing table is
+// persisted and fsynced before the in-memory route flips — then the parked
+// operations replay on the destination. The engine is never copied: a
+// migrated tenant imputes bit for bit as if it had never moved, and its
+// engine is on one shard at every instant. Durability is unaffected
+// throughout: the write-ahead log and checkpoints are keyed by tenant, not
+// shard, so a crash at any instant of a migration restores the tenant
+// whole, on exactly one shard, from its checkpoint plus log. Pinning the
+// default hash modulus in the Table is what lets the shard count grow
+// across restarts without rerouting existing tenants; new shards start
+// empty and receive tenants through explicit migrations (typically the
+// server's rebalancer).
 package shard

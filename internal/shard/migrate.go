@@ -1,13 +1,18 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
 
 	"tkcm/internal/core"
 )
+
+// handoffLen bounds the parked-request buffer of a live migration: requests
+// for the migrating tenant queue there while its engine moves and replay on
+// the destination after the flip. When it is full, submitters block until
+// the flip — the migration-time equivalent of a full shard queue.
+const handoffLen = 256
 
 // migration is one tenant move in flight. The hot path (do) discovers it
 // with a single atomic load and parks the tenant's requests in the bounded
@@ -28,13 +33,14 @@ type migration struct {
 
 // Migrate moves tenant tenantID onto shard dst live: the tenant's queued
 // operations drain on the source shard, new ones park in a bounded handoff
-// buffer, the engine image travels via Engine.Snapshot and
-// core.RestoreEngineBytes with its write-ahead-log sequence handed off
-// intact, the routing table is persisted (fsynced) and atomically flipped,
-// and the parked operations replay on the destination. Acked ⇒ durable
-// holds throughout: the WAL and checkpoints are shard-agnostic, so a crash
-// at any point during the migration restores the tenant — whole, on exactly
-// one shard — from its checkpoint plus log.
+// buffer, the source detaches the engine and the destination installs that
+// same engine, with its write-ahead-log sequence handed off intact, the
+// routing table is persisted (fsynced) and atomically flipped, and the
+// parked operations replay on the destination. The engine itself moves, not
+// a copy of it, so a migrated tenant imputes exactly as if it had never
+// moved. Acked ⇒ durable holds throughout: the WAL and checkpoints are
+// shard-agnostic, so a crash at any point during the migration restores the
+// tenant — whole, on exactly one shard — from its checkpoint plus log.
 //
 // Migrations are serialized (one tenant in transit at a time). Returns the
 // source shard; migrating a tenant onto the shard it already occupies
@@ -72,44 +78,28 @@ func (m *Manager) Migrate(ctx context.Context, tenantID string, dst int) (int, e
 		}
 	}
 
-	// Quiesce and capture: this op runs on the source shard goroutine after
-	// every previously-queued operation for the tenant, so the snapshot sees
-	// a settled engine. The engine leaves the shard map here but stays alive
-	// for rollback until the destination commit is final.
-	var (
-		img   bytes.Buffer
-		moved *core.Engine
-	)
+	// Quiesce and detach: this op runs on the source shard goroutine after
+	// every previously-queued operation for the tenant, so the engine it
+	// detaches is settled. Until the destination installs it, the engine is
+	// on no shard and only this goroutine holds it.
+	var moved *core.Engine
 	err := m.submit(ctx, m.shards[src], func(sh *shard) error {
-		// A parked tenant migrates too: hydrate it first — the image that
-		// travels must be the full engine, not the footprint. A fail-stopped
-		// tenant refuses here with its latched error, same as every other op.
-		eng, ok, rerr := m.resolveResident(sh, tenantID)
+		// A parked tenant migrates too: hydrate it first, so the engine that
+		// moves is the full engine, not the footprint. A fail-stopped tenant
+		// refuses here with its latched error, same as every other op.
+		_, ok, rerr := m.resolveResident(sh, tenantID)
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrNoTenant, tenantID)
 		}
 		if rerr != nil {
 			return rerr
 		}
-		if err := eng.Snapshot(&img); err != nil {
-			return fmt.Errorf("shard: snapshotting %q for migration: %w", tenantID, err)
-		}
-		sh.detach(tenantID)
+		moved = sh.detach(tenantID)
 		sh.ntenants.Add(-1)
-		moved = eng
 		return nil
 	})
 	if err != nil {
 		conclude(m.shards[src])
-		return src, err
-	}
-
-	// Rebuild the engine from its image off both shard goroutines — neither
-	// the source nor the destination stalls its other tenants on the decode.
-	restored, err := core.RestoreEngineBytes(img.Bytes())
-	if err != nil {
-		err = fmt.Errorf("shard: restoring %q on shard %d: %w", tenantID, dst, err)
-		m.rollback(ctx, tenantID, src, moved, nil, conclude)
 		return src, err
 	}
 
@@ -129,17 +119,17 @@ func (m *Manager) Migrate(ctx context.Context, tenantID string, dst int) (int, e
 			if err != nil {
 				return err
 			}
-			if err := l.SetNextSeq(restored.Seq() + 1); err != nil {
+			if err := l.SetNextSeq(moved.Seq() + 1); err != nil {
 				return err
 			}
 		}
-		sh.install(tenantID, restored)
+		sh.install(tenantID, moved)
 		sh.ntenants.Add(1)
 		m.maybeEvict(sh)
 		return nil
 	})
 	if err != nil {
-		m.rollback(ctx, tenantID, src, moved, restored, conclude)
+		m.rollback(ctx, tenantID, src, moved, conclude)
 		return src, err
 	}
 
@@ -148,34 +138,34 @@ func (m *Manager) Migrate(ctx context.Context, tenantID string, dst int) (int, e
 	// onto the source shard from checkpoint + WAL; after it, onto the
 	// destination — wholly on one shard either way.
 	if err := m.routing.Assign(tenantID, dst); err != nil {
+		err = fmt.Errorf("shard: persisting route of %q: %w", tenantID, err)
 		derr := m.submit(context.WithoutCancel(ctx), m.shards[dst], func(sh *shard) error {
 			sh.detach(tenantID)
 			sh.ntenants.Add(-1)
 			return nil
 		})
 		if derr != nil {
-			// The destination kept the engine (e.g. manager closing); do not
-			// double-host — let the rollback release the source copy only.
-			restored = nil
+			// The destination still hosts the engine (the manager is
+			// closing): installing it on the source too would put one
+			// engine on two shards. Its durable state restores it on the
+			// next start, on the source shard the routing table names.
+			conclude(m.shards[src])
+			return src, err
 		}
-		m.rollback(ctx, tenantID, src, moved, restored, conclude)
-		return src, fmt.Errorf("shard: persisting route of %q: %w", tenantID, err)
+		m.rollback(ctx, tenantID, src, moved, conclude)
+		return src, err
 	}
 	m.migrations.Add(1)
 	conclude(m.shards[dst])
-	moved.Close()
 	return src, nil
 }
 
-// rollback re-hosts the original engine on the source shard after a failed
-// migration, closes the half-built destination engine (when non-nil), and
-// concludes the migration back onto the source. The reattach deliberately
-// ignores the caller's context: a migration aborted BY a context expiry
-// must still put the tenant back, not leave it unhosted until a restart.
-func (m *Manager) rollback(ctx context.Context, tenantID string, src int, moved, restored *core.Engine, conclude func(*shard)) {
-	if restored != nil {
-		restored.Close()
-	}
+// rollback re-installs the engine on the source shard after a failed
+// migration and concludes the migration back onto the source. The reinstall
+// deliberately ignores the caller's context: a migration aborted BY a
+// context expiry must still put the tenant back, not leave it unhosted until
+// a restart.
+func (m *Manager) rollback(ctx context.Context, tenantID string, src int, moved *core.Engine, conclude func(*shard)) {
 	err := m.submit(context.WithoutCancel(ctx), m.shards[src], func(sh *shard) error {
 		sh.install(tenantID, moved)
 		sh.ntenants.Add(1)

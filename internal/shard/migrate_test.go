@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,8 +35,8 @@ func restoreSnapshot(t *testing.T, m *Manager, id string) *core.Engine {
 }
 
 // requireWindowsEqual compares every retained tick of every stream exactly:
-// snapshot/restore preserves float bits and replay is deterministic, so a
-// migrated engine has no excuse for even one ULP of drift.
+// a migrated engine is the engine that left the source, and snapshot/restore
+// preserves float bits, so there is no excuse for even one ULP of drift.
 func requireWindowsEqual(t *testing.T, got, want *core.Engine, width int) {
 	t.Helper()
 	if got.Seq() != want.Seq() {
@@ -51,6 +53,321 @@ func requireWindowsEqual(t *testing.T, got, want *core.Engine, width int) {
 				t.Fatalf("stream %d tick %d: %v, want %v", i, j, g[j], w[j])
 			}
 		}
+	}
+}
+
+// hostedEngine reads, on the shard goroutine, which engine the tenant's
+// shard hosts and which shard that is.
+func hostedEngine(t *testing.T, m *Manager, id string) (*core.Engine, int) {
+	t.Helper()
+	var eng *core.Engine
+	var on int
+	if err := m.do(context.Background(), id, func(sh *shard) error {
+		eng, on = sh.tenants[id], sh.id
+		return nil
+	}); err != nil {
+		t.Fatalf("reading the engine of %q: %v", id, err)
+	}
+	return eng, on
+}
+
+// serverFeedRow is tick n of the server tests' stream (e2eRow there): four
+// phase-shifted periodic streams, stream 0 missing every 4th row and
+// stream 2 every 6th after row 10. Its near-tied anchors make an engine
+// rebuilt from a snapshot impute differently, in the last ulps, from one
+// that kept its profiler state.
+func serverFeedRow(n int) []float64 {
+	row := make([]float64, 4)
+	for i := range row {
+		ph := 2*math.Pi*float64(n)/16 + 1.1*float64(i) + 0.7
+		row[i] = 10 + 3*math.Sin(ph) + math.Sin(2*ph)
+	}
+	if n > 10 && n%4 == 0 {
+		row[0] = math.NaN()
+	}
+	if n > 10 && n%6 == 0 {
+		row[2] = math.NaN()
+	}
+	return row
+}
+
+// TestMigrationImputesLikeNeverMigrated pins the migration half of
+// "migrated ≡ uninterrupted" without relying on a race: for every migration
+// point after rows 1..260, a tenant migrated once must impute rows 1..300
+// bit for bit like an engine that never moved, and the destination must
+// host the very engine that left the source.
+func TestMigrationImputesLikeNeverMigrated(t *testing.T) {
+	ctx := context.Background()
+	const points, rows = 260, 300
+	streams := []string{"s", "r1", "r2", "r3"}
+	control, err := core.NewEngine(testConfig(), streams, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer control.Close()
+	want := make([][]float64, rows+1)
+	for n := 1; n <= rows; n++ {
+		out, _, err := control.Tick(serverFeedRow(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[n] = append([]float64(nil), out...)
+	}
+
+	m := New(Options{Shards: 2})
+	defer m.Close()
+	var rsp tickRow
+	for p := 1; p <= points; p++ {
+		id := fmt.Sprintf("point-%d", p)
+		if err := m.Create(ctx, id, testConfig(), streams, nil); err != nil {
+			t.Fatal(err)
+		}
+		for n := 1; n <= rows; n++ {
+			if err := tick(ctx, m, id, uint64(n), serverFeedRow(n), &rsp); err != nil {
+				t.Fatalf("migrated after row %d: row %d: %v", p, n, err)
+			}
+			if err := imputedMismatch(rsp.RowResult, want[n]); err != nil {
+				t.Errorf("migrated after row %d: seq %d: %v", p, rsp.Seq, err)
+				break
+			}
+			if n != p {
+				continue
+			}
+			before, src := hostedEngine(t, m, id)
+			if _, err := m.Migrate(ctx, id, 1-src); err != nil {
+				t.Fatalf("migrating after row %d: %v", p, err)
+			}
+			if after, on := hostedEngine(t, m, id); after != before || on != 1-src {
+				t.Fatalf("migrated after row %d: shard %d hosts engine %p, shard %d sent %p", p, on, after, src, before)
+			}
+		}
+		if err := m.Delete(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// breakTableDir replaces the routing table's directory with a regular
+// file, so Table.save's MkdirAll fails — also for root, whom a chmod would
+// not stop.
+func breakTableDir(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMigrateRollsBackWhenRouteCannotPersist drives the rollback after the
+// destination installed the engine: the route save fails, so the
+// destination gives the engine back and the source re-installs that same
+// engine, at the same seq, imputing as if nothing had happened.
+func TestMigrateRollsBackWhenRouteCannotPersist(t *testing.T) {
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "routing")
+	tb, err := OpenTable(filepath.Join(dir, "routing.tkcmrt"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(Options{Routing: tb})
+	defer m.Close()
+	if err := m.Create(ctx, "rb", testConfig(), testStreams(), nil); err != nil {
+		t.Fatal(err)
+	}
+	control, err := core.NewEngine(testConfig(), testStreams(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer control.Close()
+	feed := func(from, to int) {
+		t.Helper()
+		var rsp tickRow
+		for n := from; n <= to; n++ {
+			row := testRow(n, 4)
+			if n > 10 && n%3 == 0 {
+				row[n%4] = math.NaN()
+			}
+			want, _, err := control.Tick(append([]float64(nil), row...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tick(ctx, m, "rb", uint64(n), row, &rsp); err != nil {
+				t.Fatalf("row %d: %v", n, err)
+			}
+			requireImputed(t, n, rsp.RowResult, want)
+		}
+	}
+	feed(1, 40)
+
+	breakTableDir(t, dir)
+	before, src := hostedEngine(t, m, "rb")
+	if _, err := m.Migrate(ctx, "rb", 1-src); err == nil || !strings.Contains(err.Error(), "persisting route") {
+		t.Fatalf("migrate with an unwritable table: %v, want a persisting route error", err)
+	}
+	if m.Migrations() != 0 {
+		t.Fatalf("a rolled-back migration counted: %d", m.Migrations())
+	}
+	info, err := m.Info(ctx, "rb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Shard != src || info.Seq != 40 || !info.Resident {
+		t.Fatalf("after rollback %+v, want resident on shard %d at seq 40", info, src)
+	}
+	if after, on := hostedEngine(t, m, "rb"); after != before || on != src {
+		t.Fatalf("after rollback shard %d hosts engine %p, want shard %d's %p", on, after, src, before)
+	}
+	for _, st := range m.Stats() {
+		want := int64(0)
+		if st.Shard == src {
+			want = 1
+		}
+		if st.Tenants != want || st.Resident != want {
+			t.Fatalf("shard %d after rollback: %d tenants, %d resident, want %d", st.Shard, st.Tenants, st.Resident, want)
+		}
+	}
+	feed(41, 120)
+}
+
+// TestMigrateRollbackAfterEvictionPressure: while the route save is in
+// flight, the tenant sits on the destination, where another tenant's
+// hydration puts the shard over its residency budget. The in-transit tenant
+// must not be the one parked, or the rollback would find no engine to hand
+// back.
+func TestMigrateRollbackAfterEvictionPressure(t *testing.T) {
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "routing")
+	tb, err := OpenTable(filepath.Join(dir, "routing.tkcmrt"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckDir := t.TempDir()
+	m := New(Options{
+		Routing:         tb,
+		WAL:             wal.NewManager(t.TempDir(), wal.Options{SyncInterval: time.Millisecond}),
+		Hydrate:         fileHydrator(ckDir),
+		ResidentEngines: 2, // one per shard
+	})
+	defer m.Close()
+	createWithCheckpoint(t, m, ckDir, "mover")
+	src := m.ShardOf("mover")
+	other := ""
+	for i := 0; other == ""; i++ {
+		if id := fmt.Sprintf("other-%d", i); m.ShardOf(id) == 1-src {
+			other = id
+		}
+	}
+	createWithCheckpoint(t, m, ckDir, other)
+	var rsp tickRow
+	for n := 1; n <= 30; n++ {
+		if err := tick(ctx, m, "mover", uint64(n), testRow(n, 4), &rsp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ := hostedEngine(t, m, "mover")
+
+	// Hold the table's save lock so the migration stops at the route save,
+	// with the engine installed on the destination.
+	breakTableDir(t, dir)
+	tb.saveMu.Lock()
+	migrated := make(chan error, 1)
+	go func() {
+		_, err := m.Migrate(ctx, "mover", 1-src)
+		migrated <- err
+	}()
+	for installed := false; !installed; {
+		time.Sleep(time.Millisecond)
+		if err := m.submit(ctx, m.shards[1-src], func(sh *shard) error {
+			_, installed = sh.tenants["mover"]
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The install parked the other tenant; ticking it hydrates it back and
+	// puts the destination over budget with the mover as its coldest tenant.
+	if err := tick(ctx, m, other, 1, testRow(1, 4), &rsp); err != nil {
+		t.Fatal(err)
+	}
+	tb.saveMu.Unlock()
+	if err := <-migrated; err == nil || !strings.Contains(err.Error(), "persisting route") {
+		t.Fatalf("migrate with an unwritable table: %v, want a persisting route error", err)
+	}
+	if after, on := hostedEngine(t, m, "mover"); after != before || on != src {
+		t.Fatalf("after rollback shard %d hosts engine %p, want shard %d's %p", on, after, src, before)
+	}
+	if err := tick(ctx, m, "mover", 31, testRow(31, 4), &rsp); err != nil || rsp.Seq != 31 {
+		t.Fatalf("tick after rollback: seq %d, %v", rsp.Seq, err)
+	}
+}
+
+// TestMigrateFullHandoffBuffer fills the handoff buffer: with the source
+// shard blocked, handoffLen ticks park and the rest wait for the flip. All
+// of them must land, on the destination, in the one engine.
+func TestMigrateFullHandoffBuffer(t *testing.T) {
+	ctx := context.Background()
+	m := New(Options{Shards: 2})
+	defer m.Close()
+	if err := m.Create(ctx, "hb", testConfig(), testStreams(), nil); err != nil {
+		t.Fatal(err)
+	}
+	src := m.ShardOf("hb")
+	entered, release := make(chan struct{}), make(chan struct{})
+	blocked := make(chan error, 1)
+	go func() {
+		blocked <- m.submit(ctx, m.shards[src], func(*shard) error { close(entered); <-release; return nil })
+	}()
+	<-entered
+	migrated := make(chan error, 1)
+	go func() {
+		_, err := m.Migrate(ctx, "hb", 1-src)
+		migrated <- err
+	}()
+	var mig *migration
+	for mig == nil {
+		time.Sleep(time.Millisecond)
+		mig = m.migrating.Load()
+	}
+
+	const ticks = handoffLen + 8
+	var wg sync.WaitGroup
+	errc := make(chan error, ticks)
+	for i := 0; i < ticks; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var rsp tickRow
+			if err := tick(ctx, m, "hb", 0, testRow(i, 4), &rsp); err != nil {
+				errc <- err
+			}
+		}()
+	}
+	for parked := 0; parked < handoffLen; {
+		time.Sleep(time.Millisecond)
+		mig.mu.Lock()
+		parked = len(mig.parked)
+		mig.mu.Unlock()
+	}
+	close(release)
+	if err := <-blocked; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-migrated; err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatalf("tick during migration: %v", err)
+	}
+	info, err := m.Info(ctx, "hb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Shard != 1-src || info.Seq != ticks {
+		t.Fatalf("after migration %+v, want shard %d at seq %d", info, 1-src, ticks)
 	}
 }
 
@@ -160,7 +477,7 @@ func TestMigrateErrors(t *testing.T) {
 // moved.
 func TestMigrateUnderSequencedLoad(t *testing.T) {
 	ctx := context.Background()
-	m := New(Options{Shards: 4, QueueLen: 8, HandoffLen: 4})
+	m := New(Options{Shards: 4, QueueLen: 8})
 	defer m.Close()
 	if err := m.Create(ctx, "hot", testConfig(), testStreams(), nil); err != nil {
 		t.Fatal(err)
@@ -385,7 +702,7 @@ func TestMigratePersistedRouteSurvivesReopen(t *testing.T) {
 // them migrates repeatedly: nothing may fail, and nothing may deadlock.
 func TestMigrateConcurrentOpsDoNotError(t *testing.T) {
 	ctx := context.Background()
-	m := New(Options{Shards: 3, QueueLen: 4, HandoffLen: 2})
+	m := New(Options{Shards: 3, QueueLen: 4})
 	defer m.Close()
 	for _, id := range []string{"c1", "c2", "c3"} {
 		if err := m.Create(ctx, id, testConfig(), testStreams(), nil); err != nil {

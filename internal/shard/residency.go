@@ -201,7 +201,9 @@ func (m *Manager) FailedTenants() []string {
 // its residency budget. The front of the list — the tenant the current
 // operation just touched or installed — is never a candidate, and neither is
 // a tenant whose WAL log is missing or has latched fail-stop: parking one
-// would strand acked ticks that only its in-memory engine still holds.
+// would strand acked ticks that only its in-memory engine still holds. Nor
+// is a tenant mid-migration: a rollback takes its engine back from the
+// shard that installed it.
 func (m *Manager) maybeEvict(sh *shard) {
 	if m.hydrate == nil {
 		return
@@ -210,7 +212,7 @@ func (m *Manager) maybeEvict(sh *shard) {
 		victim := ""
 		for el := sh.lru.Back(); el != nil && el != sh.lru.Front(); el = el.Prev() {
 			id := el.Value.(string)
-			if !m.evictable(id) {
+			if m.misrouted(sh, id) || !m.evictable(id) {
 				continue
 			}
 			victim = id

@@ -102,11 +102,7 @@ func TestHydrationStreamEquivalence(t *testing.T) {
 		if rsp.Seq != seq || rsp.Duplicate {
 			t.Fatalf("tick %d: seq %d duplicate=%v", seq, rsp.Seq, rsp.Duplicate)
 		}
-		for i := range want {
-			if math.Float64bits(rsp.Row[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("tick %d stream %d: hydrated-path %v, never-evicted %v (not bit-identical)", seq, i, rsp.Row[i], want[i])
-			}
-		}
+		requireImputed(t, int(seq), rsp.RowResult, want)
 		if seq%31 == 0 {
 			// Duplicate replay across a hydration boundary: evict prop again,
 			// then re-send an already-acked sequence number. The hydrated
@@ -372,7 +368,7 @@ func TestHydrationRefusesRewoundEngine(t *testing.T) {
 }
 
 // TestMigrateParkedTenant: a parked tenant migrates by hydrating inside the
-// capture step — the image that travels is the full engine, and the tenant
+// capture step — the engine that moves is the full engine, and the tenant
 // lands resident on the destination with its state intact.
 func TestMigrateParkedTenant(t *testing.T) {
 	ctx := context.Background()

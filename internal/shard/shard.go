@@ -31,7 +31,7 @@ var (
 	ErrSeqGap = errors.New("shard: sequence gap")
 	// ErrBadShard is returned by Migrate for a destination outside the
 	// manager's shard range — a caller error, distinct from the internal
-	// failures (snapshot, restore, table save) a migration can also hit.
+	// failures (hydration, WAL handoff, table save) a migration can also hit.
 	ErrBadShard = errors.New("shard: no such shard")
 )
 
@@ -44,12 +44,6 @@ type Options struct {
 	// QueueLen bounds each shard's request queue (default 64). A full queue
 	// blocks submitters — the backpressure making overload visible upstream.
 	QueueLen int
-	// HandoffLen bounds the parked-request buffer of a live migration
-	// (default 256): requests for the migrating tenant queue here while its
-	// engine is in transit and replay on the destination after the flip.
-	// When full, submitters block until the flip — the migration-time
-	// equivalent of a full shard queue.
-	HandoffLen int
 	// Routing is the tenant→shard routing table. nil gets an ephemeral
 	// default table over Shards shards (pure hash routing, no persistence).
 	Routing *Table
@@ -90,12 +84,14 @@ type RowResult struct {
 	// the tenant's lifetime; the first row is 1).
 	Seq uint64
 	// Duplicate reports that a sequenced row was already applied (its seq ≤
-	// the engine's): the row was skipped and acked idempotently, with Row
+	// the engine's): the row was skipped and acked idempotently, with Values
 	// and Imputed left empty. This is what makes client replay after a
 	// reconnect exactly-once.
 	Duplicate bool
-	// Row is the completed row: the input with every missing value imputed.
-	Row []float64
+	// Values holds the imputed cells' values in Imputed order: Values[x] is
+	// stream Imputed[x]'s value. The caller already holds the row's present
+	// cells, so they are not handed back.
+	Values []float64
 	// Imputed lists the stream indices that were missing in the input.
 	Imputed []int
 }
@@ -165,7 +161,6 @@ type shard struct {
 type Manager struct {
 	shards  []*shard
 	routing *Table
-	handoff int
 	wal     *wal.Manager // nil = durability disabled
 	senders sync.WaitGroup
 	closed  atomic.Bool
@@ -208,11 +203,7 @@ func New(opts Options) *Manager {
 	if q <= 0 {
 		q = 64
 	}
-	h := opts.HandoffLen
-	if h <= 0 {
-		h = 256
-	}
-	m := &Manager{routing: rt, handoff: h, wal: opts.WAL, failedTenants: make(map[string]error)}
+	m := &Manager{routing: rt, wal: opts.WAL, failedTenants: make(map[string]error)}
 	if opts.Hydrate != nil {
 		m.hydrate = opts.Hydrate
 		m.parkable = opts.Parkable
@@ -333,7 +324,7 @@ func (m *Manager) park(ctx context.Context, mig *migration, op func(*shard) erro
 		mig.mu.Unlock()
 		return nil, false
 	}
-	if len(mig.parked) < m.handoff {
+	if len(mig.parked) < handoffLen {
 		req := &request{op: op, done: make(chan error, 1)}
 		mig.parked = append(mig.parked, req)
 		mig.mu.Unlock()
@@ -555,7 +546,7 @@ func (m *Manager) TickBatch(ctx context.Context, tenantID string, seq uint64, ro
 			out.Duplicate = true
 			out.Seq = seq + uint64(r)
 			out.Tick = eng.Window().Tick()
-			out.Row = out.Row[:0]
+			out.Values = out.Values[:0]
 			out.Imputed = out.Imputed[:0]
 		}
 		live := rows[skip:]
@@ -620,15 +611,19 @@ func (m *Manager) TickBatch(ctx context.Context, tenantID string, seq uint64, ro
 			out.Duplicate = false
 			out.Tick = baseTick + r + 1
 			out.Seq = baseSeq + uint64(r) + 1
-			out.Row = append(out.Row[:0], one...)
-			for i := range cols {
-				out.Row = append(out.Row, cols[i][r])
-			}
+			out.Values = out.Values[:0]
 			out.Imputed = out.Imputed[:0]
 			for i, v := range live[r] {
-				if math.IsNaN(v) {
-					out.Imputed = append(out.Imputed, i)
+				if !math.IsNaN(v) {
+					continue
 				}
+				if cols == nil {
+					v = one[i]
+				} else {
+					v = cols[i][r]
+				}
+				out.Values = append(out.Values, v)
+				out.Imputed = append(out.Imputed, i)
 			}
 			sh.imputed.Add(uint64(len(out.Imputed)))
 		}
@@ -739,13 +734,13 @@ func (m *Manager) Info(ctx context.Context, tenantID string) (TenantInfo, error)
 }
 
 // Tenants lists every hosted tenant, sorted by id. The walk holds
-// migrateMu: a tenant mid-migration is in no shard map while its image is
-// in transit, and one moving ahead of (or behind) the shard iterator would
-// be listed twice or not at all. Tenants change shards only inside
-// Migrate, so excluding migrations for the walk's duration makes the
-// listing a consistent snapshot — a listing that races a move waits it out
-// (the same transient delay every per-tenant operation already accepts)
-// instead of showing a live tenant as deleted.
+// migrateMu: a tenant mid-migration is in no shard map between the source's
+// detach and the destination's install, and one moving ahead of (or behind)
+// the shard iterator would be listed twice or not at all. Tenants change
+// shards only inside Migrate, so excluding migrations for the walk's
+// duration makes the listing a consistent snapshot — a listing that races a
+// move waits it out (the same transient delay every per-tenant operation
+// already accepts) instead of showing a live tenant as deleted.
 func (m *Manager) Tenants(ctx context.Context) ([]TenantInfo, error) {
 	m.migrateMu.Lock()
 	defer m.migrateMu.Unlock()

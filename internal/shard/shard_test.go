@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -35,6 +36,27 @@ func testRow(t int, width int) []float64 {
 type tickRow struct {
 	RowResult
 	Durable wal.Commit
+}
+
+// imputedMismatch reports how a row's imputed cells differ, in any bit,
+// from want, a completed row of the same tick; nil when they match.
+func imputedMismatch(got RowResult, want []float64) error {
+	if len(got.Values) != len(got.Imputed) {
+		return fmt.Errorf("%d values for imputed cells %v", len(got.Values), got.Imputed)
+	}
+	for x, c := range got.Imputed {
+		if g, w := math.Float64bits(got.Values[x]), math.Float64bits(want[c]); g != w {
+			return fmt.Errorf("stream %d: %v (%#x), want %v (%#x)", c, got.Values[x], g, want[c], w)
+		}
+	}
+	return nil
+}
+
+func requireImputed(t *testing.T, tk int, got RowResult, want []float64) {
+	t.Helper()
+	if err := imputedMismatch(got, want); err != nil {
+		t.Fatalf("tick %d: %v", tk, err)
+	}
 }
 
 // tick feeds one row to the tenant as a one-row TickBatch.
@@ -74,9 +96,12 @@ func TestManagerLifecycle(t *testing.T) {
 		if rsp.Tick != tk {
 			t.Fatalf("tick index %d, want %d", rsp.Tick, tk)
 		}
-		for i, v := range rsp.Row {
+		if len(rsp.Values) != len(rsp.Imputed) {
+			t.Fatalf("tick %d: %d values for imputed cells %v", tk, len(rsp.Values), rsp.Imputed)
+		}
+		for x, v := range rsp.Values {
 			if math.IsNaN(v) {
-				t.Fatalf("tick %d: row[%d] still missing", tk, i)
+				t.Fatalf("tick %d: imputed cell %d still missing", tk, rsp.Imputed[x])
 			}
 		}
 		if tk > 30 && tk%5 == 0 && (len(rsp.Imputed) != 1 || rsp.Imputed[0] != 1) {
@@ -141,11 +166,7 @@ func TestManagerMatchesDirectEngine(t *testing.T) {
 		if err := tick(ctx, m, "t", 0, row, &rsp); err != nil {
 			t.Fatal(err)
 		}
-		for i := range want {
-			if rsp.Row[i] != want[i] {
-				t.Fatalf("tick %d stream %d: manager %v, direct %v", tk, i, rsp.Row[i], want[i])
-			}
-		}
+		requireImputed(t, tk, rsp.RowResult, want)
 	}
 }
 
@@ -544,17 +565,21 @@ func TestTickBatchMatchesTick(t *testing.T) {
 				t.Fatalf("tick %d: batch rsp {seq %d tick %d dup %v}, rowwise {seq %d tick %d}",
 					tk, got.Seq, got.Tick, got.Duplicate, rsp.Seq, rsp.Tick)
 			}
-			for i := range rsp.Row {
-				if got.Row[i] != rsp.Row[i] {
-					t.Fatalf("tick %d stream %d: batch %v, rowwise %v", tk, i, got.Row[i], rsp.Row[i])
-				}
-			}
 			if len(got.Imputed) != len(rsp.Imputed) {
 				t.Fatalf("tick %d: imputed %v vs %v", tk, got.Imputed, rsp.Imputed)
 			}
 			for i := range rsp.Imputed {
 				if got.Imputed[i] != rsp.Imputed[i] {
 					t.Fatalf("tick %d: imputed %v vs %v", tk, got.Imputed, rsp.Imputed)
+				}
+			}
+			if len(got.Values) != len(got.Imputed) || len(rsp.Values) != len(rsp.Imputed) {
+				t.Fatalf("tick %d: batch %d and rowwise %d values for imputed cells %v",
+					tk, len(got.Values), len(rsp.Values), rsp.Imputed)
+			}
+			for x := range rsp.Values {
+				if math.Float64bits(got.Values[x]) != math.Float64bits(rsp.Values[x]) {
+					t.Fatalf("tick %d stream %d: batch %v, rowwise %v", tk, rsp.Imputed[x], got.Values[x], rsp.Values[x])
 				}
 			}
 		}
@@ -623,8 +648,8 @@ func TestTickBatchSequencedSemantics(t *testing.T) {
 		if got.Seq != seq || got.Duplicate != (seq <= 6) {
 			t.Fatalf("straddling row %d: %+v", r, got)
 		}
-		if !got.Duplicate && len(got.Row) != 4 {
-			t.Fatalf("applied row %d has no completed values: %+v", r, got)
+		if len(got.Values) != len(got.Imputed) {
+			t.Fatalf("straddling row %d: values do not match imputed cells: %+v", r, got)
 		}
 	}
 	if err := rsp.Durable.Wait(); err != nil {
@@ -651,7 +676,7 @@ func TestTickBatchSequencedSemantics(t *testing.T) {
 	if got := rsp.Rows[0]; !got.Duplicate || got.Seq != 9 {
 		t.Fatalf("straddling duplicate row: %+v", got)
 	}
-	if got := rsp.Rows[1]; got.Duplicate || got.Seq != 10 || len(got.Row) != 4 {
+	if got := rsp.Rows[1]; got.Duplicate || got.Seq != 10 || len(got.Values) != len(got.Imputed) {
 		t.Fatalf("lone live row after a duplicate: %+v", got)
 	}
 	if err := rsp.Durable.Wait(); err != nil {
