@@ -148,8 +148,9 @@ func DefaultConfig() Config {
 // MaxWindowLength is ~160× the paper's two-year hourly window (105120) yet
 // bounds one stream's window at 128 MiB; no machine has 2^16 cores.
 // MaxWindowCells bounds streams × WindowLength, the window values an engine
-// retains: 2^27 cells are 1 GiB of window values, 2 GiB of window backing
-// from the first tick and about 4.25 GiB once every stream serves as a
+// retains: 2^27 cells are 1 GiB of window values, about 1.25 GiB of window
+// backing from the first tick (L + l + L/4 per stream, at most 1.75 GiB as
+// l ≤ L/2) and at most 3.25 GiB of history once every stream serves as a
 // reference (see Engine.MemoryBytes), or 1,276 streams at DefaultConfig's
 // window. A create request or a snapshot of a few KB can
 // name thousands of streams at the maximum window length; this is what

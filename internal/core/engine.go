@@ -91,8 +91,16 @@ type EngineStats struct {
 // without an entry get a correlation-ranked reference set lazily on their
 // first missing value (RankCandidates). Engines with more than
 // MaxWindowCells window values (streams × WindowLength) are refused before
-// anything is allocated.
+// anything is allocated. Each stream's window backing holds L + l + L/4
+// values under the incremental profiler and L + L/4 under the stateless ones
+// (see historyCapacity); the output bits do not depend on that capacity.
 func NewEngine(cfg Config, names []string, refs map[string]ReferenceSet) (*Engine, error) {
+	return newEngine(cfg, names, refs, historyCapacity(cfg.engineProfilerKind(), cfg.WindowLength, cfg.PatternLength))
+}
+
+// newEngine is NewEngine with the per-stream window backing capacity given;
+// it must exceed L plus the slid-out values the profiler keeps.
+func newEngine(cfg Config, names []string, refs map[string]ReferenceSet, capacity int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -104,18 +112,9 @@ func NewEngine(cfg Config, names []string, refs map[string]ReferenceSet) (*Engin
 		refs = make(map[string]ReferenceSet)
 	}
 	kind := cfg.engineProfilerKind()
-	L := cfg.WindowLength
-	capacity := L + backingSlack(L)
-	if kind == ProfilerIncremental {
-		// The profiler replays deferred ticks against the values left of the
-		// window until the next compaction, and its replay-vs-rebuild choices
-		// (and so the output bits) follow the compaction points of this
-		// capacity.
-		capacity = 2 * L
-	}
 	e := &Engine{
 		cfg:  cfg,
-		w:    window.New(L, capacity, names...),
+		w:    window.New(cfg.WindowLength, capacity, historyKeep(kind, cfg.PatternLength), names...),
 		refs: refs,
 		last: make([]float64, len(names)),
 	}
@@ -155,24 +154,36 @@ func (e *Engine) Seq() uint64 { return uint64(e.tick) }
 // stream has served as a reference. Per stream of window length L it counts,
 // in float64s:
 //
-//   - the window backing: 2L under the incremental profiler, whose replay
-//     reads slid-out values, and L + L/4 under the stateless ones;
+//   - the window backing: L + l + L/4 under the incremental profiler, whose
+//     replays read up to l slid-out values, and L + L/4 under the stateless
+//     ones;
 //   - under the incremental profiler, the candidate energies: L − 2l + 1
-//     live entries plus L/4 slack;
+//     live entries plus l of slack;
 //   - and the cross products: L − 2l + 1.
 //
-// That is about 4.25× the window bytes with the incremental profiler and
-// 1.25× without. Streams never consulted as references do not allocate the
-// last two buffers, a never-ticked engine holds no window backing yet, and
-// the per-worker selection scratch (about (k+2)·L floats) is not counted. It
-// is a sizing estimate for residency budgeting (shard.Options.ResidentBytes),
-// not an exact accounting.
+// That is at most 3.25× the window bytes with the incremental profiler
+// (3.21× at l = 72, L = 4032) and 1.25× without. Per engine it adds the
+// selection scratch of a full window's n = L − 2l + 1 candidates: the
+// profile buffer (n floats) and the Eq. 5 table ((k+1)(n+1) floats, which
+// the greedy and overlapping ablations do not allocate), once for the
+// serial tick and once per worker when Workers > 1. Streams
+// never consulted as references do not allocate the energies and cross
+// products, and a never-ticked engine holds no window backing yet. The
+// estimate is a pure function of the configuration and the stream count, so
+// residency budgeting (shard.Options.ResidentBytes) can add it on install and
+// subtract the same amount on detach; it is a sizing estimate, not an exact
+// accounting.
 func (e *Engine) MemoryBytes() int64 {
 	perStream := int64(e.w.Capacity())
 	if e.inc != nil {
 		perStream += int64(e.inc.energyLen + e.inc.maxCand)
 	}
-	return int64(e.w.Width()) * perStream * 8
+	n := int64(e.cfg.WindowLength - 2*e.cfg.PatternLength + 1)
+	scratches := int64(1)
+	if e.cfg.Workers > 1 {
+		scratches += int64(e.cfg.Workers)
+	}
+	return (int64(e.w.Width())*perStream + scratches*(n+int64(e.cfg.K+1)*(n+1))) * 8
 }
 
 // ValidateRow checks row against the engine's stream width and value domain

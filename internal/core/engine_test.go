@@ -13,7 +13,7 @@ import (
 // streams [s, r1, r2, r3] and s(14:20) missing.
 func newTable2Window(t *testing.T) *window.Window {
 	t.Helper()
-	w := window.New(12, 24, "s", "r1", "r2", "r3")
+	w := window.New(12, 24, 0, "s", "r1", "r2", "r3")
 	for i := 0; i < 12; i++ {
 		sv := table2S[i]
 		if i == 11 {
@@ -336,50 +336,60 @@ func TestNewEngineRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestWindowCapacityFollowsProfiler: the incremental profiler replays
-// deferred ticks against values that slid out of the window, so its engines
-// back each stream with 2L; the stateless profilers replay nothing and keep
-// L + L/4. MemoryBytes stays within 4.25× and 1.25× of the window bytes
-// respectively, and a never-ticked engine holds no window backing yet.
+// TestWindowCapacityFollowsProfiler: the incremental profiler replays at
+// most l deferred ticks against values that slid out of the window, so its
+// engines back each stream with L + l + L/4 and keep l slid-out values
+// across compactions; the stateless profilers replay nothing and keep
+// L + L/4. A stream's share of MemoryBytes — window, candidate energies and
+// cross products — stays within 3.25× and 1.25× of its window bytes
+// respectively for L ≥ 4, and a never-ticked engine holds no window backing
+// yet.
 func TestWindowCapacityFollowsProfiler(t *testing.T) {
-	const width, L = 16, 4032
-	names := make([]string, width)
-	for i := range names {
-		names[i] = fmt.Sprintf("s%d", i)
-	}
-	for _, tc := range []struct {
-		kind     ProfilerKind
-		capacity int
-		factor   int64 // MemoryBytes bound, in quarters of the window bytes
-	}{
-		{ProfilerAuto, 2 * L, 17},
-		{ProfilerIncremental, 2 * L, 17},
-		{ProfilerNaive, L + L/4, 5},
-		{ProfilerFFT, L + L/4, 5},
-	} {
-		eng, err := NewEngine(Config{K: 5, PatternLength: 72, D: 3, WindowLength: L, Profiler: tc.kind}, names, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := eng.Window()
-		if got := w.Capacity(); got != tc.capacity {
-			t.Errorf("%v: window capacity %d, want %d", tc.kind, got, tc.capacity)
-		}
-		if h, _ := w.Backing(0); h != nil {
-			t.Errorf("%v: a never-ticked engine holds %d window values", tc.kind, len(h))
-		}
-		if got, bound := eng.MemoryBytes(), tc.factor*width*L*8/4; got > bound {
-			t.Errorf("%v: MemoryBytes %d exceeds %d/4 of the window bytes (%d)", tc.kind, got, tc.factor, bound)
+	for _, shape := range []struct{ L, l int }{{4, 1}, {4, 2}, {37, 5}, {512, 24}, {4032, 72}} {
+		L, l := shape.L, shape.l
+		for _, tc := range []struct {
+			kind     ProfilerKind
+			capacity int
+			factor   int64 // per-stream bound, in quarters of the window bytes
+		}{
+			{ProfilerAuto, L + l + max(1, L/4), 13},
+			{ProfilerIncremental, L + l + max(1, L/4), 13},
+			{ProfilerNaive, L + max(1, L/4), 5},
+			{ProfilerFFT, L + max(1, L/4), 5},
+		} {
+			cfg := Config{K: 1, PatternLength: l, D: 1, WindowLength: L, Profiler: tc.kind}
+			var mem [2]int64
+			for x, width := range []int{1, 2} {
+				eng, err := NewEngine(cfg, []string{"a", "b"}[:width], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := eng.Window()
+				if got := w.Capacity(); got != tc.capacity {
+					t.Errorf("L %d l %d %v: window capacity %d, want %d", L, l, tc.kind, got, tc.capacity)
+				}
+				if h, _ := w.Backing(0); h != nil {
+					t.Errorf("L %d l %d %v: a never-ticked engine holds %d window values", L, l, tc.kind, len(h))
+				}
+				mem[x] = eng.MemoryBytes()
+			}
+			perStream := mem[1] - mem[0]
+			if bound := tc.factor * int64(L) * 8 / 4; perStream > bound {
+				t.Errorf("L %d l %d %v: %d bytes of history per stream exceed %d/4 of its window bytes (%d)", L, l, tc.kind, perStream, tc.factor, bound)
+			}
+			if L == 4032 {
+				t.Logf("%v: %.2f× the window bytes per stream", tc.kind, float64(perStream)/float64(L*8))
+			}
 		}
 	}
 }
 
 // TestMemoryBytesMatchesLiveHeap: once every stream has served as a
 // reference, the live heap an engine holds is within ±15% of its
-// MemoryBytes estimate (window backing, energies and cross products), at
-// the serving benchmark's impute and ingest shapes. An engine whose streams
-// never serve as references holds its window backing only, so there the
-// estimate is an upper bound.
+// MemoryBytes estimate (window backing, energies and cross products, and the
+// selection scratch), at the serving benchmark's impute and ingest shapes.
+// An engine whose streams never serve as references holds its window backing
+// only, so there the estimate is an upper bound.
 func TestMemoryBytesMatchesLiveHeap(t *testing.T) {
 	for _, tc := range []struct {
 		name         string

@@ -20,7 +20,7 @@ func TestImputeWindowEquivalence(t *testing.T) {
 		extra := int(extraRaw)%100 + 1 // force wrap-around by over-filling
 
 		data := randomRefs(seed, 3, L+extra) // row 0 = s, rows 1-2 = refs
-		w := window.New(L, 2*L, "s", "r1", "r2")
+		w := window.New(L, 2*L, 0, "s", "r1", "r2")
 		for i := 0; i < L+extra; i++ {
 			w.Advance([]float64{data[0][i], data[1][i], data[2][i]})
 		}
@@ -64,7 +64,7 @@ func TestImputeWindowAllNorms(t *testing.T) {
 		const L = 40
 		cfg := Config{K: 2, PatternLength: 3, D: 2, WindowLength: L, Norm: norm, Selection: SelectDP}
 		data := randomRefs(7, 3, L+13)
-		w := window.New(L, 2*L, "s", "r1", "r2")
+		w := window.New(L, 2*L, 0, "s", "r1", "r2")
 		for i := range data[0] {
 			w.Advance([]float64{data[0][i], data[1][i], data[2][i]})
 		}

@@ -18,6 +18,7 @@ import (
 // must produce under each way of driving the engine.
 type goldenShape struct {
 	name     string
+	seed     uint64
 	width    int
 	cfg      Config
 	ticks    int
@@ -120,8 +121,9 @@ func (h *goldenHasher) finish(s EngineStats) string {
 }
 
 // runGolden drives one engine over rows in the given mode and returns its
-// hash and final Stats.
-func runGolden(t *testing.T, g goldenShape, rows [][]float64, mode string) (string, EngineStats) {
+// hash and final Stats. A capacity above 0 sizes the engine's window backing
+// in place of NewEngine's default.
+func runGolden(t *testing.T, g goldenShape, rows [][]float64, mode string, capacity int) (string, EngineStats) {
 	t.Helper()
 	cfg := g.cfg
 	if mode == "workers2" {
@@ -131,7 +133,13 @@ func runGolden(t *testing.T, g goldenShape, rows [][]float64, mode string) (stri
 	for j := range names {
 		names[j] = fmt.Sprintf("s%d", j)
 	}
-	eng, err := NewEngine(cfg, names, nil)
+	var eng *Engine
+	var err error
+	if capacity > 0 {
+		eng, err = newEngine(cfg, names, nil, capacity)
+	} else {
+		eng, err = NewEngine(cfg, names, nil)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,44 +195,72 @@ func runGolden(t *testing.T, g goldenShape, rows [][]float64, mode string) (stri
 	return h.finish(eng.Stats), eng.Stats
 }
 
-// TestEngineGoldenFeed pins the engine's output bits on four seeded feeds —
-// the serving benchmark's impute and ingest shapes, and a small one with gaps
-// from the first tick under the default and the naive profiler — each driven
-// four ways. A refactor of the engine's storage
-// or kernels must leave every hash unchanged; a change that alters rounding
-// on purpose records new hashes.
+// goldenShapes are the four seeded feeds of TestEngineGoldenFeed: the serving
+// benchmark's impute and ingest shapes, and a small one with gaps from the
+// first tick under the default and the naive profiler.
+var goldenShapes = []goldenShape{
+	{
+		name: "impute", seed: 1, width: 16, ticks: 2*4032 + 600, missFrom: 4032, missing: 0.05, run: 8,
+		cfg:  Config{K: 5, PatternLength: 72, D: 3, WindowLength: 4032},
+		want: [4]string{"8945dd74529bb1ad", "8945dd74529bb1ad", "93b7324a6dd2afc7", "c70f5a77e50eaf7f"},
+	},
+	{
+		name: "ingest", seed: 2, width: 64, ticks: 2*1024 + 300, missFrom: 1024, missing: 0.002, run: 1,
+		cfg:  Config{K: 5, PatternLength: 72, D: 3, WindowLength: 1024},
+		want: [4]string{"1c44ba00e447193b", "1c44ba00e447193b", "1c44ba00e447193b", "524553afd1c07b9a"},
+	},
+	{
+		name: "small", seed: 3, width: 6, ticks: 3 * 512, missFrom: 1, missing: 0.04, run: 4,
+		cfg:  Config{K: 5, PatternLength: 24, D: 3, WindowLength: 512},
+		want: [4]string{"f7ebda03af564340", "f7ebda03af564340", "b56c6230b668a668", "5c5071473e2fff0c"},
+	},
+	{
+		name: "small-naive", seed: 4, width: 6, ticks: 3 * 512, missFrom: 1, missing: 0.04, run: 4,
+		cfg:  Config{K: 5, PatternLength: 24, D: 3, WindowLength: 512, Profiler: ProfilerNaive},
+		want: [4]string{"c8bfb6c81a39d1e9", "c8bfb6c81a39d1e9", "0c1a3deaf66b0a83", "c8bfb6c81a39d1e9"},
+	},
+}
+
+// TestEngineGoldenFeed pins the engine's output bits on the goldenShapes,
+// each driven four ways. A refactor of the engine's storage or kernels must
+// leave every hash unchanged; a change that alters rounding on purpose
+// records new hashes.
 func TestEngineGoldenFeed(t *testing.T) {
-	shapes := []goldenShape{
-		{
-			name: "impute", width: 16, ticks: 2*4032 + 600, missFrom: 4032, missing: 0.05, run: 8,
-			cfg:  Config{K: 5, PatternLength: 72, D: 3, WindowLength: 4032},
-			want: [4]string{"8945dd74529bb1ad", "8945dd74529bb1ad", "93b7324a6dd2afc7", "c70f5a77e50eaf7f"},
-		},
-		{
-			name: "ingest", width: 64, ticks: 2*1024 + 300, missFrom: 1024, missing: 0.002, run: 1,
-			cfg:  Config{K: 5, PatternLength: 72, D: 3, WindowLength: 1024},
-			want: [4]string{"1c44ba00e447193b", "1c44ba00e447193b", "1c44ba00e447193b", "524553afd1c07b9a"},
-		},
-		{
-			name: "small", width: 6, ticks: 3 * 512, missFrom: 1, missing: 0.04, run: 4,
-			cfg:  Config{K: 5, PatternLength: 24, D: 3, WindowLength: 512},
-			want: [4]string{"f7ebda03af564340", "f7ebda03af564340", "b56c6230b668a668", "5c5071473e2fff0c"},
-		},
-		{
-			name: "small-naive", width: 6, ticks: 3 * 512, missFrom: 1, missing: 0.04, run: 4,
-			cfg:  Config{K: 5, PatternLength: 24, D: 3, WindowLength: 512, Profiler: ProfilerNaive},
-			want: [4]string{"c8bfb6c81a39d1e9", "c8bfb6c81a39d1e9", "0c1a3deaf66b0a83", "c8bfb6c81a39d1e9"},
-		},
-	}
-	for si, g := range shapes {
+	for _, g := range goldenShapes {
 		t.Run(g.name, func(t *testing.T) {
-			rows := g.goldenFeed(uint64(si + 1))
+			rows := g.goldenFeed(g.seed)
 			for x, mode := range goldenModes {
-				got, st := runGolden(t, g, rows, mode)
+				got, st := runGolden(t, g, rows, mode, 0)
 				t.Logf("%s/%s: %s (%d imputations, %d cold fills, %d reference errors)",
 					g.name, mode, got, st.Imputations, st.ColdStartFills, st.ReferenceErrors)
 				if got != g.want[x] {
 					t.Errorf("%s/%s: hash %s, want %s", g.name, mode, got, g.want[x])
+				}
+			}
+		})
+	}
+}
+
+// TestGoldenFeedIndependentOfCapacity: the incremental profiler's
+// replay-or-rebuild rule is a function of window position, not of where the
+// window backing compacts, so the output bits do not depend on its capacity.
+// The impute feed and the small feed, here run for 5L ticks so that it
+// crosses several 2L compaction points, must hash to their pinned tick hashes
+// under the tightest backing (L + l + 1, which compacts on every slide), the
+// served one (L + l + L/4), 2L and 3L. The small feed's 5L hash is the one a
+// 2L backing, whose compaction points are the rule's points, produces.
+func TestGoldenFeedIndependentOfCapacity(t *testing.T) {
+	small := goldenShapes[2]
+	small.name, small.ticks, small.want[0] = "small-5L", 5*small.cfg.WindowLength, "bae31d112ba4daaa"
+	for _, g := range []goldenShape{goldenShapes[0], small} {
+		t.Run(g.name, func(t *testing.T) {
+			rows := g.goldenFeed(g.seed)
+			L, l := g.cfg.WindowLength, g.cfg.PatternLength
+			for _, capacity := range []int{L + l + 1, L + l + max(1, L/4), 2 * L, 3 * L} {
+				got, _ := runGolden(t, g, rows, "tick", capacity)
+				t.Logf("%s at capacity %d: %s", g.name, capacity, got)
+				if got != g.want[0] {
+					t.Errorf("%s at capacity %d: hash %s, want the pinned tick hash %s", g.name, capacity, got, g.want[0])
 				}
 			}
 		})

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-
-	"tkcm/internal/window"
 )
 
 // BenchmarkSelectAnchors isolates the anchor-selection phase (the ~8%
@@ -51,7 +49,7 @@ func profileWindowBench(b *testing.B, L, targets, d, every int, shared bool) {
 	for i := range names {
 		names[i] = fmt.Sprint(i)
 	}
-	w := window.New(L, 2*L, names...)
+	w := servedWindow(L, l, names...)
 	p := NewIncrementalProfiler(l, w)
 	data := randomRefs(23, width, 2*L)
 	w.AdvanceColumns(data, 0, L)

@@ -104,12 +104,39 @@ func (FFTProfiler) Profile(refs [][]float64, l int, norm Norm, dst []float64) []
 // maintained profile within ~1e-9 of the naive one.
 const incRebuildEvery = 8192
 
-// backingSlack is the spare room of the backings that no replay reads: the
-// candidate energies past the maxCand live ones, and the window past its L
-// values under the stateless profilers. At L/4 a backing compacts once every
-// L/4 slides (four copies per slide, amortized) and costs 1.25× its live
-// size.
+// backingSlack is the spare room of a window backing past its L values and
+// the slid-out values it keeps: at L/4 it compacts once every L/4 slides
+// (about four copies per slide, amortized) and costs 1.25× its live size.
 func backingSlack(L int) int { return max(1, L/4) }
+
+// historyCapacity is the per-stream window backing the engine allocates:
+// the window, the slid-out values it keeps (historyKeep) and backingSlack.
+func historyCapacity(kind ProfilerKind, L, l int) int {
+	return L + historyKeep(kind, l) + backingSlack(L)
+}
+
+// historyKeep is how many slid-out values the engine's window keeps across a
+// compaction: the l a replay may read under the incremental profiler (see
+// IncrementalProfiler.replayFrom), none under the stateless profilers.
+func historyKeep(kind ProfilerKind, l int) int {
+	if kind == ProfilerIncremental {
+		return l
+	}
+	return 0
+}
+
+// replayFloor is the oldest sync position a replay may start from once the
+// window's oldest value sits at absolute position pos: L·⌊(pos−1)/L⌋ (0
+// before the first slide), the points at which a backing of capacity 2L
+// compacts. A function of window position alone, it keeps the
+// replay-or-rebuild choices — and so the output bits — those of the 2L
+// backing under any capacity.
+func replayFloor(pos, L int) int {
+	if pos < 1 {
+		return 0
+	}
+	return L * ((pos - 1) / L)
+}
 
 // incStreamState holds one stream's (possibly stale) sliding profile
 // aggregates. With v the stream's window (oldest first, m ticks) and
@@ -134,7 +161,8 @@ func backingSlack(L int) int { return max(1, L/4) }
 // from scratch otherwise. syncPos/syncM record the window geometry at the
 // last sync, syncPos as an absolute position (Window.Shifted + start) that
 // compactions do not move, so the replay can reconstruct every intermediate
-// window directly from the backing while its values are still there.
+// window directly from the backing: a replay starts at most l positions left
+// of the window, and the backing keeps the last l slid-out values.
 type incStreamState struct {
 	// Aggregates; valid only while aggOK, and then describe the window as it
 	// was at the last sync.
@@ -144,7 +172,7 @@ type incStreamState struct {
 	sinceRebuild int // synced ticks since the last full rebuild
 
 	cross  []float64 // len = candidate count at last sync, cap maxCand
-	energy []float64 // backing, len maxCand + slack; entries = energy[estart : estart+nCand]
+	energy []float64 // backing, len maxCand + l; entries = energy[estart : estart+nCand]
 	estart int
 	eq     float64
 }
@@ -152,9 +180,9 @@ type incStreamState struct {
 // IncrementalProfiler maintains per-stream profile aggregates inside the
 // engine, replacing the O(d·l·L) per-tick recompute with demand-driven
 // incremental maintenance. It reads the stream histories from the engine's
-// window — whose backing of capacity 2L keeps slid-out values until the next
-// compaction — and keeps no copy of them, and assembles profiles for any
-// reference subset via ProfileWindow.
+// window — whose backing keeps the last l slid-out values across compactions
+// — and keeps no copy of them, and assembles profiles for any reference
+// subset via ProfileWindow.
 //
 // Recording a tick costs the profiler nothing. A stream's aggregates are
 // caught up when it is first consulted in a tick, choosing the cheaper of
@@ -172,7 +200,7 @@ type incStreamState struct {
 type IncrementalProfiler struct {
 	l         int
 	maxCand   int
-	energyLen int // maxCand live candidate energies plus backingSlack
+	energyLen int // maxCand live candidate energies plus l of slack
 	w         *window.Window
 	states    []*incStreamState
 	fallbak   FFTProfiler
@@ -180,13 +208,20 @@ type IncrementalProfiler struct {
 
 // NewIncrementalProfiler creates the engine-side incremental profiler for
 // pattern length l over the streams of w. Consulted streams must be complete
-// over w's retained window, the engine's continuous-imputation invariant.
+// over w's retained window, the engine's continuous-imputation invariant, and
+// w must keep at least l slid-out values across a compaction (window.New's
+// keep); sync panics on a backing that lost values a replay reads.
+//
+// The candidate energies have l entries of slack: a replayed slide shifts
+// them one slot and every l slides they move to the front. They are only
+// moved, never recomputed, so the slack changes no bit, and the move costs
+// O(nCand/l) per slide inside a replay that costs O(nCand) per slide.
 func NewIncrementalProfiler(l int, w *window.Window) *IncrementalProfiler {
 	maxCand := max(w.Length()-2*l+1, 0)
 	p := &IncrementalProfiler{
 		l:         l,
 		maxCand:   maxCand,
-		energyLen: maxCand + backingSlack(w.Length()),
+		energyLen: maxCand + l,
 		w:         w,
 		states:    make([]*incStreamState, w.Width()),
 	}
@@ -208,7 +243,7 @@ func (p *IncrementalProfiler) Profile(refs [][]float64, l int, norm Norm, dst []
 // sync brings stream i's aggregates up to the current tick. It replays the
 // deferred per-tick diagonal updates when the aggregates are recent enough
 // for that to beat a rebuild (t deferred ticks cost O(t·L) vs the rebuild's
-// O(l·L)), and rebuilds from the raw window otherwise.
+// O(l·L)), and rebuilds from the raw window otherwise (see replayFrom).
 func (p *IncrementalProfiler) sync(i int) {
 	st := p.states[i]
 	hist, start := p.w.Backing(i)
@@ -234,17 +269,8 @@ func (p *IncrementalProfiler) sync(i int) {
 	grow := m - st.syncM
 	slide := pos - st.syncPos
 	deferred := grow + slide
-	syncStart := st.syncPos - p.w.Shifted() // negative once compacted away
-	// Replay needs: valid aggregates that already covered ≥ 1 candidate, the
-	// sync point's values still in the backing, staying under the
-	// drift-rebuild budget — and it must be cheaper than the O(m + nCand·l)
-	// rebuild.
-	replay := st.aggOK &&
-		st.syncM-2*l+1 >= 1 &&
-		syncStart >= 0 &&
-		st.sinceRebuild+deferred < incRebuildEvery &&
-		deferred*(nCand+l) <= m+nCand*l
-	if !replay {
+	syncStart := p.replayFrom(st, m, pos, deferred)
+	if syncStart < 0 {
 		st.rebuild(hist[start:start+m], l)
 		st.syncPos = pos
 		st.syncM = m
@@ -260,6 +286,33 @@ func (p *IncrementalProfiler) sync(i int) {
 	st.sinceRebuild += deferred
 	st.syncPos = pos
 	st.syncM = m
+}
+
+// replayFrom decides how sync catches st up to a window of m values at
+// absolute position pos: it returns the backing position of st's sync point,
+// where a replay of the deferred ticks starts, or -1 to rebuild. A replay
+// needs valid aggregates that already covered ≥ 1 candidate, a sync point at
+// or after replayFloor, room under the drift-rebuild budget — and it must be
+// cheaper than the O(m + nCand·l) rebuild. With m = nCand + 2l − 1 that last
+// condition gives deferred < l + 1, so a replay reads at most l slid-out
+// values, which the engine's window keeps; a sync point a compaction moved
+// out of the backing is a broken invariant, not a rebuild case, and panics.
+func (p *IncrementalProfiler) replayFrom(st *incStreamState, m, pos, deferred int) int {
+	l := p.l
+	nCand := m - 2*l + 1
+	replay := st.aggOK &&
+		st.syncM-2*l+1 >= 1 &&
+		st.syncPos >= replayFloor(pos, p.w.Length()) &&
+		st.sinceRebuild+deferred < incRebuildEvery &&
+		deferred*(nCand+l) <= m+nCand*l
+	if !replay {
+		return -1
+	}
+	from := st.syncPos - p.w.Shifted()
+	if from < 0 {
+		panic(fmt.Sprintf("core: replay from absolute position %d, but the window backing starts at %d", st.syncPos, p.w.Shifted()))
+	}
+	return from
 }
 
 // replayGrowth replays one deferred warm-up tick: the window grew by one to

@@ -18,7 +18,7 @@ const profileTol = 1e-6
 // implementation must agree with the naive Def. 2 loop across norms,
 // pattern lengths and reference counts.
 func TestProfilerSliceEquivalence(t *testing.T) {
-	profilers := []Profiler{NaiveProfiler{}, FFTProfiler{}, NewIncrementalProfiler(1, window.New(2, 4, "x"))}
+	profilers := []Profiler{NaiveProfiler{}, FFTProfiler{}, NewIncrementalProfiler(1, window.New(2, 4, 0, "x"))}
 	for _, norm := range []Norm{L2, L1, LInf} {
 		for _, l := range []int{1, 3, 8, 17} {
 			for _, d := range []int{1, 2, 4} {
@@ -41,6 +41,13 @@ func TestProfilerSliceEquivalence(t *testing.T) {
 	}
 }
 
+// servedWindow builds the window NewEngine gives the incremental profiler:
+// capacity L + l + L/4, keeping the last l slid-out values across
+// compactions.
+func servedWindow(L, l int, names ...string) *window.Window {
+	return window.New(L, historyCapacity(ProfilerIncremental, L, l), historyKeep(ProfilerIncremental, l), names...)
+}
+
 // TestIncrementalProfilerMatchesNaive drives the stateful incremental
 // profiler tick by tick through warm-up, steady state and several backing
 // compactions, checking the maintained L2 profile against a from-scratch
@@ -53,7 +60,7 @@ func TestIncrementalProfilerMatchesNaive(t *testing.T) {
 		d     = 3
 	)
 	data := randomRefs(42, d, ticks)
-	w := window.New(L, 2*L, "a", "b", "c")
+	w := servedWindow(L, l, "a", "b", "c")
 	p := NewIncrementalProfiler(l, w)
 	refIdx := []int{0, 1, 2}
 	snaps := make([][]float64, d)
@@ -88,7 +95,7 @@ func TestIncrementalProfilerSubsetAssembly(t *testing.T) {
 		d = 4
 	)
 	data := randomRefs(7, d, 3*L)
-	w := window.New(L, 2*L, "a", "b", "c", "d")
+	w := servedWindow(L, l, "a", "b", "c", "d")
 	p := NewIncrementalProfiler(l, w)
 	w.AdvanceColumns(data, 0, 3*L)
 	for _, subset := range [][]int{{0}, {2}, {1, 3}, {3, 0, 2}} {
@@ -268,7 +275,7 @@ func TestImputeWindowHonorsProfilerConfig(t *testing.T) {
 	const L = 60
 	data := randomRefs(3, 3, L+17)
 	mkWindow := func() *window.Window {
-		w := window.New(L, 2*L, "s", "r1", "r2")
+		w := window.New(L, 2*L, 0, "s", "r1", "r2")
 		for i := range data[0] {
 			w.Advance([]float64{data[0][i], data[1][i], data[2][i]})
 		}
@@ -293,9 +300,8 @@ func TestImputeWindowHonorsProfilerConfig(t *testing.T) {
 }
 
 // syncReference is sync with the per-slide replay and the one-candidate-at-
-// a-time rebuild: the same replay-vs-rebuild rule, drift budget and
-// compaction handling, applying each deferred slide in its own pass over
-// cross. It is the oracle the fused replay and the blocked rebuild must
+// a-time rebuild: the same replay-vs-rebuild rule and backing positions
+// (replayFrom), applying each deferred slide in its own pass over cross. It is the oracle the fused replay and the blocked rebuild must
 // match bit for bit.
 func syncReference(p *IncrementalProfiler, i int) {
 	st := p.states[i]
@@ -316,15 +322,9 @@ func syncReference(p *IncrementalProfiler, i int) {
 		st.cross = make([]float64, 0, p.maxCand)
 	}
 	grow := m - st.syncM
-	slide := pos - st.syncPos
-	deferred := grow + slide
-	syncStart := st.syncPos - p.w.Shifted()
-	replay := st.aggOK &&
-		st.syncM-2*l+1 >= 1 &&
-		syncStart >= 0 &&
-		st.sinceRebuild+deferred < incRebuildEvery &&
-		deferred*(nCand+l) <= m+nCand*l
-	if !replay {
+	deferred := grow + pos - st.syncPos
+	syncStart := p.replayFrom(st, m, pos, deferred)
+	if syncStart < 0 {
 		rebuildReference(st, hist[start:start+m], l)
 		st.syncPos = pos
 		st.syncM = m
@@ -452,10 +452,11 @@ func sameAggregates(a, b *incStreamState) string {
 
 // TestFusedReplayMatchesPerSlide consults three references every gap
 // ticks, for every gap from 1 to 80, through the production catch-up and
-// through the per-slide oracle. Gaps above 61 cross the replay-vs-rebuild
-// threshold at this shape, and each run spans a backing compaction (which
-// forces the next catch-up to rebuild), so fused replays of every remainder
-// mod 4 start from both rebuilt and replayed aggregates. cross, energy, eq and the assembled profiles — over
+// through the per-slide oracle, over the served backing. Gaps above 61 cross
+// the replay-vs-rebuild threshold at this shape, and each run crosses a
+// replay floor (which forces the next catch-up to rebuild) and several
+// backing compactions, so fused replays of every remainder mod 4 start from
+// both rebuilt and replayed aggregates. cross, energy, eq and the assembled profiles — over
 // one reference and over all three, which exercises the first, middle and
 // last assembly passes — must agree bit for bit at every consult.
 func TestFusedReplayMatchesPerSlide(t *testing.T) {
@@ -467,7 +468,7 @@ func TestFusedReplayMatchesPerSlide(t *testing.T) {
 	for gap := 1; gap <= 80; gap++ {
 		ticks := 5*L/2 + 2*gap
 		data := randomRefs(int64(1000+gap), d, ticks)
-		w := window.New(L, 2*L, "a", "b", "c")
+		w := servedWindow(L, l, "a", "b", "c")
 		got := NewIncrementalProfiler(l, w)
 		want := NewIncrementalProfiler(l, w)
 		for n := 0; n < ticks; n++ {

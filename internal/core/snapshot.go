@@ -338,8 +338,8 @@ func decodeSnapMeta(dec *snapDecoder, version uint32) (*snapMeta, error) {
 	m.cfg = dec.decodeConfig(version)
 	// Bound the decoded dimensions before any size computed from them is
 	// allocated or handed to the window constructor. The restore's first
-	// append allocates the window backing (up to 2·WindowLength floats per
-	// stream) and Workers sizes the tick pool's scratch, so both are checked
+	// append allocates the window backing (L + l + L/4 floats per stream) and
+	// Workers sizes the tick pool's scratch, so both are checked
 	// before NewEngine can allocate from them. The caps are the same ones Validate enforces, so
 	// every engine that could be snapshotted restores.
 	if dec.err == nil && (m.cfg.WindowLength < 0 || m.cfg.WindowLength > MaxWindowLength) {

@@ -1,18 +1,20 @@
 // Package window maintains the streaming window W = {tn-L+1, ..., tn} over a
 // set of co-evolving streams (Sec. 3). Each stream's retained values sit
-// contiguously in a backing array of fixed capacity C > L: a tick writes its
-// value right after the window and slides the window's start, and when the
-// right edge is reached the window is copied to the front. That is L copies
-// every C−L ticks — an amortized O(1) advance, like the ring buffer of Sec.
-// 6.2 (Lemma 6.1) — and every scan runs over one plain slice.
+// contiguously in a backing array of fixed capacity C > L + keep: a tick
+// writes its value right after the window and slides the window's start, and
+// when the right edge is reached the window and the last keep values that
+// slid out of it are copied to the front. That is L + keep copies every
+// C − L − keep ticks — an amortized O(1) advance, like the ring buffer of
+// Sec. 6.2 (Lemma 6.1) — and every scan runs over one plain slice.
 //
 // Values that slid out of the window stay readable left of its start until
-// the next compaction; the incremental profiler (internal/core) replays
-// deferred ticks against them instead of keeping a second copy of the
-// history. Every tick delivers exactly one value per stream (NaN marks a
-// missing one), so all streams share one geometry — start, filled count and
-// compaction points — and imputers overwrite the newest slot of incomplete
-// streams (SetCurrent), so the retained history is always complete.
+// the next compaction, and the last keep of them survive it; the incremental
+// profiler (internal/core) replays deferred ticks against them instead of
+// keeping a second copy of the history. Every tick delivers exactly one value
+// per stream (NaN marks a missing one), so all streams share one geometry —
+// start, filled count and compaction points — and imputers overwrite the
+// newest slot of incomplete streams (SetCurrent), so the retained history is
+// always complete.
 package window
 
 import "fmt"
@@ -21,6 +23,7 @@ import "fmt"
 type Window struct {
 	length   int
 	capacity int
+	keep     int // slid-out values a compaction keeps left of the window
 	names    []string
 	index    map[string]int
 	// hist holds one backing slice of len capacity per stream, allocated on
@@ -35,15 +38,19 @@ type Window struct {
 }
 
 // New creates a window of length L over the given stream names, backed by
-// capacity values per stream. A larger capacity compacts less often and keeps
-// slid-out values readable for longer (see Backing). It panics if L <= 0, if
-// capacity <= L, if no names are given, or on duplicate names.
-func New(length, capacity int, names ...string) *Window {
+// capacity values per stream, whose compactions keep the last keep slid-out
+// values readable left of the window (see Backing). A larger capacity
+// compacts less often. It panics if L <= 0, if keep < 0, if capacity <=
+// L + keep, if no names are given, or on duplicate names.
+func New(length, capacity, keep int, names ...string) *Window {
 	if length <= 0 {
 		panic(fmt.Sprintf("window: length must be positive, got %d", length))
 	}
-	if capacity <= length {
-		panic(fmt.Sprintf("window: capacity %d must exceed the length %d", capacity, length))
+	if keep < 0 {
+		panic(fmt.Sprintf("window: keep must be non-negative, got %d", keep))
+	}
+	if capacity <= length+keep {
+		panic(fmt.Sprintf("window: capacity %d must exceed the length %d plus keep %d", capacity, length, keep))
 	}
 	if len(names) == 0 {
 		panic("window: at least one stream is required")
@@ -51,6 +58,7 @@ func New(length, capacity int, names ...string) *Window {
 	w := &Window{
 		length:   length,
 		capacity: capacity,
+		keep:     keep,
 		names:    append([]string(nil), names...),
 		index:    make(map[string]int, len(names)),
 		hist:     make([][]float64, len(names)),
@@ -137,7 +145,10 @@ func (w *Window) AdvanceColumns(cols [][]float64, from, to int) int {
 
 // room makes space right after the window — allocating the backings on
 // first use, and compacting them when the right edge is reached — and
-// returns how many of n values fit there contiguously.
+// returns how many of n values fit there contiguously. A compaction moves the
+// window and the keep values before it to the front; the right edge is only
+// reached once more than keep values have slid out, since capacity exceeds
+// L + keep.
 func (w *Window) room(n int) int {
 	if w.hist[0] == nil {
 		all := make([]float64, len(w.hist)*w.capacity)
@@ -147,12 +158,13 @@ func (w *Window) room(n int) int {
 	}
 	free := w.capacity - (w.start + w.filled)
 	if free == 0 {
+		from := w.start - w.keep
 		for _, h := range w.hist {
-			copy(h, h[w.start:w.start+w.filled])
+			copy(h, h[from:w.start+w.filled])
 		}
-		w.shifted += w.start
-		w.start = 0
-		free = w.capacity - w.filled
+		w.shifted += from
+		w.start = w.keep
+		free = w.capacity - w.keep - w.filled
 	}
 	return min(n, free)
 }
@@ -192,9 +204,11 @@ func (w *Window) SetCurrent(i int, v float64) { w.hist[i][w.start+w.filled-1] = 
 // Backing returns stream i's whole backing array and the position of the
 // oldest retained value in it: the window is hist[start : start+Filled()].
 // Positions left of start hold values that slid out of the window, readable
-// until the next compaction moves the window to the front (see Shifted). The
-// slice aliases the window's storage, is nil before the first Advance, and
-// must not be written through.
+// until the next compaction moves the window to the front; the last keep of
+// them (all of them while fewer have slid out) survive it, so start ≥
+// min(keep, Shifted()+start) at every tick (see Shifted). The slice aliases
+// the window's storage, is nil before the first Advance, and must not be
+// written through.
 func (w *Window) Backing(i int) (hist []float64, start int) { return w.hist[i], w.start }
 
 // Shifted returns the total number of positions compactions have moved the

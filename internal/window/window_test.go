@@ -1,6 +1,7 @@
 package window
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -9,11 +10,12 @@ import (
 
 func TestNewValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero length":        func() { New(0, 1, "a") },
-		"capacity == length": func() { New(3, 3, "a") },
-		"capacity < length":  func() { New(3, 2, "a") },
-		"no streams":         func() { New(3, 6) },
-		"duplicate name":     func() { New(3, 6, "a", "a") },
+		"zero length":        func() { New(0, 1, 0, "a") },
+		"capacity == length": func() { New(3, 3, 0, "a") },
+		"capacity < length":  func() { New(3, 2, 0, "a") },
+		"negative keep":      func() { New(3, 6, -1, "a") },
+		"no streams":         func() { New(3, 6, 0) },
+		"duplicate name":     func() { New(3, 6, 0, "a", "a") },
 	} {
 		func() {
 			defer func() {
@@ -26,32 +28,36 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestNewPanicsOnBadCapacity: a backing must have room past the window, so
-// every capacity up to L is refused and L+1, the tightest, is accepted.
+// TestNewPanicsOnBadCapacity: a backing must have room past the window and
+// the keep values a compaction moves with it, so every capacity up to
+// L + keep is refused and L + keep + 1, the tightest, is accepted.
 func TestNewPanicsOnBadCapacity(t *testing.T) {
 	for _, L := range []int{1, 4} {
-		for _, c := range []int{-1, 0, L - 1, L} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("L = %d: capacity %d accepted", L, c)
-					}
+		for _, keep := range []int{0, 1, 3} {
+			for _, c := range []int{-1, 0, L - 1, L, L + keep} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("L = %d keep %d: capacity %d accepted", L, keep, c)
+						}
+					}()
+					New(L, c, keep, "a")
 				}()
-				New(L, c, "a")
-			}()
-		}
-		w := New(L, L+1, "a")
-		for v := 0; v < 3*L; v++ {
-			w.Advance([]float64{float64(v)})
-		}
-		if w.Capacity() != L+1 || w.Filled() != L || w.Current(0) != float64(3*L-1) {
-			t.Fatalf("L = %d at capacity L+1: capacity %d filled %d current %v", L, w.Capacity(), w.Filled(), w.Current(0))
+			}
+			w := New(L, L+keep+1, keep, "a")
+			for v := 0; v < 3*(L+keep); v++ {
+				w.Advance([]float64{float64(v)})
+			}
+			if w.Capacity() != L+keep+1 || w.Filled() != L || w.Current(0) != float64(3*(L+keep)-1) || startOf(w) != keep+1 {
+				t.Fatalf("L = %d keep %d at capacity L+keep+1: capacity %d filled %d current %v start %d",
+					L, keep, w.Capacity(), w.Filled(), w.Current(0), startOf(w))
+			}
 		}
 	}
 }
 
 func TestAdvanceAndAccessors(t *testing.T) {
-	w := New(3, 4, "x", "y")
+	w := New(3, 4, 0, "x", "y")
 	if w.Tick() != -1 || w.Filled() != 0 {
 		t.Fatal("fresh window state wrong")
 	}
@@ -82,7 +88,7 @@ func TestAdvanceAndAccessors(t *testing.T) {
 // TestAdvanceBeforeFull: until L values arrive the window grows in place from
 // the front of the backing — no slide, no compaction — and reads oldest first.
 func TestAdvanceBeforeFull(t *testing.T) {
-	w := New(4, 8, "a", "b")
+	w := New(4, 8, 0, "a", "b")
 	if w.Filled() != 0 || w.Tick() != -1 {
 		t.Fatal("fresh window must be empty")
 	}
@@ -109,7 +115,7 @@ func TestAdvanceBeforeFull(t *testing.T) {
 // every tick after the first slide.
 func TestAdvanceEvictsOldest(t *testing.T) {
 	const L = 3
-	w := New(L, L+1, "a")
+	w := New(L, L+1, 0, "a")
 	for v := 1; v <= 9; v++ {
 		w.Advance([]float64{float64(v)})
 		var want []float64
@@ -129,7 +135,7 @@ func TestAdvanceEvictsOldest(t *testing.T) {
 }
 
 func TestAdvanceWidthMismatch(t *testing.T) {
-	w := New(3, 6, "a")
+	w := New(3, 6, 0, "a")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("row width mismatch accepted")
@@ -141,7 +147,7 @@ func TestAdvanceWidthMismatch(t *testing.T) {
 // TestAtOutOfRangePanics: At only reads the retained window, never the
 // slid-out values or the free room of the backing.
 func TestAtOutOfRangePanics(t *testing.T) {
-	w := New(2, 4, "a")
+	w := New(2, 4, 0, "a")
 	for v := 0; v < 3; v++ {
 		w.Advance([]float64{float64(v)})
 	}
@@ -160,7 +166,7 @@ func TestAtOutOfRangePanics(t *testing.T) {
 // TestEmptyAccessorsPanic: before the first Advance there is no current
 // value to read or overwrite.
 func TestEmptyAccessorsPanic(t *testing.T) {
-	w := New(2, 4, "a")
+	w := New(2, 4, 0, "a")
 	for name, fn := range map[string]func(){
 		"Current":    func() { w.Current(0) },
 		"SetCurrent": func() { w.SetCurrent(0, 1) },
@@ -180,7 +186,7 @@ func TestEmptyAccessorsPanic(t *testing.T) {
 // TestMissingDetection: a missing value is NaN in the stream's newest slot
 // until SetCurrent overwrites it; the other streams are untouched.
 func TestMissingDetection(t *testing.T) {
-	w := New(2, 3, "a", "b", "c")
+	w := New(2, 3, 0, "a", "b", "c")
 	w.Advance([]float64{1, math.NaN(), math.NaN()})
 	if !math.IsNaN(w.Current(1)) || math.IsNaN(w.Current(0)) || !math.IsNaN(w.At(2, 0)) {
 		t.Fatal("missing values not recorded as NaN at tn")
@@ -198,7 +204,7 @@ func TestSnapshotKeepsMissing(t *testing.T) {
 	const L = 4
 	nan := math.NaN()
 	feed := []float64{1, nan, 3, nan, 5, 6, nan, 8, 9, 10, 11, nan, nan, 14}
-	w := New(L, L+2, "a")
+	w := New(L, L+2, 0, "a")
 	for x, v := range feed {
 		w.Advance([]float64{v})
 		retained := feed[max(0, x-L+1) : x+1]
@@ -228,7 +234,7 @@ func TestSnapshotKeepsMissing(t *testing.T) {
 }
 
 func TestNamesAndLookup(t *testing.T) {
-	w := New(2, 3, "a", "b")
+	w := New(2, 3, 0, "a", "b")
 	if !reflect.DeepEqual(w.Names(), []string{"a", "b"}) {
 		t.Fatalf("names = %v", w.Names())
 	}
@@ -243,7 +249,7 @@ func TestNamesAndLookup(t *testing.T) {
 // TestSnapshotIntoReusesStorage: SnapshotInto must grow once and then reuse
 // the caller's buffer, returning the logical contents oldest-first.
 func TestSnapshotIntoReusesStorage(t *testing.T) {
-	w := New(3, 4, "a", "b")
+	w := New(3, 4, 0, "a", "b")
 	w.Advance([]float64{1, 10})
 	w.Advance([]float64{2, 20})
 	got := w.SnapshotInto(1, nil)
@@ -266,7 +272,7 @@ func TestSnapshotIntoReusesStorage(t *testing.T) {
 // TestSnapshotIntoShortBuffer: a dst whose capacity is exactly Filled() is
 // reused; a shorter one is left untouched and a fresh slice is returned.
 func TestSnapshotIntoShortBuffer(t *testing.T) {
-	w := New(3, 4, "a")
+	w := New(3, 4, 0, "a")
 	for v := 1; v <= 5; v++ {
 		w.Advance([]float64{float64(v)})
 	}
@@ -288,7 +294,7 @@ func TestSnapshotIntoShortBuffer(t *testing.T) {
 // window to the front. No backing exists before the first Advance.
 func TestWindowViews(t *testing.T) {
 	const L, C = 3, 5
-	w := New(L, C, "a", "b")
+	w := New(L, C, 0, "a", "b")
 	if h, _ := w.Backing(0); h != nil {
 		t.Fatal("backing allocated before the first Advance")
 	}
@@ -334,7 +340,7 @@ func startOf(w *Window) int {
 // after a compaction, and never through a neighbor's, and no backing's
 // capacity reaches into the next stream's values.
 func TestBackingAliasesStorage(t *testing.T) {
-	w := New(2, 3, "a", "b", "c")
+	w := New(2, 3, 0, "a", "b", "c")
 	for tick := 0; tick < 4; tick++ {
 		w.Advance([]float64{1, 2, 3})
 		w.SetCurrent(1, float64(40+tick))
@@ -359,42 +365,71 @@ func TestBackingAliasesStorage(t *testing.T) {
 
 // TestBackingMatchesLogicalOrder: the backing's window segment reads the
 // logical contents oldest first at every fill level and compaction position,
-// under the tightest, a quarter-slack and a doubled capacity, whether the
-// window advances row by row or in AdvanceColumns runs.
+// and the last min(keep, slid-out) values sit left of it, for keep 0, 1 and a
+// pattern length l, under the tightest, a quarter-slack and a doubled
+// capacity, whether the window advances row by row or in AdvanceColumns runs.
 func TestBackingMatchesLogicalOrder(t *testing.T) {
-	const L = 8
+	const L, l = 8, 3
 	col := make([]float64, 5*L)
 	for x := range col {
 		col[x] = float64(x)
 	}
-	for _, capacity := range []int{L + 1, L + L/4, 2 * L} {
-		for _, run := range []int{1, 3} {
-			w := New(L, capacity, "a")
-			if h, _ := w.Backing(0); h != nil {
-				t.Fatal("backing allocated before the first Advance")
-			}
-			for from := 0; from < len(col); from += run {
-				to := min(from+run, len(col))
-				if run == 1 {
-					w.Advance(col[from:to])
-				} else {
-					w.AdvanceColumns([][]float64{col}, from, to)
-				}
-				h, start := w.Backing(0)
-				if got, want := h[start:start+w.Filled()], col[to-w.Filled():to]; !reflect.DeepEqual(got, want) {
-					t.Fatalf("capacity %d run %d at %d: backing segment %v, want %v", capacity, run, from, got, want)
-				}
-				for j := 0; j < w.Filled(); j++ {
-					if w.At(0, j) != h[start+j] {
-						t.Fatalf("capacity %d run %d at %d: At(0, %d) = %v, backing %v", capacity, run, from, j, w.At(0, j), h[start+j])
-					}
-				}
-			}
-			if w.Shifted() == 0 {
-				t.Fatalf("capacity %d run %d: the feed never compacted", capacity, run)
+	for _, keep := range []int{0, 1, l} {
+		for _, capacity := range []int{L + keep + 1, L + keep + L/4, 2 * L} {
+			for _, run := range []int{1, 3} {
+				testBackingOrder(t, col, L, capacity, keep, run)
 			}
 		}
 	}
+}
+
+// testBackingOrder feeds col through one window, run values per advance, and
+// checks its backing after every advance.
+func testBackingOrder(t *testing.T, col []float64, L, capacity, keep, run int) {
+	t.Helper()
+	w := New(L, capacity, keep, "a")
+	if h, _ := w.Backing(0); h != nil {
+		t.Fatal("backing allocated before the first Advance")
+	}
+	for from := 0; from < len(col); from += run {
+		to := min(from+run, len(col))
+		if run == 1 {
+			w.Advance(col[from:to])
+		} else {
+			w.AdvanceColumns([][]float64{col}, from, to)
+		}
+		h, start := w.Backing(0)
+		if got, want := h[start:start+w.Filled()], col[to-w.Filled():to]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("capacity %d keep %d run %d at %d: backing segment %v, want %v", capacity, keep, run, from, got, want)
+		}
+		for j := 0; j < w.Filled(); j++ {
+			if w.At(0, j) != h[start+j] {
+				t.Fatalf("capacity %d keep %d run %d at %d: At(0, %d) = %v, backing %v", capacity, keep, run, from, j, w.At(0, j), h[start+j])
+			}
+		}
+		if msg := keptSlidOut(w, h, start, col); msg != "" {
+			t.Fatalf("capacity %d keep %d run %d at %d: %s", capacity, keep, run, from, msg)
+		}
+	}
+	if w.Shifted() == 0 {
+		t.Fatalf("capacity %d keep %d run %d: the feed never compacted", capacity, keep, run)
+	}
+}
+
+// keptSlidOut checks the values left of the window in backing h against the
+// fed column col: at least the last min(keep, slid-out) of them are there,
+// each at its absolute position Shifted()+p. It returns "" when they are.
+func keptSlidOut(w *Window, h []float64, start int, col []float64) string {
+	slidOut := w.Shifted() + start
+	if want := min(w.keep, slidOut); start < want {
+		return fmt.Sprintf("%d slid-out values left of the window, want at least %d", start, want)
+	}
+	for p := range h[:start] {
+		if h[p] != col[w.Shifted()+p] {
+			return fmt.Sprintf("backing[%d] = %v, want the value fed at %d (%v)", p, h[p], w.Shifted()+p, col[w.Shifted()+p])
+		}
+	}
+	return ""
 }
 
 // TestAdvanceColumnsMatchesAdvance: bulk runs of mixed lengths — shorter
@@ -408,8 +443,8 @@ func TestAdvanceColumnsMatchesAdvance(t *testing.T) {
 		for x := range cols[0] {
 			cols[0][x], cols[1][x] = float64(x), -float64(x)
 		}
-		rowWise := New(L, capacity, "p", "q")
-		bulk := New(L, capacity, "p", "q")
+		rowWise := New(L, capacity, 0, "p", "q")
+		bulk := New(L, capacity, 0, "p", "q")
 		runs := []int{1, 3, 15, 16, 17, 2, 40, 5, 1, 1, 33, 64, 7}
 		from := 0
 		for r := 0; from < len(cols[0]); r++ {
@@ -449,7 +484,7 @@ func TestAdvanceColumnsMatchesAdvance(t *testing.T) {
 // that slot, and the history before it survives the move.
 func TestSetCurrentAtCompaction(t *testing.T) {
 	const L, C = 4, 6
-	w := New(L, C, "a", "b")
+	w := New(L, C, 0, "a", "b")
 	for tick := 0; tick < C; tick++ {
 		w.Advance([]float64{float64(tick), float64(tick)})
 	}
@@ -473,7 +508,7 @@ func TestSetCurrentAtCompaction(t *testing.T) {
 // does not change when the window advances.
 func TestSnapshotAcrossCompactions(t *testing.T) {
 	const L = 5
-	w := New(L, L+1, "a")
+	w := New(L, L+1, 0, "a")
 	var prev, prevWant []float64
 	for tick := 0; tick < 40; tick++ {
 		w.Advance([]float64{float64(tick)})
@@ -500,7 +535,7 @@ func TestSnapshotAcrossCompactions(t *testing.T) {
 func TestWindowMatchesSliceModel(t *testing.T) {
 	f := func(rows []uint32, lenRaw, slackRaw uint8) bool {
 		L := int(lenRaw)%6 + 2
-		w := New(L, L+int(slackRaw)%(L+1)+1, "p", "q")
+		w := New(L, L+int(slackRaw)%(L+1)+1, 0, "p", "q")
 		var mp, mq []float64
 		for _, r := range rows {
 			pv := float64(r & 0xffff)
@@ -528,13 +563,16 @@ func TestWindowMatchesSliceModel(t *testing.T) {
 }
 
 // TestAdvanceColumnsMatchesSliceModel drives AdvanceColumns runs of random
-// lengths, empty ones included, against a slice model under random lengths
-// and capacities (testing/quick): after every run the tick, the fill level
-// and every retained value, oldest and newest included, match the model.
+// lengths, empty ones included, against a slice model under random lengths,
+// keeps and capacities (testing/quick): after every run the tick, the fill
+// level and every retained value, oldest and newest included, match the
+// model, and the last min(keep, slid-out) values sit left of the window at
+// their absolute positions.
 func TestAdvanceColumnsMatchesSliceModel(t *testing.T) {
-	f := func(vals []uint16, runs []uint8, lenRaw, slackRaw uint8) bool {
+	f := func(vals []uint16, runs []uint8, lenRaw, keepRaw, slackRaw uint8) bool {
 		L := int(lenRaw)%6 + 1
-		w := New(L, L+int(slackRaw)%(L+1)+1, "a")
+		keep := int(keepRaw) % (L + 2)
+		w := New(L, L+keep+int(slackRaw)%(L+1)+1, keep, "a")
 		col := make([]float64, len(vals))
 		for x, v := range vals {
 			col[x] = float64(v % 97)
@@ -561,6 +599,9 @@ func TestAdvanceColumnsMatchesSliceModel(t *testing.T) {
 				}
 			}
 			if len(model) > 0 && w.Current(0) != model[len(model)-1] {
+				return false
+			}
+			if h, start := w.Backing(0); len(model) > 0 && (w.Shifted()+start != to-len(model) || keptSlidOut(w, h, start, col) != "") {
 				return false
 			}
 			from = to
