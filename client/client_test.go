@@ -639,6 +639,96 @@ func TestStreamBatchCoalescing(t *testing.T) {
 	}
 }
 
+// TestStreamLongLines: both tick-stream line scanners start at bufio's
+// 4 KiB and grow on demand. A 2,048-stream tenant makes every row line about
+// 39 KB, so each batch line the producer's backlog coalesces exceeds 64 KiB
+// on the server's scanner, and a row with 300 missing cells acks in a line
+// above 4 KiB on the client's.
+func TestStreamLongLines(t *testing.T) {
+	walMgr := wal.NewManager(t.TempDir(), wal.Options{SyncInterval: time.Millisecond})
+	m := shard.New(shard.Options{Shards: 2, WAL: walMgr})
+	srv := server.New(server.Options{Manager: m, CheckpointDir: t.TempDir(), WAL: walMgr})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer m.Close()
+	defer walMgr.Close()
+
+	ctx := context.Background()
+	c := New(ts.URL)
+	const width, n, missing = 2048, 12, 300
+	names := make([]string, width)
+	refs := make(map[string][]string, missing)
+	for j := range names {
+		names[j] = fmt.Sprintf("s%d", j)
+		if j >= 100 && j < 100+missing {
+			refs[names[j]] = []string{"s0", "s1"} // spares ranking 2,048 candidates per gap
+		}
+	}
+	if err := c.CreateTenant(ctx, "wide", CreateTenantRequest{
+		Streams: names,
+		Config:  &Config{K: 2, PatternLength: 3, D: 2, WindowLength: 32},
+		Refs:    refs,
+	}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	st, err := c.OpenStream(ctx, "wide", StreamOptions{Sequenced: true, Batch: 4, MaxInFlight: n + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowLen := 0
+	for i := 0; i <= n; i++ {
+		row := make([]float64, width)
+		for j := range row {
+			row[j] = 20 + math.Sin(float64(i*width+j))
+			rowLen += len(strconv.FormatFloat(row[j], 'g', -1, 64)) + 1
+		}
+		if i == n {
+			for j := 100; j < 100+missing; j++ {
+				row[j] = math.NaN()
+			}
+		}
+		if err := st.Send(ctx, row); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if rowLen/(n+1) < 32<<10 {
+		t.Fatalf("rows average %d bytes, want two of them above 64 KiB", rowLen/(n+1))
+	}
+	var last Ack
+	for i := 0; i <= n; i++ {
+		if last, err = st.Recv(ctx); err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if last.Seq != uint64(i+1) {
+			t.Fatalf("ack %d: seq %d", i, last.Seq)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if len(last.Imputed) != missing || len(last.Values) != width {
+		t.Fatalf("last ack: %d imputed of %d values, want %d of %d", len(last.Imputed), len(last.Values), missing, width)
+	}
+	ackLen := 0
+	for _, j := range last.Imputed {
+		if v := last.Values[j]; math.IsNaN(v) {
+			t.Fatalf("stream %d left missing", j)
+		} else {
+			ackLen += len(strconv.FormatFloat(v, 'g', -1, 64)) + len(strconv.Itoa(j)) + 2
+		}
+	}
+	if ackLen <= 4<<10 {
+		t.Fatalf("the last ack line carries %d bytes of cells, want above 4 KiB", ackLen)
+	}
+	mtx, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(mtx, "\ntkcm_ticks_batched_total ") || strings.Contains(mtx, "\ntkcm_ticks_batched_total 0\n") {
+		t.Fatal("no rows traveled as batch lines (tkcm_ticks_batched_total 0)")
+	}
+}
+
 // fmtSscan keeps the fmt import local to this test's single use.
 func fmtSscan(s string, v *uint64) (int, error) {
 	u, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)

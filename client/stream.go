@@ -393,7 +393,7 @@ func (s *TickStream) connect() (err error, retryable bool) {
 	}
 
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	sc.Buffer(nil, 1<<20) // bufio's 4 KiB, doubling per longer line
 	var wa wire.Ack
 	for sc.Scan() {
 		line := sc.Bytes()

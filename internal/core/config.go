@@ -155,6 +155,12 @@ func DefaultConfig() Config {
 // window. A create request or a snapshot of a few KB can
 // name thousands of streams at the maximum window length; this is what
 // keeps it from asking for terabytes.
+// MaxWindowCells also bounds the Eq. 5 selection's k·(L − 2l + 2) cells:
+// every imputation fills each cell and keeps a take bit per cell for the
+// backtrack, so the bound caps a selection at 2^27 cell fills and 16 MiB of
+// take bits. Without it a 2-stream engine at L = 2^24, l = 1 could ask for
+// k = 2^23 anchors, 2^47 cells. DefaultConfig selects over 5 × 104,978 =
+// 524,890 cells.
 const (
 	MaxWindowLength = 1 << 24
 	MaxWorkers      = 1 << 16
@@ -190,6 +196,11 @@ func (c Config) Validate() error {
 	// anchor positions.
 	if candidates < (c.K-1)*c.PatternLength+1 {
 		return fmt.Errorf("core: window length L=%d cannot host k=%d non-overlapping patterns of length l=%d", c.WindowLength, c.K, c.PatternLength)
+	}
+	// Eq. 5 fills k × (candidates+1) cells per imputation, a take bit each.
+	if c.K > MaxWindowCells/(candidates+1) {
+		return fmt.Errorf("core: k=%d anchors over L − 2l + 2 = %d columns exceed %d Eq. 5 cells (MaxWindowCells): every imputation fills each cell and keeps a take bit per cell",
+			c.K, candidates+1, MaxWindowCells)
 	}
 	if c.Profiler < ProfilerAuto || c.Profiler > ProfilerIncremental {
 		return fmt.Errorf("core: unknown profiler kind %d", int(c.Profiler))

@@ -164,9 +164,10 @@ func (e *Engine) Seq() uint64 { return uint64(e.tick) }
 // That is at most 3.25× the window bytes with the incremental profiler
 // (3.21× at l = 72, L = 4032) and 1.25× without. Per engine it adds the
 // selection scratch of a full window's n = L − 2l + 1 candidates: the
-// profile buffer (n floats) and the Eq. 5 table ((k+1)(n+1) floats, which
-// the greedy and overlapping ablations do not allocate), once for the
-// serial tick and once per worker when Workers > 1. Streams
+// profile buffer (n floats) and the Eq. 5 scratch, two rows of n+1 floats
+// and k rows of ⌈(n+1)/64⌉ words of take bits (which the greedy and
+// overlapping ablations do not allocate), once for the serial tick and once
+// per worker when Workers > 1. Streams
 // never consulted as references do not allocate the energies and cross
 // products, and a never-ticked engine holds no window backing yet. The
 // estimate is a pure function of the configuration and the stream count, so
@@ -183,7 +184,8 @@ func (e *Engine) MemoryBytes() int64 {
 	if e.cfg.Workers > 1 {
 		scratches += int64(e.cfg.Workers)
 	}
-	return (int64(e.w.Width())*perStream + scratches*(n+int64(e.cfg.K+1)*(n+1))) * 8
+	selection := n + 2*(n+1) + int64(e.cfg.K)*((n+64)/64)
+	return (int64(e.w.Width())*perStream + scratches*selection) * 8
 }
 
 // ValidateRow checks row against the engine's stream width and value domain

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"tkcm/internal/window"
@@ -330,9 +331,33 @@ func TestEngineRowWidthMismatch(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsBadConfig: the zero config is refused, and so is an
+// Eq. 5 selection over more than MaxWindowCells cells — k = 2^23 anchors over
+// L = 2^24, l = 1 fit the window bound at two streams but span 2^47 cells —
+// by Validate and by NewEngine. The paper default and every k the figures
+// sweep (up to 50) still validate at the one-year window, as does k = 8 at
+// the maximum window length.
 func TestNewEngineRejectsBadConfig(t *testing.T) {
 	if _, err := NewEngine(Config{}, []string{"a"}, nil); err == nil {
 		t.Fatal("zero config accepted")
+	}
+	huge := Config{K: 1 << 23, PatternLength: 1, D: 1, WindowLength: MaxWindowLength}
+	if err := huge.Validate(); err == nil || !strings.Contains(err.Error(), "MaxWindowCells") {
+		t.Fatalf("Validate(k=%d, L=%d, l=1) = %v, want the MaxWindowCells bound", huge.K, huge.WindowLength, err)
+	}
+	if _, err := NewEngine(huge, []string{"a", "b"}, nil); err == nil || !strings.Contains(err.Error(), "MaxWindowCells") {
+		t.Fatalf("NewEngine(k=%d, L=%d, l=1) = %v, want the MaxWindowCells bound", huge.K, huge.WindowLength, err)
+	}
+	for _, k := range []int{2, 3, 5, 7, 10, 25, 50} {
+		cfg := DefaultConfig()
+		cfg.K = k
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("DefaultConfig with k=%d: %v", k, err)
+		}
+	}
+	widest := Config{K: 8, PatternLength: 1, D: 1, WindowLength: MaxWindowLength}
+	if err := widest.Validate(); err != nil {
+		t.Errorf("k=8 at L=%d: %v", widest.WindowLength, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -23,13 +24,15 @@ func orderByDissimilarity(order []int, d []float64) {
 }
 
 // selectScratch provides reusable storage for anchor selection so hot
-// callers avoid per-imputation allocations: the flat DP table, the
-// sort-order permutation of the greedy/overlapping strategies, and the
-// chosen-index slice every strategy returns. The zero value is ready to use;
-// buffers grow on first use and are reused afterwards. Selections performed
-// with the same scratch overwrite each other's returned index slice.
+// callers avoid per-imputation allocations: the DP's two alternating Eq. 5
+// rows and its take bits, the sort-order permutation of the greedy/overlapping
+// strategies, and the chosen-index slice every strategy returns. The zero
+// value is ready to use; buffers grow on first use and are reused afterwards.
+// Selections performed with the same scratch overwrite each other's returned
+// index slice.
 type selectScratch struct {
-	dp    []float64
+	rows  []float64 // two rows of n+1 floats: M[i−1][·] and M[i][·]
+	take  []uint64  // k rows of ⌈(n+1)/64⌉ words: bit j of row i is a take at M[i][j]
 	order []int
 	idx   []int
 }
@@ -63,9 +66,9 @@ func (sc *selectScratch) orderBuf(n int) []int {
 // chosen candidate indices (ascending) and the sum of their dissimilarities.
 // ok is false when fewer than k anchors can be selected under the strategy's
 // constraints.
-// sc, when non-nil, provides reusable storage for the DP table, the sort
-// order, and the returned index slice (which then aliases the scratch and is
-// valid until the next selection with the same scratch).
+// sc, when non-nil, provides reusable storage for the DP's two rows and take
+// bits, the sort order, and the returned index slice (which then aliases the
+// scratch and is valid until the next selection with the same scratch).
 func selectAnchors(d []float64, k, l int, sel Selection, sc *selectScratch) (idx []int, sum float64, ok bool) {
 	switch sel {
 	case SelectGreedy:
@@ -95,89 +98,51 @@ func selectDP(d []float64, k, l int) (idx []int, sum float64, ok bool) {
 	return selectDPInto(d, k, l, nil)
 }
 
-// selectDPInto is selectDP with caller-provided table storage (grown in
-// place and reused across calls when sc is non-nil).
+// selectDPInto is selectDP with caller-provided storage (grown in place and
+// reused across calls when sc is non-nil).
 //
-// Each row of M is a running prefix minimum, M[i][j] = min(M[i][j−1],
-// take_j), so the row is filled with the minimum held in a register and a
-// comparison `take < run` that is almost always false once the row has
-// settled. The max(j−l, 0) clamp splits each row into a head (j < l, whose
-// takes all read M[i−1][0]) and a body (takes read M[i−1][j−l]) over
-// re-sliced operands of equal length, so the hot loop carries no clamp and
-// no bounds checks. Every entry is the same IEEE addition and the same
-// `take < skip ? take : skip` choice as the textbook recurrence, so sums and
-// ties come out bit for bit as Eq. 5 computed cell by cell.
+// Only two rows of M are live at a time: row i reads row i−1 and nothing
+// older, so the fill alternates between two rows of n+1 floats (fillRow).
+// What the backtrack needs of the rest of the table is one bit per cell,
+// whether M[i][j] took candidate j, kept in k rows of ⌈(n+1)/64⌉ words. A
+// take is exactly a cell where M[i][j] < M[i][j−1], so the bits steer the
+// backtrack where the full table's equality test M[i][j] == M[i][j−1] did,
+// and every cell is the same IEEE addition and comparison: sums, ties and
+// chosen indices come out bit for bit as Eq. 5 computed cell by cell.
 func selectDPInto(d []float64, k, l int, sc *selectScratch) (idx []int, sum float64, ok bool) {
 	n := len(d)
 	if n == 0 || k <= 0 {
 		return nil, 0, k <= 0
 	}
-	// M is (k+1) × (n+1), rolled out flat. M[i][j] at m[i*(n+1)+j].
-	size := (k + 1) * (n + 1)
-	var m []float64
-	if sc != nil && cap(sc.dp) >= size {
-		m = sc.dp[:size]
-	} else {
-		m = make([]float64, size)
-		if sc != nil {
-			sc.dp = m
-		}
+	if sc == nil {
+		sc = new(selectScratch)
 	}
 	row := n + 1
-	clear(m[:row])
-	inf := math.Inf(1)
-	for i := 1; i <= k; i++ {
-		prevRow := m[(i-1)*row : i*row]
-		cur := m[i*row : (i+1)*row]
-		// M[i][j] = +inf for j < i: fewer candidates than picks.
-		lo := min(i, row)
-		for j := range cur[:lo] {
-			cur[j] = inf
-		}
-		run := inf // M[i][i−1]
-		// Head: j ∈ [i, l) reads M[i−1][0].
-		head := min(l, row)
-		if lo < head {
-			base := prevRow[0]
-			dh := d[lo-1 : head-1]
-			out := cur[lo:head]
-			out = out[:len(dh)]
-			for x, dj := range dh {
-				if take := dj + base; take < run {
-					run = take
-				}
-				out[x] = run
-			}
-		}
-		// Body: j ∈ [max(i, l), n] reads M[i−1][j−l].
-		j0 := max(lo, l)
-		if j0 <= n {
-			db := d[j0-1:]
-			pb := prevRow[j0-l : row-l]
-			out := cur[j0:]
-			pb = pb[:len(db)]
-			out = out[:len(db)]
-			for x, dj := range db {
-				if take := dj + pb[x]; take < run {
-					run = take
-				}
-				out[x] = run
-			}
-		}
+	words := (row + 63) / 64
+	if cap(sc.rows) < 2*row {
+		sc.rows = make([]float64, 2*row)
 	}
-	sum = m[k*row+n]
+	if cap(sc.take) < k*words {
+		sc.take = make([]uint64, k*words)
+	}
+	rows, takes := sc.rows[:2*row], sc.take[:k*words]
+	clear(takes)
+	prevRow, cur := rows[:row], rows[row:]
+	clear(prevRow) // M[0][j] = 0
+	for i := 1; i <= k; i++ {
+		fillRow(cur, prevRow, d, takes[(i-1)*words:i*words], i, l)
+		prevRow, cur = cur, prevRow
+	}
+	sum = prevRow[n] // M[k][n]: the last row filled
 	if math.IsInf(sum, 1) {
 		return nil, 0, false
 	}
-	// Backtrack: walk row i left while M[i][j] was carried over from
-	// M[i][j−1] (a skip), then take candidate j.
+	// Backtrack: walk row i left past the cells that skipped candidate j
+	// (M[i][j] carried over from M[i][j−1]), then take candidate j.
 	idx = sc.idxBuf(k)
 	i, j := k, n
 	for i > 0 {
-		r := m[i*row : i*row+j+1]
-		for j > i && r[j] == r[j-1] {
-			j--
-		}
+		j = lastTake(takes[(i-1)*words:i*words], i, j)
 		idx = append(idx, j-1) // 0-based candidate index
 		i--
 		j = max(j-l, 0)
@@ -187,6 +152,82 @@ func selectDPInto(d []float64, k, l int, sc *selectScratch) (idx []int, sum floa
 		idx[a], idx[b] = idx[b], idx[a]
 	}
 	return idx, sum, true
+}
+
+// fillRow fills cur = M[i][·] from prevRow = M[i−1][·] and sets bit j of
+// took wherever the take of candidate j wins. The row is a running prefix
+// minimum, M[i][j] = min(M[i][j−1], take_j), so it is filled with the
+// minimum held in a register and a comparison `take < run` that is almost
+// always false once the row has settled; the bit is written only inside that
+// branch, so a settled row costs no more per cell than a full table's fill.
+// The max(j−l, 0) clamp splits the row into a head (j < l, whose takes all
+// read M[i−1][0]) and a body (takes read M[i−1][j−l]) over re-sliced operands
+// of equal length, so the hot loop carries no clamp and no bounds checks.
+// Every cell is the textbook recurrence's addition and `take < skip ? take :
+// skip` choice. Inlined into selectDPInto, the body loop spilled its counter
+// to the stack; as a function of its own it keeps its operands in registers.
+func fillRow(cur, prevRow, d []float64, took []uint64, i, l int) {
+	row := len(cur)
+	// M[i][j] = +inf for j < i: fewer candidates than picks.
+	lo := min(i, row)
+	inf := math.Inf(1)
+	for j := range cur[:lo] {
+		cur[j] = inf
+	}
+	run := inf // M[i][i−1]
+	// Head: j ∈ [i, l) reads M[i−1][0].
+	head := min(l, row)
+	if lo < head {
+		base := prevRow[0]
+		dh := d[lo-1 : head-1]
+		out := cur[lo:head]
+		out = out[:len(dh)]
+		for x, dj := range dh {
+			if take := dj + base; take < run {
+				run = take
+				setBit(took, lo+x)
+			}
+			out[x] = run
+		}
+	}
+	// Body: j ∈ [max(i, l), n] reads M[i−1][j−l].
+	j0 := max(lo, l)
+	if j0 < row {
+		db := d[j0-1:]
+		pb := prevRow[j0-l : row-l]
+		out := cur[j0:]
+		pb = pb[:len(db)]
+		out = out[:len(db)]
+		for x, dj := range db {
+			if take := dj + pb[x]; take < run {
+				run = take
+				setBit(took, j0+x)
+			}
+			out[x] = run
+		}
+	}
+}
+
+// setBit records the take at column j. It stays out of line on purpose: a
+// call marks the take branch unlikely, so the compiler lays the settled path
+// out as the fall-through, one taken branch per cell. Inlined, the branch
+// jumped on every settled cell and the fill ran no faster than the table's.
+//
+//go:noinline
+func setBit(took []uint64, j int) { took[j>>6] |= 1 << (j & 63) }
+
+// lastTake returns where row i's backtrack stops walking left from column j:
+// the highest take at or below j, or i, where the walk stops regardless
+// (M[i][i−1] is +inf, so a finite M[i][i] took candidate i). It scans a
+// word of take bits at a time.
+func lastTake(took []uint64, i, j int) int {
+	for j > i {
+		if w := took[j>>6] & (2<<(j&63) - 1); w != 0 {
+			return max(i, j&^63+63-bits.LeadingZeros64(w))
+		}
+		j = j&^63 - 1
+	}
+	return i
 }
 
 // selectGreedy sorts candidates by dissimilarity and keeps the first k that

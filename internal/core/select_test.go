@@ -233,16 +233,30 @@ func selectDPReference(d []float64, k, l int) (idx []int, sum float64, ok bool) 
 	return idx, sum, true
 }
 
-// TestSelectDPMatchesReference: the prefix-minimum DP must reproduce the
-// textbook table's sum (bit for bit), feasibility and every chosen index,
+// TestSelectDPMatchesReference: the two-row prefix-minimum DP must reproduce
+// the textbook table's sum (bit for bit), feasibility and every chosen index,
 // on random profiles and on quantized ones whose many exact ties exercise
 // the skip-on-equality rule — across lengths around l, the served n = 3889,
-// k up to infeasible, and a selection scratch reused across calls so stale
-// table contents cannot leak into a result.
+// k up to infeasible (and up to 65 at l = 1, n = 3889), and one selection
+// scratch reused across calls, from larger (n, k) to smaller and back, so
+// stale rows or take bits cannot leak into a result.
 func TestSelectDPMatchesReference(t *testing.T) {
 	var sc selectScratch
+	check := func(name string, d []float64, k, l int, seed int64) {
+		t.Helper()
+		wantIdx, wantSum, wantOK := selectDPReference(d, k, l)
+		gotIdx, gotSum, gotOK := selectDPInto(d, k, l, &sc)
+		if gotOK != wantOK || math.Float64bits(gotSum) != math.Float64bits(wantSum) || !slices.Equal(gotIdx, wantIdx) {
+			t.Fatalf("%s l=%d n=%d k=%d seed=%d: got (%v, %v, %v), want (%v, %v, %v)",
+				name, l, len(d), k, seed, gotIdx, gotSum, gotOK, wantIdx, wantSum, wantOK)
+		}
+	}
 	for _, l := range []int{1, 2, 24, 72} {
 		for _, n := range []int{1, l - 1, l, l + 1, 881, 3889} {
+			maxK := 10
+			if l == 1 && n == 3889 {
+				maxK = 65
+			}
 			for seed := int64(0); seed < 2; seed++ {
 				random := randomProfile(seed+int64(31*n+l), n)
 				quantized := make([]float64, n)
@@ -250,16 +264,18 @@ func TestSelectDPMatchesReference(t *testing.T) {
 					quantized[j] = math.Floor(v/2.5) * 0.25 // four levels
 				}
 				for name, d := range map[string][]float64{"random": random, "quantized": quantized} {
-					for k := 1; k <= 10; k++ {
-						wantIdx, wantSum, wantOK := selectDPReference(d, k, l)
-						gotIdx, gotSum, gotOK := selectDPInto(d, k, l, &sc)
-						if gotOK != wantOK || math.Float64bits(gotSum) != math.Float64bits(wantSum) || !slices.Equal(gotIdx, wantIdx) {
-							t.Fatalf("%s l=%d n=%d k=%d seed=%d: got (%v, %v, %v), want (%v, %v, %v)",
-								name, l, n, k, seed, gotIdx, gotSum, gotOK, wantIdx, wantSum, wantOK)
-						}
+					for k := 1; k <= maxK; k++ {
+						check(name, d, k, l, seed)
 					}
 				}
 			}
 		}
+	}
+	big, small := randomProfile(5, 3889), randomProfile(6, 881)
+	for _, c := range []struct {
+		d    []float64
+		k, l int
+	}{{big, 10, 24}, {small, 3, 24}, {small, 1, 72}, {big, 10, 24}, {small, 7, 2}, {big, 2, 1}} {
+		check("reused", c.d, c.k, c.l, 0)
 	}
 }

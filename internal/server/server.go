@@ -693,7 +693,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), maxTickLine)
+	sc.Buffer(nil, maxTickLine) // bufio's 4 KiB, doubling per longer line
 	w.Header().Set("Content-Type", "application/x-ndjson")
 
 	// The handler splits into a reader (decode → apply → enqueue) and a

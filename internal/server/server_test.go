@@ -560,6 +560,16 @@ func TestAPIValidation(t *testing.T) {
 			t.Errorf("oversized engine: %d %s, want 400 naming MaxWindowCells", resp.StatusCode, body)
 		}
 	}
+	// Two streams fit the window bound, but k = 2^23 anchors at l = 1 ask
+	// the Eq. 5 selection for 2^47 cells; the same bound refuses them.
+	{
+		resp := createTenant(t, ts.URL, "wide-k", fmt.Sprintf(`{"streams": ["a","b"], "config": {"k": %d, "pattern_length": 1, "window_length": %d}}`, 1<<23, core.MaxWindowLength))
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "MaxWindowCells") {
+			t.Errorf("oversized selection: %d %s, want 400 naming MaxWindowCells", resp.StatusCode, body)
+		}
+	}
 
 	resp := createTenant(t, ts.URL, "ok", testTenantBody)
 	if resp.StatusCode != http.StatusCreated {

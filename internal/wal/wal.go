@@ -195,6 +195,13 @@ func (l *Log) DurableCommit(seq uint64) Commit { return Commit{l: l, seq: seq} }
 // rotation) happens under syncMu, held by at most one syncer at a time (the
 // flusher goroutine, or AppendBatch/Sync/Close in strict paths), with mu
 // released before the disk is touched.
+//
+// Encode buffers: appends fill buf while a sync writes the buffer it
+// detached, and the sync hands that buffer back as the spare, so a log holds
+// two distinct arrays. A written buffer above spareFloor bytes that carried
+// less than a quarter of its capacity is dropped instead of recycled, so the
+// two follow the log's recent group commits rather than the largest one it
+// ever wrote; an idle log keeps what its last syncs left.
 type Log struct {
 	dir  string
 	opts Options
@@ -744,7 +751,7 @@ func (l *Log) syncLocked() error {
 			l.cs.commits++
 		}
 	}
-	l.spare = data[:0] // recycle: the other buffer is in use by appenders
+	l.spare = recycle(data) // the other buffer is in use by appenders
 	if err != nil {
 		err = fmt.Errorf("wal: sync: %w", err)
 		l.ctr.syncErrs(1)
@@ -781,6 +788,20 @@ func (l *Log) syncLocked() error {
 		}
 	}
 	return err
+}
+
+// spareFloor is the capacity up to which a written encode buffer is always
+// recycled.
+const spareFloor = 4 << 10
+
+// recycle returns the written buffer data emptied for reuse as the spare, or
+// nil when it exceeds spareFloor and carried less than a quarter of its
+// capacity, so the next append allocates one sized to the commits at hand.
+func recycle(data []byte) []byte {
+	if cap(data) > spareFloor && len(data) < cap(data)/4 {
+		return nil
+	}
+	return data[:0]
 }
 
 // rotate seals the active segment and opens a fresh one whose name encodes

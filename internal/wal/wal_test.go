@@ -314,6 +314,70 @@ func TestGroupCommitBatchesSyncs(t *testing.T) {
 	}
 }
 
+// TestEncodeBuffersFollowRecentCommits: after one large group commit, a few
+// small ones leave both encode buffers near the small commits' size, because
+// a written buffer that carried less than a quarter of its capacity is
+// dropped, not recycled. A run of equal large commits keeps its two buffers:
+// their capacities do not drop from one sync to the next.
+func TestEncodeBuffersFollowRecentCommits(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{}) // strict: every append is one commit
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	batch := func(rows, width int) [][]float64 {
+		b := make([][]float64, rows)
+		for i := range b {
+			b[i] = make([]float64, width)
+		}
+		return b
+	}
+	// commit appends one batch and returns the bytes its sync wrote and the
+	// two buffers' capacities, smaller first.
+	seq := uint64(1)
+	commit := func(b [][]float64) (written int64, caps [2]int) {
+		t.Helper()
+		l.syncMu.Lock()
+		before := l.segSize
+		l.syncMu.Unlock()
+		if _, err := l.AppendBatch(seq, b); err != nil {
+			t.Fatalf("append %d: %v", seq, err)
+		}
+		seq += uint64(len(b))
+		l.syncMu.Lock()
+		l.mu.Lock()
+		written = l.segSize - before
+		caps = [2]int{min(cap(l.buf), cap(l.spare)), max(cap(l.buf), cap(l.spare))}
+		l.mu.Unlock()
+		l.syncMu.Unlock()
+		return written, caps
+	}
+
+	if _, caps := commit(batch(256, 16)); caps[1] < 32<<10 {
+		t.Fatalf("a 256×16 commit left buffers of %v bytes, want one ≥ 32 KiB", caps)
+	}
+	var written int64
+	var caps [2]int
+	for i := 0; i < 4; i++ {
+		written, caps = commit(batch(1, 16))
+	}
+	if bound := max(spareFloor, 4*int(written)); caps[1] > bound {
+		t.Fatalf("after small commits of %d bytes the buffers hold %v bytes, want ≤ %d each", written, caps, bound)
+	}
+
+	var prev [2]int
+	for i := 0; i < 8; i++ {
+		written, caps = commit(batch(64, 16))
+		if i >= 1 && caps[0] < int(written) {
+			t.Fatalf("commit %d: buffers of %v bytes for %d-byte commits", i, caps, written)
+		}
+		if i >= 2 && (caps[0] < prev[0] || caps[1] < prev[1]) {
+			t.Fatalf("commit %d: buffer capacities dropped from %v to %v between equal %d-byte commits", i, prev, caps, written)
+		}
+		prev = caps
+	}
+}
+
 func TestManagerRemoveDeletesDir(t *testing.T) {
 	dir := t.TempDir()
 	m := NewManager(dir, Options{})
