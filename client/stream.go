@@ -441,7 +441,7 @@ func (s *TickStream) connect() (err error, retryable bool) {
 // every row or the stream's context ends.
 func (s *TickStream) writeLoop(pw *io.PipeWriter, connDead <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	var buf bytes.Buffer
+	var buf []byte
 	for {
 		s.mu.Lock()
 		for s.writeIdx >= len(s.unacked) {
@@ -467,8 +467,8 @@ func (s *TickStream) writeLoop(pw *io.PipeWriter, connDead <-chan struct{}, done
 		// unbuffered synchronous handoff to the HTTP transport, so per-row
 		// writes would cost a goroutine park/wake and a tiny TCP chunk each
 		// — the difference between ~5k and ~50k rows/s per connection.
-		buf.Reset()
-		for s.writeIdx < len(s.unacked) && buf.Len() < 32<<10 {
+		buf = buf[:0]
+		for s.writeIdx < len(s.unacked) && len(buf) < 32<<10 {
 			// With Batch > 1 and several rows queued, fold them into one
 			// batch line — rows in unacked always carry consecutive seqs, the
 			// shape the server's batch ingest requires. A lone row keeps the
@@ -479,16 +479,16 @@ func (s *TickStream) writeLoop(pw *io.PipeWriter, connDead <-chan struct{}, done
 				}
 				rows := s.unacked[s.writeIdx : s.writeIdx+n]
 				s.writeIdx += n
-				encodeBatch(&buf, rows[0].seq, rows)
+				buf = encodeBatch(buf, rows[0].seq, rows)
 				continue
 			}
 			row := s.unacked[s.writeIdx]
 			s.writeIdx++
-			encodeRow(&buf, row.seq, row.values)
+			buf = encodeRow(buf, row.seq, row.values)
 		}
 		s.mu.Unlock()
 
-		if _, err := pw.Write(buf.Bytes()); err != nil {
+		if _, err := pw.Write(buf); err != nil {
 			return // connection is dead; connect's reader handles the retry
 		}
 	}
@@ -576,55 +576,56 @@ func (r pendingRow) complete(values []float64, imputed []int) error {
 	return nil
 }
 
-// encodeBatch appends one NDJSON batch line to buf: seq numbers the first
-// row, and each row is encoded like a values array (NaN → null).
-func encodeBatch(buf *bytes.Buffer, seq uint64, rows []pendingRow) {
-	buf.WriteByte('{')
-	if seq > 0 {
-		buf.WriteString(`"seq":`)
-		buf.Write(strconv.AppendUint(buf.AvailableBuffer(), seq, 10))
-		buf.WriteByte(',')
-	}
-	buf.WriteString(`"rows":[`)
+// encodeBatch appends one NDJSON batch line to dst: seq numbers the first
+// row, and each row is encoded like a values array.
+func encodeBatch(dst []byte, seq uint64, rows []pendingRow) []byte {
+	dst = appendLineHead(dst, seq, "rows")
+	dst = append(dst, '[')
 	for j, row := range rows {
 		if j > 0 {
-			buf.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		buf.WriteByte('[')
-		for i, v := range row.values {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			if math.IsNaN(v) {
-				buf.WriteString("null")
-			} else {
-				buf.Write(strconv.AppendFloat(buf.AvailableBuffer(), v, 'g', -1, 64))
-			}
-		}
-		buf.WriteByte(']')
+		dst = appendRow(dst, row.values)
 	}
-	buf.WriteString("]}\n")
+	return append(dst, "]}\n"...)
 }
 
-// encodeRow appends one NDJSON input line to buf. NaN becomes null, the
-// missing-value marker of the wire format.
-func encodeRow(buf *bytes.Buffer, seq uint64, values []float64) {
-	buf.WriteByte('{')
+// encodeRow appends one NDJSON input line to dst.
+func encodeRow(dst []byte, seq uint64, values []float64) []byte {
+	dst = appendLineHead(dst, seq, "values")
+	dst = appendRow(dst, values)
+	return append(dst, "}\n"...)
+}
+
+// appendLineHead opens an input line up to its key's value: {"seq":N,"key":
+// with the seq omitted when 0 (unsequenced).
+func appendLineHead(dst []byte, seq uint64, key string) []byte {
+	dst = append(dst, '{')
 	if seq > 0 {
-		buf.WriteString(`"seq":`)
-		buf.Write(strconv.AppendUint(buf.AvailableBuffer(), seq, 10))
-		buf.WriteByte(',')
+		dst = append(dst, `"seq":`...)
+		dst = strconv.AppendUint(dst, seq, 10)
+		dst = append(dst, ',')
 	}
-	buf.WriteString(`"values":[`)
+	dst = append(dst, '"')
+	dst = append(dst, key...)
+	return append(dst, `":`...)
+}
+
+// appendRow appends one row as a JSON array. NaN becomes null, the wire
+// format's missing-value marker; every other value is written as
+// encoding/json writes it (wire.AppendFloat), which the server reads back
+// bit for bit. Send has already refused ±Inf.
+func appendRow(dst []byte, values []float64) []byte {
+	dst = append(dst, '[')
 	for i, v := range values {
 		if i > 0 {
-			buf.WriteByte(',')
+			dst = append(dst, ',')
 		}
 		if math.IsNaN(v) {
-			buf.WriteString("null")
+			dst = append(dst, "null"...)
 		} else {
-			buf.Write(strconv.AppendFloat(buf.AvailableBuffer(), v, 'g', -1, 64))
+			dst = wire.AppendFloat(dst, v)
 		}
 	}
-	buf.WriteString("]}\n")
+	return append(dst, ']')
 }

@@ -595,11 +595,13 @@ func (e *Engine) coldFill(i int) float64 {
 }
 
 // rankFromWindow builds a correlation-ranked reference set for name from the
-// retained window contents.
+// retained window contents, read in place through the backing views.
 func (e *Engine) rankFromWindow(name string) ReferenceSet {
-	histories := make(map[string][]float64, e.w.Width())
-	for j, n := range e.w.Names() {
-		histories[n] = e.w.Snapshot(j)
+	hists := make([][]float64, e.w.Width())
+	for j := range hists {
+		hist, start := e.w.Backing(j)
+		hists[j] = hist[start : start+e.w.Filled()]
 	}
-	return RankCandidates(name, histories)
+	tvals := hists[e.w.IndexOf(name)]
+	return ReferenceSet{Stream: name, Candidates: rankByCorrelation(tvals, e.w.Names(), hists, name)}
 }

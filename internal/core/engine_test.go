@@ -3,10 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"tkcm/internal/stats"
 	"tkcm/internal/window"
 )
 
@@ -102,6 +105,165 @@ func TestRankCandidatesUnknownTarget(t *testing.T) {
 	rs := RankCandidates("missing", map[string][]float64{"a": {1, 2}})
 	if len(rs.Candidates) != 0 {
 		t.Fatalf("expected empty ranking, got %v", rs.Candidates)
+	}
+}
+
+// rankInsertionSort is RankCandidates as it was before it sorted: scores
+// from a map of histories, ordered by an insertion sort on the same key. It
+// is the oracle for the O(n log n) ranking.
+func rankInsertionSort(target string, histories map[string][]float64) []string {
+	tvals, ok := histories[target]
+	if !ok {
+		return nil
+	}
+	type scored struct {
+		name  string
+		score float64
+	}
+	var cands []scored
+	for name, vals := range histories {
+		if name == target {
+			continue
+		}
+		score := math.Abs(stats.Pearson(tvals, vals))
+		if math.IsNaN(score) {
+			score = -1
+		}
+		cands = append(cands, scored{name, score})
+	}
+	for i := 1; i < len(cands); i++ {
+		for j := i; j > 0; j-- {
+			a, b := cands[j-1], cands[j]
+			if b.score > a.score || (b.score == a.score && b.name < a.name) {
+				cands[j-1], cands[j] = b, a
+			} else {
+				break
+			}
+		}
+	}
+	var out []string
+	for _, c := range cands {
+		out = append(out, c.name)
+	}
+	return out
+}
+
+// randomHistories draws width aligned histories of length n built to tie:
+// copies and negated copies of earlier streams (equal |ρ|), constant streams
+// (NaN ρ), values quantized to a few levels, and scattered missing values.
+func randomHistories(rng *rand.Rand, width, n int) ([]string, [][]float64) {
+	names := make([]string, width)
+	hists := make([][]float64, width)
+	for j := range hists {
+		names[j] = fmt.Sprintf("s%02d", rng.IntN(100)*100+j) // distinct, not in index order
+		h := make([]float64, n)
+		switch kind := rng.IntN(5); {
+		case kind == 0 && j > 0:
+			src := hists[rng.IntN(j)]
+			sign := float64(1 - 2*rng.IntN(2))
+			for i := range h {
+				h[i] = sign * src[i]
+			}
+		case kind == 1:
+			c := float64(rng.IntN(3))
+			for i := range h {
+				h[i] = c
+			}
+		default:
+			for i := range h {
+				h[i] = float64(rng.IntN(4))
+				if rng.IntN(10) == 0 {
+					h[i] = math.NaN()
+				}
+			}
+		}
+		hists[j] = h
+	}
+	return names, hists
+}
+
+// TestRankCandidatesMatchesInsertionSort checks the sorted ranking against
+// its insertion-sort oracle on random tie-heavy histories, through both
+// entry points: RankCandidates over a map, and the engine's ranking over
+// its window's backing views.
+func TestRankCandidatesMatchesInsertionSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 4))
+	for trial := 0; trial < 300; trial++ {
+		width, n := 1+rng.IntN(12), rng.IntN(40)
+		names, hists := randomHistories(rng, width, n)
+		histories := make(map[string][]float64, width)
+		for j, name := range names {
+			histories[name] = hists[j]
+		}
+		for _, target := range names {
+			got := RankCandidates(target, histories).Candidates
+			if want := rankInsertionSort(target, histories); !slices.Equal(got, want) {
+				t.Fatalf("trial %d target %s: ranking %v, oracle %v", trial, target, got, want)
+			}
+		}
+
+		if n == 0 {
+			continue
+		}
+		cfg := DefaultConfig()
+		cfg.K, cfg.PatternLength, cfg.D, cfg.WindowLength = 1, 1, 1, 4+rng.IntN(n)
+		e, err := NewEngine(cfg, names, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := make([]float64, width)
+		for i := 0; i < n; i++ {
+			for j := range row {
+				row[j] = hists[j][i]
+			}
+			// A missing value imputes (and ranks); the oracle below reads
+			// whatever the window holds, imputed values included.
+			if _, _, err := e.Tick(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		window := make(map[string][]float64, width)
+		for j, name := range names {
+			window[name] = e.w.Snapshot(j)
+		}
+		for _, target := range names {
+			got := e.rankFromWindow(target)
+			if want := rankInsertionSort(target, window); got.Stream != target || !slices.Equal(got.Candidates, want) {
+				t.Fatalf("trial %d target %s: window ranking %v, oracle %v", trial, target, got.Candidates, want)
+			}
+		}
+	}
+}
+
+// TestRankFromWindowAllocs pins the engine's ranking at a constant number of
+// allocations, whatever the width: it reads the window in place instead of
+// copying every stream's history.
+func TestRankFromWindowAllocs(t *testing.T) {
+	var counts []float64
+	for _, width := range []int{4, 64, 1024} {
+		names := make([]string, width)
+		for j := range names {
+			names[j] = fmt.Sprintf("s%d", j)
+		}
+		cfg := DefaultConfig()
+		cfg.K, cfg.PatternLength, cfg.D, cfg.WindowLength = 2, 3, 2, 32
+		e, err := NewEngine(cfg, names, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := make([]float64, width)
+		for i := 0; i < 40; i++ {
+			for j := range row {
+				row[j] = math.Sin(float64(i*width + j))
+			}
+			if _, _, err := e.Tick(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counts = append(counts, testing.AllocsPerRun(5, func() { e.rankFromWindow("s1") }))
+	}
+	if counts[0] > 3 || counts[1] != counts[0] || counts[2] != counts[0] {
+		t.Fatalf("rankFromWindow allocations at widths 4, 64, 1024: %v; want the same, at most 3", counts)
 	}
 }
 

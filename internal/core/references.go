@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"tkcm/internal/stats"
 	"tkcm/internal/window"
@@ -69,35 +72,42 @@ func RankCandidates(target string, histories map[string][]float64) ReferenceSet 
 	if !ok {
 		return rs
 	}
+	names := make([]string, 0, len(histories))
+	hists := make([][]float64, 0, len(histories))
+	for name, vals := range histories {
+		names = append(names, name)
+		hists = append(hists, vals)
+	}
+	rs.Candidates = rankByCorrelation(tvals, names, hists, target)
+	return rs
+}
+
+// rankByCorrelation returns names without target, ordered by descending
+// |ρ| between tvals and hists[j], the history of names[j]: a NaN ρ (too few
+// pairs, or a constant stream) ranks as −1, and equal scores go by name.
+// Names are distinct, so the order is total.
+func rankByCorrelation(tvals []float64, names []string, hists [][]float64, target string) []string {
 	type scored struct {
 		name  string
 		score float64
 	}
-	var cands []scored
-	for name, vals := range histories {
+	cands := make([]scored, 0, len(names))
+	for j, name := range names {
 		if name == target {
 			continue
 		}
-		rho := stats.Pearson(tvals, vals)
-		score := math.Abs(rho)
+		score := math.Abs(stats.Pearson(tvals, hists[j]))
 		if math.IsNaN(score) {
 			score = -1
 		}
 		cands = append(cands, scored{name, score})
 	}
-	// Insertion sort by descending score, name ascending for determinism.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0; j-- {
-			a, b := cands[j-1], cands[j]
-			if b.score > a.score || (b.score == a.score && b.name < a.name) {
-				cands[j-1], cands[j] = b, a
-			} else {
-				break
-			}
-		}
+	slices.SortFunc(cands, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(a.name, b.name))
+	})
+	out := make([]string, len(cands))
+	for i, c := range cands {
+		out[i] = c.name
 	}
-	for _, c := range cands {
-		rs.Candidates = append(rs.Candidates, c.name)
-	}
-	return rs
+	return out
 }

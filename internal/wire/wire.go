@@ -8,6 +8,13 @@
 // encoding/json and observable behavior (including error text) is identical
 // to a pure encoding/json implementation. The fast path is deliberately
 // conservative: it never accepts a line encoding/json would reject.
+//
+// Every float on the tick stream goes through one formatter, AppendFloat
+// (the client's rows and the server's acks), and one number scanner
+// (ParseTickIn and ParseAck). Each has an exact fast path for short
+// decimals such as 23.47, the spelling sensor readings travel in, and hands
+// every other number to strconv, so a value's bits and bytes are
+// strconv.ParseFloat's and encoding/json's either way.
 package wire
 
 import (
@@ -94,10 +101,16 @@ func (p *parser) key() ([]byte, bool) {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// pow10 holds the powers of ten exactDecimal can need, all exact in a
+// float64.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15}
+
 // numberToken scans one JSON number token and validates it against JSON's
 // number grammar (strconv alone is laxer: it would take "+1", hex floats and
-// underscores, which encoding/json rejects).
-func (p *parser) numberToken() ([]byte, bool) {
+// underscores, which encoding/json rejects). It also returns the token's
+// number of fraction digits, or -1 when it has an exponent.
+func (p *parser) numberToken() (tok []byte, frac int, ok bool) {
 	start := p.i
 	i := p.i
 	if i < len(p.b) && p.b[i] == '-' {
@@ -111,15 +124,16 @@ func (p *parser) numberToken() ([]byte, bool) {
 			i++
 		}
 	default:
-		return nil, false
+		return nil, 0, false
 	}
 	if i < len(p.b) && p.b[i] == '.' {
 		i++
-		if i >= len(p.b) || !isDigit(p.b[i]) {
-			return nil, false
-		}
+		first := i
 		for i < len(p.b) && isDigit(p.b[i]) {
 			i++
+		}
+		if frac = i - first; frac == 0 {
+			return nil, 0, false
 		}
 	}
 	if i < len(p.b) && (p.b[i] == 'e' || p.b[i] == 'E') {
@@ -128,17 +142,51 @@ func (p *parser) numberToken() ([]byte, bool) {
 			i++
 		}
 		if i >= len(p.b) || !isDigit(p.b[i]) {
-			return nil, false
+			return nil, 0, false
 		}
 		for i < len(p.b) && isDigit(p.b[i]) {
 			i++
 		}
+		frac = -1
 	}
 	p.i = i
-	return p.b[start:i], true
+	return p.b[start:i], frac, true
 }
 
-// float parses a number or null; null yields NaN.
+// exactDecimal returns the value of a scanned number token with frac
+// fraction digits when Clinger's fast path holds: no exponent and at most 15
+// digits. Its digits, read as an integer m, are then below 10¹⁵ < 2⁵³, and
+// f = frac ≤ 15, so m and 10^f are exact and the one division
+// float64(m)/1e{f} rounds correctly; '-' negates it, so "-0" stays −0. This
+// is the exact path strconv.ParseFloat itself tries first (atof64exact), so
+// the bits cannot differ.
+func exactDecimal(tok []byte, frac int) (float64, bool) {
+	neg := tok[0] == '-'
+	if neg {
+		tok = tok[1:]
+	}
+	digits := len(tok)
+	if frac > 0 {
+		digits-- // the point
+	}
+	if frac < 0 || digits > 15 {
+		return 0, false
+	}
+	var m uint64
+	for _, c := range tok {
+		if c != '.' {
+			m = m*10 + uint64(c-'0')
+		}
+	}
+	v := float64(m) / pow10[frac]
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// float parses a number or null; null yields NaN. Its value is always
+// strconv.ParseFloat's, bit for bit.
 func (p *parser) float() (float64, bool) {
 	p.ws()
 	if p.i < len(p.b) && p.b[p.i] == 'n' {
@@ -147,9 +195,19 @@ func (p *parser) float() (float64, bool) {
 		}
 		return 0, false
 	}
-	tok, ok := p.numberToken()
+	tok, frac, ok := p.numberToken()
 	if !ok {
 		return 0, false
+	}
+	// A token past 16 bytes has 15 digits at most when it has both a sign
+	// and a point; leaving those to ParseFloat lets full-precision values
+	// (17 bytes and up) skip the exact check with one compare. Building the
+	// mantissa inside numberToken instead doubled its code and slowed
+	// full-precision lines.
+	if len(tok) <= 16 {
+		if v, ok := exactDecimal(tok, frac); ok {
+			return v, true
+		}
 	}
 	// The token is read-only for ParseFloat's duration, so the unsafe
 	// string view saves a per-value copy.
@@ -470,7 +528,7 @@ func AppendAck(dst []byte, tick int, seq uint64, values []float64, imputed []int
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONFloat(dst, v)
+		dst = AppendFloat(dst, v)
 	}
 	dst = append(dst, `],"imputed":[`...)
 	for i, v := range imputed {
@@ -487,11 +545,51 @@ func AppendAck(dst []byte, tick int, seq uint64, values []float64, imputed []int
 	return dst, true
 }
 
-// appendJSONFloat formats v the way encoding/json does: %g with the
-// exponent rewritten into plain notation for the e-1..e20 range, so the
-// wire bytes match a json.Encoder's output exactly.
-func appendJSONFloat(dst []byte, v float64) []byte {
+// AppendFloat appends finite v as encoding/json writes a float64, byte for
+// byte: the shortest decimal that reads back as v, in plain notation for
+// 1e-6 ≤ |v| < 1e21 and in exponent form (1e-7, 1e+21) outside it. JSON
+// cannot carry NaN or ±Inf; callers keep them out.
+//
+// Short decimals take an exact fast path. For 1e-6 ≤ |v| < 1e9, let
+// n = round(|v|·10⁶). If float64(n)/1e6 == |v|, the bytes are the sign,
+// n div 10⁶ and, when n mod 10⁶ ≠ 0, a '.' and the 6 fraction digits with
+// trailing zeros trimmed; otherwise v takes strconv's path.
+//   - The decimal reads back as v: ParseFloat of it and the float64 division
+//     are both the correctly rounded value of n/10⁶, because n < 2⁵⁰ and 10⁶
+//     are exact.
+//   - It is the shortest form: |v|·10⁶ < 2⁵⁰, so the rounding interval of v,
+//     scaled by 10⁶, is narrower than 1. It therefore holds no other decimal
+//     with ≤ 6 fraction digits. Those are the digits strconv's 'f', -1
+//     picks, which is what encoding/json writes in that range.
+func AppendFloat(dst []byte, v float64) []byte {
 	abs := math.Abs(v)
+	if abs >= 1e-6 && abs < 1e9 {
+		// n is a candidate, kept only if it reads back as abs. When some
+		// decimal with ≤ 6 fraction digits does, abs·10⁶ lies within ¼ of
+		// its n, so adding ½ and truncating lands on that n.
+		if n := int64(abs*1e6 + 0.5); float64(n)/1e6 == abs {
+			if v < 0 {
+				dst = append(dst, '-')
+			}
+			dst = strconv.AppendUint(dst, uint64(n)/1e6, 10)
+			frac := uint64(n) % 1e6
+			if frac == 0 {
+				return dst
+			}
+			digits := 6
+			for frac%10 == 0 {
+				frac /= 10
+				digits--
+			}
+			dst = append(dst, ".000000"[:digits+1]...)
+			for i := len(dst) - 1; frac != 0; i-- {
+				dst[i] = byte('0' + frac%10)
+				frac /= 10
+			}
+			return dst
+		}
+		return strconv.AppendFloat(dst, v, 'f', -1, 64) // plain in this range
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
