@@ -150,11 +150,11 @@ func DefaultConfig() Config {
 // MaxWindowCells bounds streams × WindowLength, the window values an engine
 // retains: 2^27 cells are 1 GiB of window values, about 1.25 GiB of window
 // backing from the first tick (L + l + L/4 per stream, at most 1.75 GiB as
-// l ≤ L/2) and at most 3.25 GiB of history once every stream serves as a
-// reference (see Engine.MemoryBytes), or 1,276 streams at DefaultConfig's
-// window. A create request or a snapshot of a few KB can
-// name thousands of streams at the maximum window length; this is what
-// keeps it from asking for terabytes.
+// l ≤ L/2) and at most 3.25 GiB of history when every stream served as a
+// reference within about the last l ticks (see Engine.MemoryBytes), or 1,276
+// streams at DefaultConfig's window. A create request or a snapshot of a few
+// KB can name thousands of streams at the maximum window length; this is
+// what keeps it from asking for terabytes.
 // MaxWindowCells also bounds the Eq. 5 selection's k·(L − 2l + 2) cells:
 // every imputation fills each cell and keeps a take bit per cell for the
 // backtrack, so the bound caps a selection at 2^27 cell fills and 16 MiB of

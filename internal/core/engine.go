@@ -150,9 +150,9 @@ func (e *Engine) Profiler() Profiler { return e.prof }
 // precisely where a checkpoint ends.
 func (e *Engine) Seq() uint64 { return uint64(e.tick) }
 
-// MemoryBytes estimates the engine's resident heap footprint once every
-// stream has served as a reference. Per stream of window length L it counts,
-// in float64s:
+// MemoryBytes estimates the engine's resident heap footprint when every
+// stream was consulted as a reference within about the last l ticks. Per
+// stream of window length L it counts, in float64s:
 //
 //   - the window backing: L + l + L/4 under the incremental profiler, whose
 //     replays read up to l slid-out values, and L + L/4 under the stateless
@@ -167,12 +167,15 @@ func (e *Engine) Seq() uint64 { return uint64(e.tick) }
 // profile buffer (n floats) and the Eq. 5 scratch, two rows of n+1 floats
 // and k rows of ⌈(n+1)/64⌉ words of take bits (which the greedy and
 // overlapping ablations do not allocate), once for the serial tick and once
-// per worker when Workers > 1. Streams
-// never consulted as references do not allocate the energies and cross
-// products, and a never-ticked engine holds no window backing yet. The
-// estimate is a pure function of the configuration and the stream count, so
-// residency budgeting (shard.Options.ResidentBytes) can add it on install and
-// subtract the same amount on detach; it is a sizing estimate, not an exact
+// per worker when Workers > 1. A stream holds its energies and cross
+// products only while the incremental profiler's replay rule can still use
+// them, at most l + ⌈l/4⌉ ticks after its last consult (or to the end of a
+// longer TickColumns batch), so a tenant whose streams serve as references
+// less often holds less than the estimate, and a never-ticked engine holds
+// no window backing yet. The estimate is a pure
+// function of the configuration and the stream count, so residency
+// budgeting (shard.Options.ResidentBytes) can add it on install and subtract
+// the same amount on detach; it is a sizing estimate, not an exact
 // accounting.
 func (e *Engine) MemoryBytes() int64 {
 	perStream := int64(e.w.Capacity())
@@ -235,6 +238,7 @@ func (e *Engine) Tick(row []float64) ([]float64, []*Result, error) {
 		e.results = make([]*Result, len(row))
 	}
 	e.tickApplied(row, e.out, e.results)
+	e.sweep()
 	return e.out, e.results, nil
 }
 
@@ -396,7 +400,17 @@ func (e *Engine) TickColumns(cols Columns) (Columns, [][]*Result, error) {
 		copy(res[t], e.results)
 		t++
 	}
+	e.sweep()
 	return out, res, nil
+}
+
+// sweep lets the incremental profiler release the aggregates its replay rule
+// can no longer use. It runs once the tick's imputations are done, on the
+// caller's goroutine, so it never races the worker pool's reads.
+func (e *Engine) sweep() {
+	if e.inc != nil {
+		e.inc.sweep()
+	}
 }
 
 // imputeMissingSerial is the classic tick: missing streams are imputed in

@@ -572,9 +572,11 @@ func TestWindowCapacityFollowsProfiler(t *testing.T) {
 }
 
 // TestMemoryBytesMatchesLiveHeap: once every stream has served as a
-// reference, the live heap an engine holds is within ±15% of its
-// MemoryBytes estimate (window backing, energies and cross products, and the
-// selection scratch), at the serving benchmark's impute and ingest shapes.
+// reference within the last width ticks — within the replay rule's reach at
+// these shapes, so the profiler has released no aggregates — the live heap an
+// engine holds is within ±15% of its MemoryBytes estimate (window backing,
+// energies and cross products, and the selection scratch), at the serving
+// benchmark's impute and ingest shapes.
 // An engine whose streams never serve as references holds its window backing
 // only, so there the estimate is an upper bound.
 func TestMemoryBytesMatchesLiveHeap(t *testing.T) {

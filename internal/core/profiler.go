@@ -163,6 +163,9 @@ func replayFloor(pos, L int) int {
 // compactions do not move, so the replay can reconstruct every intermediate
 // window directly from the backing: a replay starts at most l positions left
 // of the window, and the backing keeps the last l slid-out values.
+//
+// energy and cross are views of one array, held only while the replay rule
+// can still use it (see IncrementalProfiler.sweep).
 type incStreamState struct {
 	// Aggregates; valid only while aggOK, and then describe the window as it
 	// was at the last sync.
@@ -171,8 +174,8 @@ type incStreamState struct {
 	syncM        int // filled ticks at the last sync
 	sinceRebuild int // synced ticks since the last full rebuild
 
-	cross  []float64 // len = candidate count at last sync, cap maxCand
-	energy []float64 // backing, len maxCand + l; entries = energy[estart : estart+nCand]
+	cross  []float64 // len = candidate count at last sync, cap maxCand; nil while released
+	energy []float64 // len maxCand + l, cap the whole array; entries = energy[estart : estart+nCand]
 	estart int
 	eq     float64
 }
@@ -190,6 +193,13 @@ type incStreamState struct {
 // (O(l·L)), so per-tick engine cost scales with the streams that actually
 // serve as references, not with the total width.
 //
+// The aggregates are a cache with a bounded life: about l ticks after a
+// stream's last consult the replay rule can no longer use them, and the next
+// consult rebuilds them from the window whatever they hold. The engine's
+// sweep releases them then, so a tenant holds aggregates — 2n + l floats per
+// stream, n = L − 2l + 1 — only for the streams consulted in about the last
+// l ticks, plus the spare arrays its recent rebuilds took.
+//
 // The aggregates are per stream, not per target, so every imputation in a
 // tick shares them: ProfileWindow sums each reference's contribution
 // energy[j] + eq − 2·cross[j] straight from its aggregates into the profile,
@@ -204,6 +214,15 @@ type IncrementalProfiler struct {
 	w         *window.Window
 	states    []*incStreamState
 	fallbak   FFTProfiler
+
+	// held lists the streams whose aggregates hold an array, the only ones a
+	// sweep visits. spare holds released arrays for the next rebuilds; took
+	// counts the arrays rebuilds took since the last sweep, at the window
+	// tick sweptAt.
+	held    []int
+	spare   [][]float64
+	took    int
+	sweptAt int
 }
 
 // NewIncrementalProfiler creates the engine-side incremental profiler for
@@ -243,7 +262,8 @@ func (p *IncrementalProfiler) Profile(refs [][]float64, l int, norm Norm, dst []
 // sync brings stream i's aggregates up to the current tick. It replays the
 // deferred per-tick diagonal updates when the aggregates are recent enough
 // for that to beat a rebuild (t deferred ticks cost O(t·L) vs the rebuild's
-// O(l·L)), and rebuilds from the raw window otherwise (see replayFrom).
+// O(l·L)), and rebuilds from the raw window otherwise (see replayable); a
+// stream that holds no aggregate array takes one for the rebuild.
 func (p *IncrementalProfiler) sync(i int) {
 	st := p.states[i]
 	hist, start := p.w.Backing(i)
@@ -259,53 +279,63 @@ func (p *IncrementalProfiler) sync(i int) {
 		st.aggOK = false
 		return
 	}
-	if st.energy == nil {
-		// Aggregate storage is allocated on first consult, so
-		// never-referenced streams only pay for their window.
-		st.energy = make([]float64, p.energyLen)
-		st.cross = make([]float64, 0, p.maxCand)
-	}
-	// Each deferred tick either grew the window or slid it by one.
-	grow := m - st.syncM
-	slide := pos - st.syncPos
-	deferred := grow + slide
-	syncStart := p.replayFrom(st, m, pos, deferred)
+	syncStart := p.replayFrom(st, m, pos)
 	if syncStart < 0 {
+		if st.energy == nil {
+			p.take(i)
+		}
 		st.rebuild(hist[start:start+m], l)
 		st.syncPos = pos
 		st.syncM = m
 		st.aggOK = true
 		return
 	}
+	// Each deferred tick either grew the window or slid it by one.
+	grow := m - st.syncM
+	slide := pos - st.syncPos
 	for g := 1; g <= grow; g++ {
 		st.replayGrowth(hist[syncStart:syncStart+st.syncM+g], l)
 	}
 	if slide > 0 {
 		st.replaySlides(hist, syncStart+1, slide, m, l)
 	}
-	st.sinceRebuild += deferred
+	st.sinceRebuild += grow + slide
 	st.syncPos = pos
 	st.syncM = m
 }
 
-// replayFrom decides how sync catches st up to a window of m values at
-// absolute position pos: it returns the backing position of st's sync point,
-// where a replay of the deferred ticks starts, or -1 to rebuild. A replay
-// needs valid aggregates that already covered ≥ 1 candidate, a sync point at
-// or after replayFloor, room under the drift-rebuild budget — and it must be
-// cheaper than the O(m + nCand·l) rebuild. With m = nCand + 2l − 1 that last
-// condition gives deferred < l + 1, so a replay reads at most l slid-out
-// values, which the engine's window keeps; a sync point a compaction moved
-// out of the backing is a broken invariant, not a rebuild case, and panics.
-func (p *IncrementalProfiler) replayFrom(st *incStreamState, m, pos, deferred int) int {
+// replayable reports whether a sync of st to a window of m values at
+// absolute position pos may replay the deferred ticks instead of rebuilding.
+// A replay needs valid aggregates that already covered ≥ 1 candidate, a sync
+// point at or after replayFloor, room under the drift-rebuild budget — and it
+// must be cheaper than the O(m + nCand·l) rebuild. With m = nCand + 2l − 1
+// that last condition gives deferred < l + 1, so a replay reads at most l
+// slid-out values, which the engine's window keeps.
+//
+// Once false it stays false as the window advances, until the next sync: every
+// tick adds one deferred tick, which raises deferred·(nCand + l) by at least
+// as much as it raises m + nCand·l (by nCand + l on a slide against 0, by
+// deferred + nCand + l + 1 on a growth against l + 1); replayFloor only rises;
+// and the drift budget only shrinks. So a stream whose aggregates fail it will
+// rebuild at its next consult, and until then they are dead weight.
+func (p *IncrementalProfiler) replayable(st *incStreamState, m, pos int) bool {
 	l := p.l
 	nCand := m - 2*l + 1
-	replay := st.aggOK &&
+	deferred := (m - st.syncM) + (pos - st.syncPos)
+	return st.aggOK &&
 		st.syncM-2*l+1 >= 1 &&
 		st.syncPos >= replayFloor(pos, p.w.Length()) &&
 		st.sinceRebuild+deferred < incRebuildEvery &&
 		deferred*(nCand+l) <= m+nCand*l
-	if !replay {
+}
+
+// replayFrom decides how sync catches st up to a window of m values at
+// absolute position pos: it returns the backing position of st's sync point,
+// where a replay of the deferred ticks starts, or -1 to rebuild (see
+// replayable). A sync point a compaction moved out of the backing is a broken
+// invariant, not a rebuild case, and panics.
+func (p *IncrementalProfiler) replayFrom(st *incStreamState, m, pos int) int {
+	if !p.replayable(st, m, pos) {
 		return -1
 	}
 	from := st.syncPos - p.w.Shifted()
@@ -313,6 +343,63 @@ func (p *IncrementalProfiler) replayFrom(st *incStreamState, m, pos, deferred in
 		panic(fmt.Sprintf("core: replay from absolute position %d, but the window backing starts at %d", st.syncPos, p.w.Shifted()))
 	}
 	return from
+}
+
+// take gives stream i an aggregate array for a rebuild: a spare one when the
+// last sweep kept any, a new one otherwise. The rebuild overwrites every entry
+// a later sync or ProfileWindow reads, so a spare's old contents change no bit.
+func (p *IncrementalProfiler) take(i int) {
+	var agg []float64
+	if n := len(p.spare); n > 0 {
+		agg = p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+	} else {
+		agg = make([]float64, p.energyLen+p.maxCand)
+	}
+	st := p.states[i]
+	st.energy = agg[:p.energyLen]
+	st.cross = agg[p.energyLen:p.energyLen]
+	p.held = append(p.held, i)
+	p.took++
+}
+
+// sweep releases the aggregate array of every held stream the replay rule can
+// no longer replay at the current window, which its next consult would
+// rebuild anyway (see replayable), so releasing changes no output bit. The
+// released arrays join the spares, and the spares are trimmed to the count
+// rebuilds took since the previous sweep, so a tenant keeps one sweep
+// interval's worth of rebuild demand, not its peak. The engine calls it on its serial tick path,
+// after every read of the tick; it acts at most once every ⌈l/4⌉ ticks and
+// visits only held streams, so a stream holds its aggregates at most
+// l + ⌈l/4⌉ ticks past its last consult, or to the end of a longer
+// TickColumns batch.
+func (p *IncrementalProfiler) sweep() {
+	t := p.w.Tick()
+	if t-p.sweptAt < (p.l+3)/4 {
+		return
+	}
+	p.sweptAt = t
+	_, start := p.w.Backing(0)
+	m := p.w.Filled()
+	pos := p.w.Shifted() + start
+	kept := p.held[:0]
+	for _, i := range p.held {
+		st := p.states[i]
+		if p.replayable(st, m, pos) {
+			kept = append(kept, i)
+			continue
+		}
+		p.spare = append(p.spare, st.energy[:cap(st.energy)])
+		st.energy, st.cross = nil, nil
+		st.aggOK = false
+	}
+	p.held = kept
+	if len(p.spare) > p.took {
+		clear(p.spare[p.took:])
+		p.spare = p.spare[:p.took]
+	}
+	p.took = 0
 }
 
 // replayGrowth replays one deferred warm-up tick: the window grew by one to
@@ -423,11 +510,7 @@ func (st *incStreamState) rebuild(nv []float64, l int) {
 	for _, v := range nv[qs:] {
 		st.eq += v * v
 	}
-	if cap(st.cross) < nCand {
-		st.cross = make([]float64, nCand)
-	} else {
-		st.cross = st.cross[:nCand]
-	}
+	st.cross = st.cross[:nCand]
 	e := 0.0
 	for x := 0; x < l; x++ {
 		e += nv[x] * nv[x]

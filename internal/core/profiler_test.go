@@ -323,7 +323,7 @@ func syncReference(p *IncrementalProfiler, i int) {
 	}
 	grow := m - st.syncM
 	deferred := grow + pos - st.syncPos
-	syncStart := p.replayFrom(st, m, pos, deferred)
+	syncStart := p.replayFrom(st, m, pos)
 	if syncStart < 0 {
 		rebuildReference(st, hist[start:start+m], l)
 		st.syncPos = pos
@@ -502,7 +502,7 @@ func TestBlockedRebuildMatchesPlain(t *testing.T) {
 		for extra := 0; extra < 9; extra++ {
 			m := 2*l + extra // extra+1 candidates
 			nv := randomRefs(int64(10*l+extra), 1, m)[0]
-			got := &incStreamState{energy: make([]float64, 2*m)}
+			got := &incStreamState{energy: make([]float64, 2*m), cross: make([]float64, 0, m)}
 			want := &incStreamState{energy: make([]float64, 2*m)}
 			got.rebuild(nv, l)
 			rebuildReference(want, nv, l)
@@ -511,4 +511,131 @@ func TestBlockedRebuildMatchesPlain(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAggregatesReleasedWhenUnreplayable drives an ingest-shaped engine — 64
+// streams, L = 1024, l = 72, pinned references, one-cell gaps that mostly hit
+// four hot streams — for more than 2L ticks, so that references are consulted
+// again within the replay bound, long after it, and across a replay floor. It
+// tracks every stream's last consult from the pinned reference sets (a lone
+// gap consults the first D candidates) and checks after every tick that no
+// stream holds aggregates more than l + ⌈l/4⌉ ticks after it, that a sweep
+// kept a stream's aggregates exactly when the replay rule, applied to the
+// stream's state before the tick, could still use them, that nothing else
+// released or took any, and that the sweep kept no more spare arrays than
+// rebuilds took since the previous one.
+func TestAggregatesReleasedWhenUnreplayable(t *testing.T) {
+	const (
+		width = 64
+		L     = 1024
+		l     = 72
+		ticks = 2*L + 500
+	)
+	cfg := Config{K: 5, PatternLength: l, D: 3, WindowLength: L}
+	names := make([]string, width)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%d", i)
+	}
+	refs := make(map[string]ReferenceSet, width)
+	for i, n := range names {
+		refs[n] = ReferenceSet{Stream: n, Candidates: []string{names[(i+1)%width], names[(i+5)%width], names[(i+11)%width], names[(i+17)%width]}}
+	}
+	eng, err := NewEngine(cfg, names, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	p := eng.inc
+	state := uint64(7)
+	next := func() uint64 { // xorshift64
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return state
+	}
+	lastConsult := make([]int, width)
+	for i := range lastConsult {
+		lastConsult[i] = -1
+	}
+	held := make([]bool, width)
+	released := make([]bool, width)
+	before := make([]incStreamState, width)
+	bound := l + (l+3)/4
+	var releases, retakes, sweeps, takes int
+	row := make([]float64, width)
+	for tick := 0; tick < ticks; tick++ {
+		for i, st := range p.states {
+			before[i] = *st
+		}
+		for j := range row {
+			row[j] = 10 + 3*math.Sin(2*math.Pi*float64(tick)/288+0.37*float64(j)) + float64(next()%100)/250
+		}
+		if tick >= L && next()%5 == 0 {
+			gap := int(next() % width)
+			if next()%2 == 0 {
+				gap %= 4
+			}
+			row[gap] = math.NaN()
+			for _, c := range refs[names[gap]].Candidates[:cfg.D] {
+				lastConsult[eng.w.IndexOf(c)] = tick
+			}
+		}
+		if _, _, err := eng.Tick(row); err != nil {
+			t.Fatal(err)
+		}
+		_, start := eng.w.Backing(0)
+		m, pos := eng.w.Filled(), eng.w.Shifted()+start
+		swept := p.sweptAt == tick
+		if swept {
+			sweeps++
+		}
+		nHeld := 0
+		for i, st := range p.states {
+			has := st.energy != nil
+			if has {
+				nHeld++
+				if lastConsult[i] < 0 || tick-lastConsult[i] > bound {
+					t.Fatalf("tick %d: stream %d holds aggregates %d ticks after its last consult (at %d), bound %d", tick, i, tick-lastConsult[i], lastConsult[i], bound)
+				}
+			}
+			// A consult leaves the aggregates held (and replayable, with no
+			// tick deferred); otherwise only a sweep changes what a stream
+			// holds, and it keeps them exactly when the replay rule could
+			// still use them.
+			consulted := lastConsult[i] == tick
+			want := held[i] || consulted
+			if swept && !consulted {
+				want = held[i] && p.replayable(&before[i], m, pos)
+			}
+			if has != want {
+				t.Fatalf("tick %d (sweep %v): stream %d holds aggregates %v, want %v (last consult %d)", tick, swept, i, has, want, lastConsult[i])
+			}
+			switch {
+			case held[i] && !has:
+				releases++
+				released[i] = true
+			case !held[i] && has:
+				takes++
+				if released[i] {
+					retakes++
+				}
+			}
+			held[i] = has
+		}
+		if nHeld != len(p.held) {
+			t.Fatalf("tick %d: %d streams hold aggregates, the sweep list has %d", tick, nHeld, len(p.held))
+		}
+		// A sweep keeps no more spare arrays than rebuilds took since the
+		// previous one.
+		if swept {
+			if len(p.spare) > takes {
+				t.Fatalf("tick %d: the sweep kept %d spare arrays after %d takes", tick, len(p.spare), takes)
+			}
+			takes = 0
+		}
+	}
+	if releases == 0 || retakes == 0 || sweeps < (ticks-L)/((l+3)/4) {
+		t.Fatalf("%d releases, %d re-takes, %d sweeps: the feed did not exercise the sweep", releases, retakes, sweeps)
+	}
+	t.Logf("%d sweeps, %d releases, %d re-takes over %d imputations", sweeps, releases, retakes, eng.Stats.Imputations)
 }

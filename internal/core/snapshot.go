@@ -361,15 +361,15 @@ func decodeSnapMeta(dec *snapDecoder, version uint32) (*snapMeta, error) {
 		return nil, fmt.Errorf("core: restore: %w", dec.err)
 	}
 	m.names = make([]string, nNames)
-	seen := make(map[string]struct{}, nNames)
+	known := make(map[string]string, nNames)
 	for i := range m.names {
 		m.names[i] = dec.str()
 		// window.New panics on duplicate names; a crafted image must surface
 		// as an error here instead.
-		if _, dup := seen[m.names[i]]; dup && dec.err == nil {
+		if _, dup := known[m.names[i]]; dup && dec.err == nil {
 			dec.fail(fmt.Errorf("duplicate stream name %q", m.names[i]))
 		}
-		seen[m.names[i]] = struct{}{}
+		known[m.names[i]] = m.names[i]
 	}
 
 	nRefs := int(dec.uint())
@@ -379,13 +379,22 @@ func decodeSnapMeta(dec *snapDecoder, version uint32) (*snapMeta, error) {
 	if dec.err != nil {
 		return nil, fmt.Errorf("core: restore: %w", dec.err)
 	}
+	// Reference sets name streams, so their strings share the stream names'
+	// storage and each candidate list is sized once: a restored engine holds
+	// its ranked sets in the same bytes as the engine that was snapshotted.
 	m.refs = make(map[string]ReferenceSet, nRefs)
 	for i := 0; i < nRefs && dec.err == nil; i++ {
-		key := dec.str()
-		rs := ReferenceSet{Stream: dec.str()}
+		key := dec.name(known)
+		rs := ReferenceSet{Stream: dec.name(known)}
 		nc := int(dec.uint())
-		for j := 0; j < nc && dec.err == nil; j++ {
-			rs.Candidates = append(rs.Candidates, dec.str())
+		if dec.err == nil && (nc < 0 || nc > len(dec.b)-dec.off) {
+			dec.fail(fmt.Errorf("implausible candidate count %d", nc))
+		}
+		if dec.err == nil && nc > 0 {
+			rs.Candidates = make([]string, nc)
+			for j := range rs.Candidates {
+				rs.Candidates[j] = dec.name(known)
+			}
 		}
 		m.refs[key] = rs
 	}
@@ -576,21 +585,34 @@ func (d *snapDecoder) fixed64() uint64 {
 	return v
 }
 
-func (d *snapDecoder) str() string {
+func (d *snapDecoder) str() string { return string(d.strBytes()) }
+
+// name decodes a string that usually names a stream, returning the stream's
+// own string from known when it does instead of a copy.
+func (d *snapDecoder) name(known map[string]string) string {
+	b := d.strBytes()
+	if s, ok := known[string(b)]; ok {
+		return s
+	}
+	return string(b)
+}
+
+// strBytes decodes a length-prefixed string, returning its bytes in place.
+func (d *snapDecoder) strBytes() []byte {
 	n := int(d.uint())
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	// Compare n against the remaining bytes without computing d.off+n: for a
 	// crafted length near 2^63-1 the sum would overflow int to a negative
 	// value and slip past the bound into a panicking slice expression.
 	if n < 0 || n > len(d.b)-d.off {
 		d.fail(fmt.Errorf("truncated string at offset %d", d.off))
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+n])
+	b := d.b[d.off : d.off+n]
 	d.off += n
-	return s
+	return b
 }
 
 func (d *snapDecoder) decodeConfig(version uint32) Config {

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -326,6 +328,73 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// TestRestoreHoldsNoMoreThanSnapshotted: a 2,048-stream engine (L = 32)
+// whose 13th row ranks 300 unpinned reference sets holds about 2,047 names
+// per set. Its restored twin must hold them in the stream names' storage,
+// not in a fresh string per candidate and an append-grown list per set: its
+// live heap stays within 1.1× the snapshotted engine's, and re-snapshotting it
+// gives the same bytes.
+func TestRestoreHoldsNoMoreThanSnapshotted(t *testing.T) {
+	const width, gaps = 2048, 300
+	names := make([]string, width)
+	for j := range names {
+		names[j] = fmt.Sprintf("s%d", j)
+	}
+	cfg := DefaultConfig()
+	cfg.K, cfg.PatternLength, cfg.D, cfg.WindowLength = 2, 3, 2, 32
+	var m0, m1, m2, m3 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	e, err := NewEngine(cfg, names, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, width)
+	for tk := 0; tk < 13; tk++ {
+		for j := range row {
+			row[j] = math.Sin(float64(tk*width + j))
+			if tk == 12 && j%(width/gaps) == 0 && j/(width/gaps) < gaps {
+				row[j] = math.NaN()
+			}
+		}
+		if _, _, err := e.Tick(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Stats.Imputations != gaps || len(e.refs) != gaps {
+		t.Fatalf("%d imputations over %d ranked sets, want %d", e.Stats.Imputations, len(e.refs), gaps)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	var img bytes.Buffer
+	if err := e.Snapshot(&img); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	runtime.GC()
+	runtime.ReadMemStats(&m2)
+	r, err := RestoreEngineBytes(img.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m3)
+	orig := float64(m1.HeapAlloc) - float64(m0.HeapAlloc)
+	restored := float64(m3.HeapAlloc) - float64(m2.HeapAlloc)
+	t.Logf("snapshotted engine %.2f MB live, restored %.2f MB (%.2f×)", orig/1e6, restored/1e6, restored/orig)
+	if restored > 1.1*orig {
+		t.Fatalf("restored engine holds %.0f bytes, %.2f× the snapshotted engine's %.0f", restored, restored/orig, orig)
+	}
+	var again bytes.Buffer
+	if err := r.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), img.Bytes()) {
+		t.Fatal("the restored engine's snapshot differs from the image it was restored from")
+	}
+	r.Close()
+}
+
 // TestSnapshotColdEngine round-trips an engine that has never ticked.
 func TestSnapshotColdEngine(t *testing.T) {
 	cfg := snapTestConfig()
@@ -474,6 +543,19 @@ func TestRestoreRejectsCraftedCounts(t *testing.T) {
 	enc.uint(100000) // nothing behind it
 	if _, err := RestoreEngine(bytes.NewReader(wrapSnapImage(enc.buf.Bytes()))); err == nil {
 		t.Error("reference-set count beyond payload bytes accepted")
+	}
+
+	// A candidate count beyond the payload bytes (each name costs at least
+	// one) must fail before a list is sized by it.
+	for _, nc := range []uint64{1 << 40, 1 << 63} {
+		enc = upToNames()
+		enc.uint(1)
+		enc.str("a")
+		enc.str("a")
+		enc.uint(nc)
+		if _, err := RestoreEngine(bytes.NewReader(wrapSnapImage(enc.buf.Bytes()))); err == nil {
+			t.Errorf("candidate count %d accepted", nc)
+		}
 	}
 
 	// String length of MaxInt64: off+n overflows int, slipping a naive
