@@ -110,13 +110,13 @@ type Config struct {
 	// Non-L2 norms always degrade to the naive loop, the only
 	// implementation that supports them.
 	Profiler ProfilerKind
-	// Workers bounds the goroutines one Engine.Tick uses to impute missing
-	// streams in parallel. 0 or 1 keeps the serial tick; values above 1
-	// start a persistent worker pool on first use and fan imputeStream out
-	// across the tick's missing streams (reference sets are resolved
-	// serially first, so parallel ticks never use a value imputed in the
-	// same tick as a reference — see Engine.Tick). Call Engine.Close to
-	// stop the pool when discarding an engine.
+	// Workers bounds the goroutines one Engine.Tick uses for the pattern
+	// extraction and anchor selection of its missing streams. 0 or 1 runs a
+	// tick's jobs (one per distinct reference set) inline; values above 1
+	// start a persistent worker pool on first use and fan a tick's jobs out
+	// across it when there are several. It changes speed only, never the
+	// output (see Engine.Tick). Call Engine.Close to stop the pool when
+	// discarding an engine.
 	Workers int
 	// SkipDiagnostics skips allocating the per-imputation Result (anchors,
 	// anchor values, dissimilarities, ε) on the engine tick path: Tick then

@@ -22,7 +22,7 @@ import (
 // window, with no copy of its own — and profile aggregates are caught up
 // only for streams actually consulted as references, so per-tick cost scales
 // with the missing work, not the stream count. With Config.Workers > 1, the
-// per-stream imputations of one tick fan out across a persistent worker pool.
+// anchor selections of one tick fan out across a persistent worker pool.
 type Engine struct {
 	cfg  Config
 	w    *window.Window
@@ -34,34 +34,26 @@ type Engine struct {
 	// the stateful incremental profiler.
 	prof Profiler
 	inc  *IncrementalProfiler
-	// scratch backs the serial tick's profile and snapshot buffers; the
-	// parallel path keeps one scratch per worker.
+	// scratch backs the profile and snapshot buffers of the jobs a tick runs
+	// inline; the worker pool keeps one scratch per worker.
 	scratch       imputeScratch
 	workerScratch []imputeScratch
 	// Tick-owned result buffers, handed to the caller and valid until the
 	// next Tick: the completed row, the per-stream results, the missing
-	// indices, and the serial path's reference-index scratch.
+	// indices, and the reference-index scratch of reference resolution.
 	out     []float64
 	results []*Result
 	missing []int
 	refIdx  []int
-	// tick counts Tick calls; unlike the exported (caller-resettable)
-	// Stats.Ticks it is private, so cache invalidation below can rely on it
-	// increasing monotonically.
+	// tick counts the rows applied over the engine's life; unlike the
+	// exported (caller-resettable) Stats.Ticks it is private and monotone,
+	// which is what Seq reports and a snapshot preserves.
 	tick int
-	// selCache shares anchor selections within a tick: the dissimilarity
-	// profile depends only on the reference set, never on the target, so
-	// missing streams with identical reference sets reuse one profile +
-	// selection and only aggregate their own anchor values (O(k) each).
-	// Entries [0:selCacheLen) are valid for tick selCacheTick.
-	selCache     []anchorCacheEntry
-	selCacheLen  int
-	selCacheTick int
-	// Parallel tick state: one job per distinct reference set, the target
-	// streams mapped onto those jobs, and the persistent pool feeding the
-	// jobs to workers. poolMu guards the pool's lifecycle (start, dispatch,
-	// Close) so Close is idempotent and safe to call while a Tick is
-	// mid-dispatch.
+	// Imputation state of a tick: one job per distinct reference set, the
+	// missing streams mapped onto those jobs, and the persistent pool feeding
+	// the jobs to workers. poolMu guards the pool's lifecycle (start,
+	// dispatch, Close) so Close is idempotent and safe to call while a Tick
+	// is mid-dispatch.
 	jobs    []tickJob
 	targets []tickTarget
 	poolMu  sync.Mutex
@@ -166,13 +158,13 @@ func (e *Engine) Seq() uint64 { return uint64(e.tick) }
 // selection scratch of a full window's n = L − 2l + 1 candidates: the
 // profile buffer (n floats) and the Eq. 5 scratch, two rows of n+1 floats
 // and k rows of ⌈(n+1)/64⌉ words of take bits (which the greedy and
-// overlapping ablations do not allocate), once for the serial tick and once
-// per worker when Workers > 1. A stream holds its energies and cross
-// products only while the incremental profiler's replay rule can still use
-// them, at most l + ⌈l/4⌉ ticks after its last consult (or to the end of a
-// longer TickColumns batch), so a tenant whose streams serve as references
-// less often holds less than the estimate, and a never-ticked engine holds
-// no window backing yet. The estimate is a pure
+// overlapping ablations do not allocate), once for the jobs a tick runs
+// inline and once more per worker when Workers > 1. A stream holds its
+// energies and cross products only while the incremental profiler's replay
+// rule can still use them, at most l + ⌈l/4⌉ ticks after its last consult
+// (or to the end of a longer TickColumns batch), so a tenant whose streams
+// serve as references less often holds less than the estimate, and a
+// never-ticked engine holds no window backing yet. The estimate is a pure
 // function of the configuration and the stream count, so residency
 // budgeting (shard.Options.ResidentBytes) can add it on install and subtract
 // the same amount on detach; it is a sizing estimate, not an exact
@@ -218,13 +210,14 @@ func (e *Engine) ValidateRow(row []float64) error {
 // to Tick or TickColumns; callers that retain them across ticks must copy.
 // A steady-state tick with no missing values performs no allocations.
 //
-// With Config.Workers > 1 and several streams missing at once, the
-// imputations run concurrently on the engine's persistent worker pool:
-// reference sets are resolved up front against the tick's raw row, so a
-// value imputed in this tick is never consulted as a reference in the same
-// tick (the serial tick permits that cascade for streams at lower indices;
-// in practice references must be present at tn anyway for the paper's
-// reference-selection rule).
+// Every missing stream's references are resolved against the raw row, so a
+// value imputed or cold-filled in this tick never serves as a reference in
+// the same tick, and the output depends on the row alone: not on
+// Config.Workers, which only fans a tick's anchor selections out across a
+// worker pool, and not on the order the streams were declared in. (The one
+// exception is the last bits of a cold fill for a stream that has never had
+// a value: it takes the mean of the row's present values, summed in
+// declaration order.)
 func (e *Engine) Tick(row []float64) ([]float64, []*Result, error) {
 	// Validate before mutating any state, so a rejected row leaves the
 	// engine exactly as it was (service boundaries retry or drop the row).
@@ -269,11 +262,7 @@ func (e *Engine) tickApplied(row []float64, out []float64, results []*Result) {
 	if len(missing) == 0 {
 		return
 	}
-	if e.cfg.Workers > 1 && len(missing) > 1 {
-		e.imputeMissingParallel(missing, out, results)
-	} else {
-		e.imputeMissingSerial(missing, out, results)
-	}
+	e.imputeMissing(row, missing, out, results)
 }
 
 // Columns is a stream-major batch of ticks: Columns[i][t] holds stream i's
@@ -413,46 +402,32 @@ func (e *Engine) sweep() {
 	}
 }
 
-// imputeMissingSerial is the classic tick: missing streams are imputed in
-// index order, so an earlier imputation may serve as a reference value for a
-// later stream in the same tick.
-func (e *Engine) imputeMissingSerial(missing []int, out []float64, results []*Result) {
-	for _, i := range missing {
-		val, res, err := e.imputeStream(i)
-		switch {
-		case err == nil:
-			results[i] = res
-			out[i] = val
-			e.last[i] = val
-		case err == ErrInsufficientHistory:
-			e.Stats.InsufficientHist++
-			out[i] = e.coldFill(i)
-		default:
-			e.Stats.ReferenceErrors++
-			out[i] = e.coldFill(i)
-		}
-	}
-}
-
-// imputeMissingParallel fans the tick's extraction + selection work out
-// across the persistent worker pool (started on first use). Reference
-// picking, deduplication, stats, cold fills, incremental catch-up and value
-// aggregation (which writes each imputed value into the window) stay serial;
-// only profile assembly and anchor selection — the ~92% phase — run
-// concurrently, with exactly one job per distinct reference set (targets
-// sharing references share the job). Each worker owns its scratch and writes
-// only its own job's selection slot, and every referenced stream's
-// aggregates are caught up before the fan-out, so the concurrent profile
-// assemblies only read them.
-func (e *Engine) imputeMissingParallel(missing []int, out []float64, results []*Result) {
+// imputeMissing imputes the tick's missing streams in three steps, so the
+// completed row depends on the raw row alone, not on Config.Workers or (but
+// for the last bits of coldFill's row mean) on the order the streams were
+// declared in:
+//
+//   - Resolve: every missing stream picks its references against the raw row
+//     before any value at tn is written (Sec. 3: the first d candidates
+//     present at tn, and an imputed value is not a measurement). Equal
+//     reference sets share one job; a stream with fewer than d present
+//     candidates is queued for a cold fill.
+//   - Select: every job's reference streams are caught up serially, then the
+//     jobs' profile assembly and anchor selection — the ~92% phase — run
+//     inline, or on the persistent worker pool (started on first use) when
+//     Workers > 1 and the tick has several jobs. Each job writes only its own
+//     selection slot, and a caught-up profiler is only read.
+//   - Aggregate: each target averages its own anchor values (Def. 4) from its
+//     job's selection, and the queued streams are cold-filled, serially.
+//     Neither reads a value written at tn.
+func (e *Engine) imputeMissing(row []float64, missing []int, out []float64, results []*Result) {
 	nJobs := 0
 	tgts := e.targets[:0]
 	for _, i := range missing {
 		refIdx, err := e.pickRefsInto(i, e.refIdx[:0])
 		e.refIdx = refIdx
 		if err != nil {
-			e.Stats.ReferenceErrors++
-			out[i] = e.coldFill(i)
+			tgts = append(tgts, tickTarget{stream: i, job: -1})
 			continue
 		}
 		j := -1
@@ -473,19 +448,26 @@ func (e *Engine) imputeMissingParallel(missing []int, out []float64, results []*
 		tgts = append(tgts, tickTarget{stream: i, job: j})
 	}
 	e.targets = tgts
-	if nJobs == 0 {
-		return
-	}
 	if e.inc != nil {
-		// Catch up every referenced stream serially, so the workers'
-		// ProfileWindow calls are pure reads.
 		for j := 0; j < nJobs; j++ {
 			e.inc.Prepare(e.jobs[j].refIdx)
 		}
 	}
-	e.dispatch(nJobs)
+	if e.cfg.Workers > 1 && nJobs > 1 {
+		e.dispatch(nJobs)
+	} else {
+		for j := 0; j < nJobs; j++ {
+			jb := &e.jobs[j]
+			jb.err = profileSelectWindow(e.cfg, e.w, jb.refIdx, e.prof, &e.scratch, &jb.sel)
+		}
+	}
 	for _, t := range tgts {
 		i := t.stream
+		if t.job < 0 {
+			e.Stats.ReferenceErrors++
+			out[i] = e.coldFill(i, row)
+			continue
+		}
 		jb := &e.jobs[t.job]
 		err := jb.err
 		var val float64
@@ -501,10 +483,10 @@ func (e *Engine) imputeMissingParallel(missing []int, out []float64, results []*
 			e.last[i] = val
 		case err == ErrInsufficientHistory:
 			e.Stats.InsufficientHist++
-			out[i] = e.coldFill(i)
+			out[i] = e.coldFill(i, row)
 		default:
 			e.Stats.ReferenceErrors++
-			out[i] = e.coldFill(i)
+			out[i] = e.coldFill(i, row)
 		}
 	}
 }
@@ -522,80 +504,23 @@ func (e *Engine) pickRefsInto(i int, dst []int) ([]int, error) {
 	return rs.PickInto(e.w, e.cfg.D, dst)
 }
 
-// imputeStream runs TKCM for the stream at index i at the current tick,
-// sharing the profile + anchor selection with any earlier imputation of the
-// tick that used the same reference set.
-func (e *Engine) imputeStream(i int) (float64, *Result, error) {
-	refIdx, err := e.pickRefsInto(i, e.refIdx[:0])
-	e.refIdx = refIdx
-	if err != nil {
-		return 0, nil, err
-	}
-	sel, err := e.cachedSelection(refIdx)
-	if err != nil {
-		return 0, nil, err
-	}
-	val, res, err := aggregateWindow(e.cfg, e.w, i, sel, e.cfg.SkipDiagnostics)
-	if err != nil {
-		return 0, nil, err
-	}
-	e.Stats.Imputations++
-	return val, res, nil
-}
-
-// anchorCacheEntry memoizes one reference set's selection for the current
-// tick. Sharing is sound because a stream's value at tn is written at most
-// once per tick (present values never change; a missing stream is imputed
-// once), so a reference set resolves to the same histories wherever it
-// appears within the tick.
-type anchorCacheEntry struct {
-	refIdx []int
-	sel    anchorSelection
-	err    error
-}
-
-// cachedSelection returns the profile + anchor selection for refIdx at the
-// current tick, computing and memoizing it on first use.
-func (e *Engine) cachedSelection(refIdx []int) (*anchorSelection, error) {
-	if e.selCacheTick != e.tick {
-		e.selCacheTick = e.tick
-		e.selCacheLen = 0
-	}
-	for x := 0; x < e.selCacheLen; x++ {
-		ent := &e.selCache[x]
-		if slices.Equal(ent.refIdx, refIdx) {
-			return &ent.sel, ent.err
-		}
-	}
-	if e.selCacheLen == len(e.selCache) {
-		e.selCache = append(e.selCache, anchorCacheEntry{})
-	}
-	ent := &e.selCache[e.selCacheLen]
-	e.selCacheLen++
-	ent.refIdx = append(ent.refIdx[:0], refIdx...)
-	ent.err = profileSelectWindow(e.cfg, e.w, refIdx, e.prof, &e.scratch, &ent.sel)
-	return &ent.sel, ent.err
-}
-
 // coldFill fills a missing value while TKCM is not applicable: it carries
-// the last known value forward, falling back to the mean of the present
-// values in the current row, then to 0. The cold-start path exists only for
-// the first ticks of a stream's life; experiments always warm the window
+// the last known value forward, falling back to the mean of the values
+// present in the tick's raw row, then to 0. The cold-start path exists only
+// for the first ticks of a stream's life; experiments always warm the window
 // before injecting missing blocks.
-func (e *Engine) coldFill(i int) float64 {
+func (e *Engine) coldFill(i int, row []float64) float64 {
 	e.Stats.ColdStartFills++
 	v := e.last[i]
 	if !math.IsNaN(v) {
 		e.w.SetCurrent(i, v)
 		return v
 	}
+	// row[i] is missing, so the mean covers the other streams.
 	sum, n := 0.0, 0
-	for j := 0; j < e.w.Width(); j++ {
-		if j == i {
-			continue
-		}
-		if cv := e.w.Current(j); !math.IsNaN(cv) {
-			sum += cv
+	for _, rv := range row {
+		if !math.IsNaN(rv) {
+			sum += rv
 			n++
 		}
 	}

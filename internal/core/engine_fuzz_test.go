@@ -96,7 +96,9 @@ func FuzzEngineTick(f *testing.F) {
 // FuzzEngineTickColumns is the columnar twin of FuzzEngineTick: for an
 // arbitrary fuzz-chosen missing pattern — including ticks where every stream
 // is missing at once — TickColumns must produce bit-identical outputs and
-// statistics to feeding the same rows through sequential Tick calls.
+// statistics to feeding the same rows through sequential Tick calls, and so
+// must a two-worker engine and an engine whose streams are declared in
+// reverse order: the output depends on the rows alone.
 func FuzzEngineTickColumns(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x0f, 0xff, 0x00, 0x3c, 0xa5})
@@ -110,17 +112,57 @@ func FuzzEngineTickColumns(f *testing.F) {
 			"b": {Stream: "b", Candidates: []string{"c", "d"}},
 		}
 		names := []string{"a", "b", "c", "d"}
+		// The sequential engines, each fed whole rows: serial, pooled, and
+		// declared as d, c, b, a.
+		type seqEngine struct {
+			label string
+			eng   *Engine
+			perm  []int // the engine declares stream perm[j] at position j
+		}
+		newSeq := func(label string, c Config, perm []int) seqEngine {
+			declared := make([]string, width)
+			for j, s := range perm {
+				declared[j] = names[s]
+			}
+			eng, err := NewEngine(c, declared, map[string]ReferenceSet{"a": refs["a"], "b": refs["b"]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(eng.Close)
+			return seqEngine{label, eng, perm}
+		}
+		pooled := cfg
+		pooled.Workers = 2
+		seqs := []seqEngine{
+			newSeq("sequential", cfg, []int{0, 1, 2, 3}),
+			newSeq("pooled", pooled, []int{0, 1, 2, 3}),
+			newSeq("reverse-declared", cfg, []int{3, 2, 1, 0}),
+		}
+		// tickAll feeds row to every sequential engine and returns their
+		// completed rows in the feed's stream order.
+		tickAll := func(row []float64) [][]float64 {
+			in := make([]float64, width)
+			outs := make([][]float64, len(seqs))
+			for x, se := range seqs {
+				for j, s := range se.perm {
+					in[j] = row[s]
+				}
+				out, _, err := se.eng.Tick(in)
+				if err != nil {
+					t.Fatalf("%s: %v", se.label, err)
+				}
+				outs[x] = make([]float64, width)
+				for j, s := range se.perm {
+					outs[x][s] = out[j]
+				}
+			}
+			return outs
+		}
 		colEng, err := NewEngine(cfg, names, refs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqEng, err := NewEngine(cfg, names, map[string]ReferenceSet{
-			"a": refs["a"], "b": refs["b"],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm both engines identically, then build one batch whose missing
+		// Warm every engine identically, then build one batch whose missing
 		// pattern comes from the fuzz input: each input byte masks one tick
 		// (bit i set = stream i missing; 0b1111 = entirely missing tick).
 		row := make([]float64, width)
@@ -131,9 +173,7 @@ func FuzzEngineTickColumns(f *testing.F) {
 			if _, _, err := colEng.Tick(row); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := seqEng.Tick(row); err != nil {
-				t.Fatal(err)
-			}
+			tickAll(row)
 		}
 		n := len(data)
 		if n > 64 {
@@ -159,19 +199,20 @@ func FuzzEngineTickColumns(f *testing.F) {
 			for i := 0; i < width; i++ {
 				row[i] = cols[i][tk]
 			}
-			want, _, err := seqEng.Tick(row)
-			if err != nil {
-				t.Fatalf("tick %d: %v", tk, err)
-			}
-			for i := 0; i < width; i++ {
-				if out[i][tk] != want[i] {
-					t.Fatalf("tick %d stream %d: columnar %v != sequential %v (mask %#x)",
-						tk, i, out[i][tk], want[i], data[tk])
+			outs := tickAll(row)
+			for x, se := range seqs {
+				for i := 0; i < width; i++ {
+					if math.Float64bits(out[i][tk]) != math.Float64bits(outs[x][i]) {
+						t.Fatalf("tick %d stream %s: columnar %v != %s %v (mask %#x)",
+							tk, names[i], out[i][tk], se.label, outs[x][i], data[tk])
+					}
 				}
 			}
 		}
-		if colEng.Stats != seqEng.Stats {
-			t.Fatalf("stats diverged: columnar %+v, sequential %+v", colEng.Stats, seqEng.Stats)
+		for _, se := range seqs {
+			if colEng.Stats != se.eng.Stats {
+				t.Fatalf("stats diverged: columnar %+v, %s %+v", colEng.Stats, se.label, se.eng.Stats)
+			}
 		}
 	})
 }

@@ -453,8 +453,8 @@ func TestTickNothingMissingZeroAllocs(t *testing.T) {
 // TestTickSkipDiagnosticsZeroAllocs pins the throughput mode end to end:
 // with SkipDiagnostics set, even a tick that imputes missing values through
 // the incremental profiler stays allocation-free once the scratch buffers
-// are warm (serial path; the pool path additionally pays only channel
-// traffic).
+// are warm (jobs run inline; on the worker pool they additionally pay only
+// channel traffic).
 func TestTickSkipDiagnosticsZeroAllocs(t *testing.T) {
 	cfg := Config{K: 3, PatternLength: 6, D: 2, WindowLength: 144, Profiler: ProfilerIncremental, SkipDiagnostics: true}
 	eng, row := warmEngine(t, cfg, 8)

@@ -167,9 +167,7 @@ func TestEngineReferenceFailureInjection(t *testing.T) {
 // set of identically fed engines and returns, per engine, the imputed value
 // of every (tick, stream) that was missing, in a fixed order. The first half
 // of the streams are targets that may go missing; the second half is an
-// always-present reference pool, so reference values never depend on
-// same-tick imputation order and serial vs parallel ticks are exactly
-// comparable.
+// always-present reference pool.
 func wideScenario(t *testing.T, cfgs []Config, labels []string, seed uint64) [][]float64 {
 	t.Helper()
 	const (
@@ -290,9 +288,7 @@ func TestEngineLazyEagerNaiveEquivalence(t *testing.T) {
 }
 
 // TestEngineSerialPoolEquivalence: ticks fanned out across the persistent
-// worker pool must impute exactly what the serial tick imputes whenever no
-// target references another same-tick-missing stream (guaranteed here by
-// the always-present reference pool).
+// worker pool must impute exactly what the inline tick imputes.
 func TestEngineSerialPoolEquivalence(t *testing.T) {
 	base := Config{K: 3, PatternLength: 7, D: 2, WindowLength: 3 * 48, Norm: L2, Profiler: ProfilerIncremental}
 	pool := base

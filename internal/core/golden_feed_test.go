@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -26,13 +27,15 @@ type goldenShape struct {
 	missing  float64 // long-run share of dropped cells from missFrom on
 	run      int     // mean missing-run length
 	// want holds the hashes for the goldenModes, in order.
-	want [4]string
+	want [5]string
 }
 
 // goldenModes are the ways TestEngineGoldenFeed drives each feed: row by row,
-// as TickColumns batches of mixed sizes, with a two-worker pool, and through
-// an engine restored from a snapshot taken mid-feed.
-var goldenModes = [4]string{"tick", "columns", "workers2", "restored"}
+// as TickColumns batches of mixed sizes, with a two-worker pool, with the
+// streams declared in a shuffled order and a two-worker pool (rows fed and
+// outputs hashed in the feed's order), and through an engine restored from a
+// snapshot taken mid-feed.
+var goldenModes = [5]string{"tick", "columns", "workers2", "permuted", "restored"}
 
 // goldenFeed generates the shape's rows: per-stream seasonal sines plus noise,
 // rounded to two decimals, with bursty missing runs (NaN) from missFrom on.
@@ -126,12 +129,21 @@ func (h *goldenHasher) finish(s EngineStats) string {
 func runGolden(t *testing.T, g goldenShape, rows [][]float64, mode string, capacity int) (string, EngineStats) {
 	t.Helper()
 	cfg := g.cfg
-	if mode == "workers2" {
+	// The engine declares stream perm[j] at position j.
+	perm := make([]int, g.width)
+	for j := range perm {
+		perm[j] = j
+	}
+	switch mode {
+	case "workers2":
 		cfg.Workers = 2
+	case "permuted":
+		cfg.Workers = 2
+		perm = rand.New(rand.NewPCG(g.seed, 26)).Perm(g.width)
 	}
 	names := make([]string, g.width)
 	for j := range names {
-		names[j] = fmt.Sprintf("s%d", j)
+		names[j] = fmt.Sprintf("s%d", perm[j])
 	}
 	var eng *Engine
 	var err error
@@ -175,6 +187,9 @@ func runGolden(t *testing.T, g goldenShape, rows [][]float64, mode string, capac
 	if mode == "restored" {
 		restoreAt = g.cfg.WindowLength + (len(rows)-g.cfg.WindowLength)/3
 	}
+	in := make([]float64, g.width)
+	done := make([]float64, g.width)
+	doneRes := make([]*Result, g.width)
 	for x, row := range rows {
 		if x == restoreAt {
 			var img bytes.Buffer
@@ -186,53 +201,69 @@ func runGolden(t *testing.T, g goldenShape, rows [][]float64, mode string, capac
 				t.Fatal(err)
 			}
 		}
-		out, res, err := eng.Tick(append([]float64(nil), row...))
+		for j, s := range perm {
+			in[j] = row[s]
+		}
+		out, res, err := eng.Tick(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.tick(out, res)
+		for j, s := range perm {
+			done[s], doneRes[s] = out[j], res[j]
+		}
+		h.tick(done, doneRes)
 	}
 	return h.finish(eng.Stats), eng.Stats
 }
 
-// goldenShapes are the four seeded feeds of TestEngineGoldenFeed: the serving
-// benchmark's impute and ingest shapes, and a small one with gaps from the
-// first tick under the default and the naive profiler.
+// goldenShapes are the seeded feeds of TestEngineGoldenFeed: the serving
+// benchmark's impute and ingest shapes, a small one with gaps from the second
+// tick under the default and the naive profiler, and the small one at 35%
+// missing ("heavy"), where a stream often lacks d present candidates and is
+// cold-filled while other streams of its tick are imputed. Every feed's first
+// row is complete, so no cold fill falls back to the row mean, which sums in
+// declaration order.
 var goldenShapes = []goldenShape{
 	{
 		name: "impute", seed: 1, width: 16, ticks: 2*4032 + 600, missFrom: 4032, missing: 0.05, run: 8,
 		cfg:  Config{K: 5, PatternLength: 72, D: 3, WindowLength: 4032},
-		want: [4]string{"8945dd74529bb1ad", "8945dd74529bb1ad", "93b7324a6dd2afc7", "c70f5a77e50eaf7f"},
+		want: [5]string{"b1e4febe7a62f82a", "b1e4febe7a62f82a", "b1e4febe7a62f82a", "b1e4febe7a62f82a", "84d7ba6971120ab9"},
 	},
 	{
 		name: "ingest", seed: 2, width: 64, ticks: 2*1024 + 300, missFrom: 1024, missing: 0.002, run: 1,
 		cfg:  Config{K: 5, PatternLength: 72, D: 3, WindowLength: 1024},
-		want: [4]string{"1c44ba00e447193b", "1c44ba00e447193b", "1c44ba00e447193b", "524553afd1c07b9a"},
+		want: [5]string{"054309d897e6ebb3", "054309d897e6ebb3", "054309d897e6ebb3", "054309d897e6ebb3", "524553afd1c07b9a"},
 	},
 	{
 		name: "small", seed: 3, width: 6, ticks: 3 * 512, missFrom: 1, missing: 0.04, run: 4,
 		cfg:  Config{K: 5, PatternLength: 24, D: 3, WindowLength: 512},
-		want: [4]string{"f7ebda03af564340", "f7ebda03af564340", "b56c6230b668a668", "5c5071473e2fff0c"},
+		want: [5]string{"b56c6230b668a668", "b56c6230b668a668", "b56c6230b668a668", "b56c6230b668a668", "b56c6230b668a668"},
 	},
 	{
 		name: "small-naive", seed: 4, width: 6, ticks: 3 * 512, missFrom: 1, missing: 0.04, run: 4,
 		cfg:  Config{K: 5, PatternLength: 24, D: 3, WindowLength: 512, Profiler: ProfilerNaive},
-		want: [4]string{"c8bfb6c81a39d1e9", "c8bfb6c81a39d1e9", "0c1a3deaf66b0a83", "c8bfb6c81a39d1e9"},
+		want: [5]string{"0c1a3deaf66b0a83", "0c1a3deaf66b0a83", "0c1a3deaf66b0a83", "0c1a3deaf66b0a83", "0c1a3deaf66b0a83"},
+	},
+	{
+		name: "heavy", seed: 3, width: 6, ticks: 3 * 512, missFrom: 1, missing: 0.35, run: 4,
+		cfg:  Config{K: 5, PatternLength: 24, D: 3, WindowLength: 512},
+		want: [5]string{"188add44ab41f644", "188add44ab41f644", "188add44ab41f644", "188add44ab41f644", "8f25c7986b601143"},
 	},
 }
 
 // TestEngineGoldenFeed pins the engine's output bits on the goldenShapes,
-// each driven four ways. A refactor of the engine's storage or kernels must
-// leave every hash unchanged; a change that alters rounding on purpose
-// records new hashes.
+// each driven five ways. The output depends on the rows alone, so the tick,
+// columns, workers2 and permuted hashes are equal on every shape. A refactor
+// of the engine's storage or kernels must leave every hash unchanged; a
+// change that alters rounding on purpose records new hashes.
 func TestEngineGoldenFeed(t *testing.T) {
 	for _, g := range goldenShapes {
 		t.Run(g.name, func(t *testing.T) {
 			rows := g.goldenFeed(g.seed)
 			for x, mode := range goldenModes {
 				got, st := runGolden(t, g, rows, mode, 0)
-				t.Logf("%s/%s: %s (%d imputations, %d cold fills, %d reference errors)",
-					g.name, mode, got, st.Imputations, st.ColdStartFills, st.ReferenceErrors)
+				t.Logf("%s/%s: %s (%d imputations, %d cold fills, %d reference errors, %d insufficient history)",
+					g.name, mode, got, st.Imputations, st.ColdStartFills, st.ReferenceErrors, st.InsufficientHist)
 				if got != g.want[x] {
 					t.Errorf("%s/%s: hash %s, want %s", g.name, mode, got, g.want[x])
 				}
@@ -242,16 +273,16 @@ func TestEngineGoldenFeed(t *testing.T) {
 }
 
 // TestGoldenFeedIndependentOfCapacity: the incremental profiler's
-// replay-or-rebuild rule is a function of window position, not of where the
-// window backing compacts, so the output bits do not depend on its capacity.
+// replay-or-rebuild rule reads the window's geometry, never where the window
+// backing compacts, and a replay reads at most the l slid-out values every
+// backing keeps, so the output bits do not depend on the backing's capacity.
 // The impute feed and the small feed, here run for 5L ticks so that it
-// crosses several 2L compaction points, must hash to their pinned tick hashes
-// under the tightest backing (L + l + 1, which compacts on every slide), the
-// served one (L + l + L/4), 2L and 3L. The small feed's 5L hash is the one a
-// 2L backing, whose compaction points are the rule's points, produces.
+// crosses many compactions, must hash to their pinned tick hashes under the
+// tightest backing (L + l + 1, which compacts on every slide), the served one
+// (L + l + L/4), 2L and 3L.
 func TestGoldenFeedIndependentOfCapacity(t *testing.T) {
 	small := goldenShapes[2]
-	small.name, small.ticks, small.want[0] = "small-5L", 5*small.cfg.WindowLength, "bae31d112ba4daaa"
+	small.name, small.ticks, small.want[0] = "small-5L", 5*small.cfg.WindowLength, "21cb34f4893811c5"
 	for _, g := range []goldenShape{goldenShapes[0], small} {
 		t.Run(g.name, func(t *testing.T) {
 			rows := g.goldenFeed(g.seed)

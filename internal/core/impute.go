@@ -83,11 +83,15 @@ func ImputeWindow(cfg Config, w *window.Window, sIdx int, refIdx []int) (*Result
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	_, res, err := imputeWindowWith(cfg, w, sIdx, refIdx, cfg.sliceProfiler(), nil, false)
+	var sel anchorSelection
+	if err := profileSelectWindow(cfg, w, refIdx, cfg.sliceProfiler(), &imputeScratch{}, &sel); err != nil {
+		return nil, err
+	}
+	_, res, err := aggregateWindow(cfg, w, sIdx, &sel, false)
 	return res, err
 }
 
-// imputeScratch holds the per-caller reusable buffers of imputeWindowWith:
+// imputeScratch holds the per-caller reusable buffers of profileSelectWindow:
 // one snapshot per reference slot, profile storage, and the anchor-selection
 // scratch. The zero value is ready to use; buffers grow on first use and are
 // reused afterwards.
@@ -193,19 +197,6 @@ func aggregateWindow(cfg Config, w *window.Window, sIdx int, sel *anchorSelectio
 	}
 	w.SetCurrent(sIdx, val)
 	return val, res, nil
-}
-
-// imputeWindowWith runs the full imputation — profile, selection,
-// aggregation — for one stream, as the one-shot ImputeWindow path does.
-func imputeWindowWith(cfg Config, w *window.Window, sIdx int, refIdx []int, prof Profiler, sc *imputeScratch, skipDiag bool) (float64, *Result, error) {
-	if sc == nil {
-		sc = &imputeScratch{}
-	}
-	var sel anchorSelection
-	if err := profileSelectWindow(cfg, w, refIdx, prof, sc, &sel); err != nil {
-		return 0, nil, err
-	}
-	return aggregateWindow(cfg, w, sIdx, &sel, skipDiag)
 }
 
 // aggregateAnchors computes the imputed value from the target's values at

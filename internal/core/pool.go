@@ -7,10 +7,10 @@ import (
 	"tkcm/internal/window"
 )
 
-// tickJob is one extraction + selection task of a parallel tick: a distinct
-// reference set and the selection a worker computes for it. The jobs slice
-// and each job's refIdx/selection storage are engine-owned and reused
-// across ticks.
+// tickJob is one extraction + selection task of a tick: a distinct
+// reference set and the selection computed for it, inline or by a pool
+// worker. The jobs slice and each job's refIdx/selection storage are
+// engine-owned and reused across ticks.
 type tickJob struct {
 	refIdx []int
 	sel    anchorSelection
@@ -18,7 +18,8 @@ type tickJob struct {
 }
 
 // tickTarget maps one missing stream onto the job (distinct reference set)
-// whose selection it aggregates from.
+// whose selection it aggregates from; job is -1 for a stream with fewer than
+// d present candidates, which is cold-filled.
 type tickTarget struct {
 	stream int
 	job    int

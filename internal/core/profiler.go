@@ -125,19 +125,6 @@ func historyKeep(kind ProfilerKind, l int) int {
 	return 0
 }
 
-// replayFloor is the oldest sync position a replay may start from once the
-// window's oldest value sits at absolute position pos: L·⌊(pos−1)/L⌋ (0
-// before the first slide), the points at which a backing of capacity 2L
-// compacts. A function of window position alone, it keeps the
-// replay-or-rebuild choices — and so the output bits — those of the 2L
-// backing under any capacity.
-func replayFloor(pos, L int) int {
-	if pos < 1 {
-		return 0
-	}
-	return L * ((pos - 1) / L)
-}
-
 // incStreamState holds one stream's (possibly stale) sliding profile
 // aggregates. With v the stream's window (oldest first, m ticks) and
 // qs = m − l:
@@ -306,25 +293,24 @@ func (p *IncrementalProfiler) sync(i int) {
 
 // replayable reports whether a sync of st to a window of m values at
 // absolute position pos may replay the deferred ticks instead of rebuilding.
-// A replay needs valid aggregates that already covered ≥ 1 candidate, a sync
-// point at or after replayFloor, room under the drift-rebuild budget — and it
-// must be cheaper than the O(m + nCand·l) rebuild. With m = nCand + 2l − 1
-// that last condition gives deferred < l + 1, so a replay reads at most l
-// slid-out values, which the engine's window keeps.
+// A replay needs valid aggregates that already covered ≥ 1 candidate and room
+// under the drift-rebuild budget — and it must be cheaper than the
+// O(m + nCand·l) rebuild. With m = nCand + 2l − 1 that last condition gives
+// deferred < l + 1, so a replay reads at most l slid-out values, which the
+// engine's window keeps.
 //
 // Once false it stays false as the window advances, until the next sync: every
 // tick adds one deferred tick, which raises deferred·(nCand + l) by at least
 // as much as it raises m + nCand·l (by nCand + l on a slide against 0, by
-// deferred + nCand + l + 1 on a growth against l + 1); replayFloor only rises;
-// and the drift budget only shrinks. So a stream whose aggregates fail it will
-// rebuild at its next consult, and until then they are dead weight.
+// deferred + nCand + l + 1 on a growth against l + 1), and the drift budget
+// only shrinks. So a stream whose aggregates fail it will rebuild at its next
+// consult, and until then they are dead weight.
 func (p *IncrementalProfiler) replayable(st *incStreamState, m, pos int) bool {
 	l := p.l
 	nCand := m - 2*l + 1
 	deferred := (m - st.syncM) + (pos - st.syncPos)
 	return st.aggOK &&
 		st.syncM-2*l+1 >= 1 &&
-		st.syncPos >= replayFloor(pos, p.w.Length()) &&
 		st.sinceRebuild+deferred < incRebuildEvery &&
 		deferred*(nCand+l) <= m+nCand*l
 }
@@ -369,10 +355,10 @@ func (p *IncrementalProfiler) take(i int) {
 // rebuild anyway (see replayable), so releasing changes no output bit. The
 // released arrays join the spares, and the spares are trimmed to the count
 // rebuilds took since the previous sweep, so a tenant keeps one sweep
-// interval's worth of rebuild demand, not its peak. The engine calls it on its serial tick path,
-// after every read of the tick; it acts at most once every ⌈l/4⌉ ticks and
-// visits only held streams, so a stream holds its aggregates at most
-// l + ⌈l/4⌉ ticks past its last consult, or to the end of a longer
+// interval's worth of rebuild demand, not its peak. The engine calls it on the
+// ticking goroutine, after every read of the tick; it acts at most once every
+// ⌈l/4⌉ ticks and visits only held streams, so a stream holds its aggregates
+// at most l + ⌈l/4⌉ ticks past its last consult, or to the end of a longer
 // TickColumns batch.
 func (p *IncrementalProfiler) sweep() {
 	t := p.w.Tick()
@@ -546,8 +532,9 @@ func (st *incStreamState) rebuild(nv []float64, l int) {
 	}
 }
 
-// Prepare catches up every stream in refIdx. The engine calls it serially
-// before fanning a tick's profile assemblies out across workers, so the
+// Prepare catches up every stream in refIdx. The engine calls it serially for
+// every job of a tick before any of the jobs' profile assemblies run, inline
+// or across workers, so both ways sync the same streams at the same point and
 // concurrent ProfileWindow calls only read the aggregates.
 func (p *IncrementalProfiler) Prepare(refIdx []int) {
 	for _, ri := range refIdx {

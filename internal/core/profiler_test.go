@@ -206,10 +206,8 @@ func TestEngineProfilerEquivalence(t *testing.T) {
 	streamEngines(t, cfgs, labels, 1e-6)
 }
 
-// TestEngineParallelEquivalence: a parallel tick must produce the same
-// imputations as the serial tick when no stream references another stream
-// that is missing in the same tick (the only case where serial order
-// matters, which parallel ticks intentionally forgo).
+// TestEngineParallelEquivalence: a tick fanned out across workers must
+// produce the same imputations as the inline tick.
 func TestEngineParallelEquivalence(t *testing.T) {
 	for _, kind := range []ProfilerKind{ProfilerNaive, ProfilerIncremental} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -453,12 +451,12 @@ func sameAggregates(a, b *incStreamState) string {
 // TestFusedReplayMatchesPerSlide consults three references every gap
 // ticks, for every gap from 1 to 80, through the production catch-up and
 // through the per-slide oracle, over the served backing. Gaps above 61 cross
-// the replay-vs-rebuild threshold at this shape, and each run crosses a
-// replay floor (which forces the next catch-up to rebuild) and several
+// the replay-vs-rebuild threshold at this shape, and each run crosses several
 // backing compactions, so fused replays of every remainder mod 4 start from
-// both rebuilt and replayed aggregates. cross, energy, eq and the assembled profiles — over
-// one reference and over all three, which exercises the first, middle and
-// last assembly passes — must agree bit for bit at every consult.
+// both rebuilt and replayed aggregates. cross, energy, eq and the assembled
+// profiles — over one reference and over all three, which exercises the
+// first, middle and last assembly passes — must agree bit for bit at every
+// consult.
 func TestFusedReplayMatchesPerSlide(t *testing.T) {
 	const (
 		L = 512
@@ -516,8 +514,7 @@ func TestBlockedRebuildMatchesPlain(t *testing.T) {
 // TestAggregatesReleasedWhenUnreplayable drives an ingest-shaped engine — 64
 // streams, L = 1024, l = 72, pinned references, one-cell gaps that mostly hit
 // four hot streams — for more than 2L ticks, so that references are consulted
-// again within the replay bound, long after it, and across a replay floor. It
-// tracks every stream's last consult from the pinned reference sets (a lone
+// again within the replay bound and long after it. It tracks every stream's last consult from the pinned reference sets (a lone
 // gap consults the first D candidates) and checks after every tick that no
 // stream holds aggregates more than l + ⌈l/4⌉ ticks after it, that a sweep
 // kept a stream's aggregates exactly when the replay rule, applied to the

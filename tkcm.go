@@ -45,13 +45,16 @@
 //
 // # Engine hot path
 //
-// Within one tick, reference aggregates and anchor selections are shared:
+// Within one tick, every missing stream's references are resolved against
+// the raw row, and reference aggregates and anchor selections are shared:
 // each reference stream is caught up at most once, and missing streams
 // with identical reference sets run pattern extraction and the selection
-// DP once and only aggregate their own anchor values.
-// Config.Workers > 1 fans a tick's extraction + selection jobs out across a
-// persistent worker pool (call Engine.Close when discarding such an
-// engine). Engine.Tick returns engine-owned buffers (valid until the next
+// DP once (one job) and only aggregate their own anchor values.
+// Config.Workers > 1 fans a tick's jobs out across a persistent worker pool
+// (call Engine.Close when discarding such an engine); the output is the
+// same either way, and, but for the row-mean cold fill of a stream that has
+// never had a value, whatever order the streams were declared in.
+// Engine.Tick returns engine-owned buffers (valid until the next
 // tick) and performs zero allocations when nothing is missing;
 // Config.SkipDiagnostics additionally skips per-imputation Result
 // diagnostics for allocation-free throughput ingest.
