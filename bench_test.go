@@ -431,16 +431,15 @@ func BenchmarkEngineTickProfilers(b *testing.B) {
 // BenchmarkEngineWide streams the wide-engine scenario (W = 256 streams,
 // 5% missing per tick, shared reference pool — the same generator behind
 // `tkcm-bench -experiment wide`) through the public engine at the
-// demand-driven default in throughput mode. The full sweep, with and
-// without diagnostics and including W = 1024, runs via the tkcm-bench
-// experiment.
+// demand-driven default. The full sweep, including W = 1024, runs via the
+// tkcm-bench experiment.
 func BenchmarkEngineWide(b *testing.B) {
 	const width = 256
 	sc, err := experiments.NewWideScenario(width, 0.05)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := tkcm.Config{K: 5, PatternLength: 72, D: 3, WindowLength: 4032, SkipDiagnostics: true}
+	cfg := tkcm.Config{K: 5, PatternLength: 72, D: 3, WindowLength: 4032}
 	eng, err := tkcm.NewEngine(cfg, sc.Names(), sc.Refs())
 	if err != nil {
 		b.Fatal(err)

@@ -88,8 +88,6 @@ type Config struct {
 	Profiler string `json:"profiler,omitempty"`
 	// WeightedMean weights anchor values by inverse dissimilarity.
 	WeightedMean bool `json:"weighted_mean,omitempty"`
-	// SkipDiagnostics drops per-imputation diagnostics for throughput.
-	SkipDiagnostics bool `json:"skip_diagnostics,omitempty"`
 }
 
 // CreateTenantRequest describes a tenant to create.

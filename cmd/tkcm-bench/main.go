@@ -197,7 +197,7 @@ func allExperiments() []experiment {
 		{"perf", "Sec. 7.4: runtime breakdown of TKCM's phases", runPerf},
 		{"engine", "streaming-engine throughput: naive vs FFT vs incremental extraction, serial vs parallel ticks", runEngine},
 		{"pinned", "pinned hot-path micro-benchmarks (engine tick, columnar batch, WAL append) — CI's regression gate via -baseline", runPinned},
-		{"wide", "wide-engine throughput: demand-driven engine with and without diagnostics over 256+ streams with sparse missingness", runWide},
+		{"wide", "wide-engine throughput: demand-driven engine over 256+ streams with sparse missingness", runWide},
 		{"ablation", "DESIGN.md §4: DP vs greedy vs overlapping, norms, weighting", runAblation},
 		{"alignment", "Sec. 8 future work: DTW-aligned series + l=1 vs shifted series + l>1", runAlignment},
 	}
@@ -350,9 +350,7 @@ func loadPinnedBaseline(path string) (map[string]pinnedRow, error) {
 
 // runWide measures the production-scale workload the demand-driven profiler
 // state targets: hundreds to thousands of co-evolving streams with ≤5% of
-// them missing per tick, references drawn from a small shared pool. The
-// "lazy" row is the demand-driven default; "lazy+lean" additionally skips
-// Result diagnostics (throughput mode) and is reported against it.
+// them missing per tick, references drawn from a small shared pool.
 func runWide(scale experiments.Scale) error {
 	widths := []int{256}
 	winLen := 4032
@@ -370,37 +368,18 @@ func runWide(scale experiments.Scale) error {
 	}
 	tbl := experiments.NewTable(
 		fmt.Sprintf("Wide-engine throughput (L=%d, 5%% of streams missing per tick, shared reference pool)", winLen),
-		"mode", "width", "missing", "workers", "ticks/s", "ns/tick", "allocs/tick")
-	var summaries []string
+		"width", "missing", "ticks/s", "ns/tick", "allocs/tick")
 	for _, width := range widths {
-		var baseline float64
-		var speedups []string
-		for _, wc := range experiments.WideCases() {
-			row, err := experiments.WideEngineThroughput(width, winLen, ticks, 0.05, wc)
-			if err != nil {
-				return err
-			}
-			recordJSON("wide", row)
-			tbl.AddRow(row.Mode, row.Width, row.MissingPerTick, row.Workers,
-				fmt.Sprintf("%.0f", row.TicksPerSec), fmt.Sprintf("%.0f", row.NsPerTick),
-				fmt.Sprintf("%.1f", row.AllocsPerTick))
-			if baseline == 0 {
-				baseline = row.NsPerTick
-			} else {
-				speedups = append(speedups, fmt.Sprintf("%s %.1fx", row.Mode, baseline/row.NsPerTick))
-			}
+		row, err := experiments.WideEngineThroughput(width, winLen, ticks, 0.05)
+		if err != nil {
+			return err
 		}
-		if len(speedups) > 0 {
-			summaries = append(summaries, fmt.Sprintf("width %d speedup vs lazy: %s", width, strings.Join(speedups, ", ")))
-		}
+		recordJSON("wide", row)
+		tbl.AddRow(row.Width, row.MissingPerTick, fmt.Sprintf("%.0f", row.TicksPerSec),
+			fmt.Sprintf("%.0f", row.NsPerTick), fmt.Sprintf("%.1f", row.AllocsPerTick))
 	}
-	if _, err := tbl.WriteTo(os.Stdout); err != nil {
-		return err
-	}
-	for _, s := range summaries {
-		fmt.Println(s)
-	}
-	return nil
+	_, err := tbl.WriteTo(os.Stdout)
+	return err
 }
 
 func runAlignment(scale experiments.Scale) error {

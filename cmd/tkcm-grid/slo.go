@@ -210,7 +210,7 @@ func driveSweep(ctx context.Context, c *client.Client, sw experiments.SLOSweep,
 		err := c.CreateTenant(ctx, ids[i], client.CreateTenantRequest{
 			Streams: streams,
 			Config: &client.Config{
-				K: 3, PatternLength: 8, D: 2, WindowLength: 1024, SkipDiagnostics: true,
+				K: 3, PatternLength: 8, D: 2, WindowLength: 1024,
 			},
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -65,10 +66,25 @@ func columnsTestEngine(t *testing.T, cfg Config, width int) *Engine {
 	return eng
 }
 
+// sameResult reports whether a and b are both nil or hold bit-identical
+// fields.
+func sameResult(a, b *Result) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return same(a.Value, b.Value) && same(a.SumDissimilarity, b.SumDissimilarity) && same(a.Epsilon, b.Epsilon) &&
+		slices.Equal(a.Anchors, b.Anchors) &&
+		slices.EqualFunc(a.AnchorValues, b.AnchorValues, same) &&
+		slices.EqualFunc(a.Dissimilarities, b.Dissimilarities, same)
+}
+
 // TestTickColumnsMatchesTick: columnar ingest must be bit-identical to
-// ticking the same rows one by one — outputs, results, and statistics — for
-// arbitrary missing patterns (including entirely missing ticks) and arbitrary
-// batch boundaries, under the incremental and the naive profiler.
+// ticking the same rows one by one — outputs, every Result field, and
+// statistics — for arbitrary missing patterns (including entirely missing
+// ticks) and arbitrary batch boundaries, under the incremental and the naive
+// profiler. The batch's Results are read only after the whole batch ran, so
+// each cell must keep its own Result until the next call.
 func TestTickColumnsMatchesTick(t *testing.T) {
 	const width, n, warm = 8, 420, 140
 	base := Config{K: 2, PatternLength: 6, D: 2, WindowLength: 96, Profiler: ProfilerIncremental}
@@ -108,11 +124,7 @@ func TestTickColumnsMatchesTick(t *testing.T) {
 								t.Fatalf("batch=%d tick %d stream %d: columnar %v != sequential %v",
 									batch, tk, i, got, want[i])
 							}
-							cr, sr := res[tk-a][i], wantRes[i]
-							if (cr == nil) != (sr == nil) {
-								t.Fatalf("batch=%d tick %d stream %d: result presence differs", batch, tk, i)
-							}
-							if cr != nil && (cr.Value != sr.Value || cr.SumDissimilarity != sr.SumDissimilarity) {
+							if cr, sr := res[tk-a][i], wantRes[i]; !sameResult(cr, sr) {
 								t.Fatalf("batch=%d tick %d stream %d: result %+v != %+v", batch, tk, i, cr, sr)
 							}
 						}
@@ -124,6 +136,9 @@ func TestTickColumnsMatchesTick(t *testing.T) {
 				}
 				if colEng.Seq() != seqEng.Seq() {
 					t.Fatalf("batch=%d: seq diverged: %d != %d", batch, colEng.Seq(), seqEng.Seq())
+				}
+				if len(colEng.resPool) > width {
+					t.Fatalf("batch=%d: %d Results pooled between calls, want at most one per stream", batch, len(colEng.resPool))
 				}
 			}
 		})
@@ -162,12 +177,12 @@ func TestTickColumnsRejectsBadBatches(t *testing.T) {
 }
 
 // TestTickColumnsZeroAllocs pins the columnar hot path at zero allocations
-// per batched tick in steady state: a complete batch (the healthy-feed fast
-// path) and a batch with missing values under SkipDiagnostics both run
-// allocation-free once the engine's scratch has warmed up.
+// per batched tick in steady state: complete batches (the healthy-feed fast
+// path) of alternating lengths and a batch with missing values all run
+// allocation-free once the engine's scratch and Result pool have warmed up.
 func TestTickColumnsZeroAllocs(t *testing.T) {
 	const width, n = 8, 64
-	cfg := Config{K: 3, PatternLength: 6, D: 2, WindowLength: 144, SkipDiagnostics: true}
+	cfg := Config{K: 3, PatternLength: 6, D: 2, WindowLength: 144}
 	eng := columnsTestEngine(t, cfg, width)
 	complete := columnsScenario(width, n, n, 5)
 	sparse := columnsScenario(width, n, n, 6)
@@ -183,18 +198,24 @@ func TestTickColumnsZeroAllocs(t *testing.T) {
 	if _, _, err := eng.TickColumns(sparse); err != nil {
 		t.Fatal(err)
 	}
+	half := make(Columns, width)
+	for i := range half {
+		half[i] = complete[i][:n/2]
+	}
 	if avg := testing.AllocsPerRun(10, func() {
-		if _, _, err := eng.TickColumns(complete); err != nil {
-			t.Fatal(err)
+		for _, batch := range []Columns{half, complete} {
+			if _, _, err := eng.TickColumns(batch); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}); avg != 0 {
-		t.Errorf("complete batch: %v allocs per TickColumns, want 0", avg)
+		t.Errorf("complete batches of %d and %d ticks: %v allocs per pair of TickColumns, want 0", n/2, n, avg)
 	}
 	if avg := testing.AllocsPerRun(10, func() {
 		if _, _, err := eng.TickColumns(sparse); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("sparse batch with SkipDiagnostics: %v allocs per TickColumns, want 0", avg)
+		t.Errorf("sparse batch: %v allocs per TickColumns, want 0", avg)
 	}
 }

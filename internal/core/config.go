@@ -118,13 +118,6 @@ type Config struct {
 	// output (see Engine.Tick). Call Engine.Close to stop the pool when
 	// discarding an engine.
 	Workers int
-	// SkipDiagnostics skips allocating the per-imputation Result (anchors,
-	// anchor values, dissimilarities, ε) on the engine tick path: Tick then
-	// reports every imputed value in its completed row but leaves all
-	// results entries nil. Throughput mode for callers that only consume
-	// the imputed values. One-shot Impute/ImputeWindow calls always build
-	// full diagnostics.
-	SkipDiagnostics bool
 }
 
 // DefaultConfig returns the calibrated defaults of Sec. 7.2: d = 3 reference

@@ -40,11 +40,18 @@ type Engine struct {
 	workerScratch []imputeScratch
 	// Tick-owned result buffers, handed to the caller and valid until the
 	// next Tick: the completed row, the per-stream results, the missing
-	// indices, and the reference-index scratch of reference resolution.
-	out     []float64
-	results []*Result
-	missing []int
-	refIdx  []int
+	// indices, the reference-index scratch of reference resolution, and the
+	// sorted present values of a row-mean cold fill.
+	out      []float64
+	results  []*Result
+	missing  []int
+	refIdx   []int
+	coldVals []float64
+	// resPool holds the Results Tick and TickColumns hand out, resUsed of
+	// them taken since the call began. Between calls it keeps at most one
+	// per stream, which is what one Tick can need.
+	resPool []*Result
+	resUsed int
 	// tick counts the rows applied over the engine's life; unlike the
 	// exported (caller-resettable) Stats.Ticks it is private and monotone,
 	// which is what Seq reports and a snapshot preserves.
@@ -168,7 +175,9 @@ func (e *Engine) Seq() uint64 { return uint64(e.tick) }
 // function of the configuration and the stream count, so residency
 // budgeting (shard.Options.ResidentBytes) can add it on install and subtract
 // the same amount on detach; it is a sizing estimate, not an exact
-// accounting.
+// accounting. It leaves out the pool of Results that ticks hand out,
+// (12 + 3k) words per stream, about 0.2% of a stream's history at k = 5,
+// l = 72, L = 4032.
 func (e *Engine) MemoryBytes() int64 {
 	perStream := int64(e.w.Capacity())
 	if e.inc != nil {
@@ -202,22 +211,20 @@ func (e *Engine) ValidateRow(row []float64) error {
 
 // Tick consumes one row of measurements (one value per stream, NaN =
 // missing) and imputes every missing value. It returns the completed row
-// (imputed in place of NaN) and the per-stream imputation results for
-// streams that required TKCM (nil entries for streams that were present,
-// cold-start filled, or imputed with Config.SkipDiagnostics set).
+// (imputed in place of NaN) and the per-stream imputation results: every
+// stream imputed by TKCM carries one, and streams that were present or
+// cold-start filled have nil entries.
 //
-// The returned slices are owned by the engine and valid until the next call
-// to Tick or TickColumns; callers that retain them across ticks must copy.
-// A steady-state tick with no missing values performs no allocations.
+// The returned slices and Results are owned by the engine and valid until
+// the next call to Tick or TickColumns; callers that retain them across
+// ticks must copy. A steady-state tick performs no allocations, whether or
+// not it imputes.
 //
 // Every missing stream's references are resolved against the raw row, so a
 // value imputed or cold-filled in this tick never serves as a reference in
 // the same tick, and the output depends on the row alone: not on
 // Config.Workers, which only fans a tick's anchor selections out across a
-// worker pool, and not on the order the streams were declared in. (The one
-// exception is the last bits of a cold fill for a stream that has never had
-// a value: it takes the mean of the row's present values, summed in
-// declaration order.)
+// worker pool, and not on the order the streams were declared in.
 func (e *Engine) Tick(row []float64) ([]float64, []*Result, error) {
 	// Validate before mutating any state, so a rejected row leaves the
 	// engine exactly as it was (service boundaries retry or drop the row).
@@ -230,6 +237,7 @@ func (e *Engine) Tick(row []float64) ([]float64, []*Result, error) {
 		e.out = make([]float64, len(row))
 		e.results = make([]*Result, len(row))
 	}
+	e.resUsed = 0
 	e.tickApplied(row, e.out, e.results)
 	e.sweep()
 	return e.out, e.results, nil
@@ -283,10 +291,11 @@ type Columns [][]float64
 // and anchor-selection storage across the batch.
 //
 // It returns the completed columns and the per-tick results (indexed
-// [tick][stream], nil entries as in Tick). Both are engine-owned and valid
-// until the next Tick/TickColumns call. The whole batch is
-// validated up front — on error no state is mutated. A steady-state batch
-// with no missing values performs no allocations.
+// [tick][stream], nil entries as in Tick). Both, and every Result of the
+// batch, are engine-owned and valid until the next Tick/TickColumns call.
+// The whole batch is validated up front — on error no state is mutated. A
+// steady-state batch performs no allocations, provided it imputes no more
+// values than there are streams.
 func (e *Engine) TickColumns(cols Columns) (Columns, [][]*Result, error) {
 	width := e.w.Width()
 	if len(cols) != width {
@@ -336,7 +345,13 @@ func (e *Engine) TickColumns(cols Columns) (Columns, [][]*Result, error) {
 		out[i] = out[i][:k]
 	}
 	e.colOut = out
+	// Drop the previous batch's Results, then reuse every row allocated so
+	// far: rows past the previous batch hold no Results.
 	res := e.colRes
+	for _, r := range res {
+		clear(r)
+	}
+	res = res[:cap(res)]
 	for len(res) < k {
 		res = append(res, nil)
 	}
@@ -346,11 +361,9 @@ func (e *Engine) TickColumns(cols Columns) (Columns, [][]*Result, error) {
 			res[t] = make([]*Result, width)
 		}
 		res[t] = res[t][:width]
-		for i := range res[t] {
-			res[t][i] = nil
-		}
 	}
 	e.colRes = res
+	e.resUsed = 0
 	for t := 0; t < k; {
 		if mpt[t] == 0 {
 			// Maximal run of complete ticks: bulk-append it.
@@ -382,12 +395,15 @@ func (e *Engine) TickColumns(cols Columns) (Columns, [][]*Result, error) {
 			e.out = make([]float64, width)
 			e.results = make([]*Result, width)
 		}
-		e.tickApplied(row, e.out, e.results)
+		e.tickApplied(row, e.out, res[t])
 		for i := range cols {
 			out[i][t] = e.out[i]
 		}
-		copy(res[t], e.results)
 		t++
+	}
+	if len(e.resPool) > width {
+		clear(e.resPool[width:])
+		e.resPool = e.resPool[:width]
 	}
 	e.sweep()
 	return out, res, nil
@@ -403,9 +419,8 @@ func (e *Engine) sweep() {
 }
 
 // imputeMissing imputes the tick's missing streams in three steps, so the
-// completed row depends on the raw row alone, not on Config.Workers or (but
-// for the last bits of coldFill's row mean) on the order the streams were
-// declared in:
+// completed row depends on the raw row alone, not on Config.Workers or on
+// the order the streams were declared in:
 //
 //   - Resolve: every missing stream picks its references against the raw row
 //     before any value at tn is written (Sec. 3: the first d candidates
@@ -418,8 +433,9 @@ func (e *Engine) sweep() {
 //     Workers > 1 and the tick has several jobs. Each job writes only its own
 //     selection slot, and a caught-up profiler is only read.
 //   - Aggregate: each target averages its own anchor values (Def. 4) from its
-//     job's selection, and the queued streams are cold-filled, serially.
-//     Neither reads a value written at tn.
+//     job's selection into the next Result of the engine's pool, and the
+//     queued streams are cold-filled, serially. Neither reads a value
+//     written at tn.
 func (e *Engine) imputeMissing(row []float64, missing []int, out []float64, results []*Result) {
 	nJobs := 0
 	tgts := e.targets[:0]
@@ -470,17 +486,17 @@ func (e *Engine) imputeMissing(row []float64, missing []int, out []float64, resu
 		}
 		jb := &e.jobs[t.job]
 		err := jb.err
-		var val float64
 		var res *Result
 		if err == nil {
-			val, res, err = aggregateWindow(e.cfg, e.w, i, &jb.sel, e.cfg.SkipDiagnostics)
+			res = e.nextResult()
+			err = aggregateWindow(e.cfg, e.w, i, &jb.sel, res)
 		}
 		switch {
 		case err == nil:
 			e.Stats.Imputations++
 			results[i] = res
-			out[i] = val
-			e.last[i] = val
+			out[i] = res.Value
+			e.last[i] = res.Value
 		case err == ErrInsufficientHistory:
 			e.Stats.InsufficientHist++
 			out[i] = e.coldFill(i, row)
@@ -489,6 +505,16 @@ func (e *Engine) imputeMissing(row []float64, missing []int, out []float64, resu
 			out[i] = e.coldFill(i, row)
 		}
 	}
+}
+
+// nextResult takes the next Result of the engine's pool, growing the pool
+// when every Result is taken.
+func (e *Engine) nextResult() *Result {
+	if e.resUsed == len(e.resPool) {
+		e.resPool = append(e.resPool, &Result{})
+	}
+	e.resUsed++
+	return e.resPool[e.resUsed-1]
 }
 
 // pickRefsInto resolves the reference set for the stream at index i into dst
@@ -516,16 +542,23 @@ func (e *Engine) coldFill(i int, row []float64) float64 {
 		e.w.SetCurrent(i, v)
 		return v
 	}
-	// row[i] is missing, so the mean covers the other streams.
-	sum, n := 0.0, 0
+	// row[i] is missing, so the mean covers the other streams. It sums
+	// them in ascending order, so its last bit does not depend on the
+	// order the streams were declared in.
+	vals := e.coldVals[:0]
 	for _, rv := range row {
 		if !math.IsNaN(rv) {
-			sum += rv
-			n++
+			vals = append(vals, rv)
 		}
 	}
-	if n > 0 {
-		v = sum / float64(n)
+	e.coldVals = vals
+	slices.Sort(vals)
+	sum := 0.0
+	for _, rv := range vals {
+		sum += rv
+	}
+	if len(vals) > 0 {
+		v = sum / float64(len(vals))
 	} else {
 		v = 0
 	}

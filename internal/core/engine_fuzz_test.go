@@ -95,10 +95,11 @@ func FuzzEngineTick(f *testing.F) {
 
 // FuzzEngineTickColumns is the columnar twin of FuzzEngineTick: for an
 // arbitrary fuzz-chosen missing pattern — including ticks where every stream
-// is missing at once — TickColumns must produce bit-identical outputs and
-// statistics to feeding the same rows through sequential Tick calls, and so
-// must a two-worker engine and an engine whose streams are declared in
-// reverse order: the output depends on the rows alone.
+// is missing at once — TickColumns must produce bit-identical outputs,
+// Results (nil where no TKCM imputation ran) and statistics to feeding the
+// same rows through sequential Tick calls, and so must a two-worker engine
+// and an engine whose streams are declared in reverse order: the output
+// depends on the rows alone.
 func FuzzEngineTickColumns(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x0f, 0xff, 0x00, 0x3c, 0xa5})
@@ -139,24 +140,26 @@ func FuzzEngineTickColumns(f *testing.F) {
 			newSeq("reverse-declared", cfg, []int{3, 2, 1, 0}),
 		}
 		// tickAll feeds row to every sequential engine and returns their
-		// completed rows in the feed's stream order.
-		tickAll := func(row []float64) [][]float64 {
+		// completed rows and Results in the feed's stream order.
+		tickAll := func(row []float64) ([][]float64, [][]*Result) {
 			in := make([]float64, width)
 			outs := make([][]float64, len(seqs))
+			ress := make([][]*Result, len(seqs))
 			for x, se := range seqs {
 				for j, s := range se.perm {
 					in[j] = row[s]
 				}
-				out, _, err := se.eng.Tick(in)
+				out, res, err := se.eng.Tick(in)
 				if err != nil {
 					t.Fatalf("%s: %v", se.label, err)
 				}
 				outs[x] = make([]float64, width)
+				ress[x] = make([]*Result, width)
 				for j, s := range se.perm {
-					outs[x][s] = out[j]
+					outs[x][s], ress[x][s] = out[j], res[j]
 				}
 			}
-			return outs
+			return outs, ress
 		}
 		colEng, err := NewEngine(cfg, names, refs)
 		if err != nil {
@@ -191,7 +194,7 @@ func FuzzEngineTickColumns(f *testing.F) {
 				}
 			}
 		}
-		out, _, err := colEng.TickColumns(cols)
+		out, res, err := colEng.TickColumns(cols)
 		if err != nil {
 			t.Fatalf("TickColumns: %v", err)
 		}
@@ -199,12 +202,16 @@ func FuzzEngineTickColumns(f *testing.F) {
 			for i := 0; i < width; i++ {
 				row[i] = cols[i][tk]
 			}
-			outs := tickAll(row)
+			outs, ress := tickAll(row)
 			for x, se := range seqs {
 				for i := 0; i < width; i++ {
 					if math.Float64bits(out[i][tk]) != math.Float64bits(outs[x][i]) {
 						t.Fatalf("tick %d stream %s: columnar %v != %s %v (mask %#x)",
 							tk, names[i], out[i][tk], se.label, outs[x][i], data[tk])
+					}
+					if !sameResult(res[tk][i], ress[x][i]) {
+						t.Fatalf("tick %d stream %s: columnar result %+v != %s %+v (mask %#x)",
+							tk, names[i], res[tk][i], se.label, ress[x][i], data[tk])
 					}
 				}
 			}

@@ -349,19 +349,43 @@ func TestEngineColdStart(t *testing.T) {
 }
 
 // TestEngineColdStartNoHistory: a stream that starts missing falls back to
-// the row mean of the other streams.
+// the row mean of the other streams, to the last bit the same whatever order
+// the streams were declared in (summed in declaration order, {0.1, 0.2, 0.3}
+// and {0.3, 0.2, 0.1} differ in the last bit).
 func TestEngineColdStartNoHistory(t *testing.T) {
 	cfg := Config{K: 2, PatternLength: 3, D: 1, WindowLength: 30, Norm: L2}
-	eng, err := NewEngine(cfg, []string{"s", "a", "b"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := eng.Tick([]float64{math.NaN(), 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 6 {
-		t.Fatalf("fallback fill = %v, want row mean 6", out[0])
+	for _, tc := range []struct {
+		row  []float64 // the first row, in the order "s", "a", "b", ...
+		want float64
+	}{
+		{[]float64{math.NaN(), 4, 8}, 6},
+		{[]float64{math.NaN(), 0.1, 0.2, 0.3}, (0.1 + 0.2 + 0.3) / 3},
+	} {
+		names := []string{"s", "a", "b", "c"}[:len(tc.row)]
+		var fills []uint64
+		for _, reversed := range []bool{false, true} {
+			declared := slices.Clone(names)
+			row := slices.Clone(tc.row)
+			if reversed {
+				slices.Reverse(declared)
+				slices.Reverse(row)
+			}
+			eng, err := NewEngine(cfg, declared, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _, err := eng.Tick(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fills = append(fills, math.Float64bits(out[slices.Index(declared, "s")]))
+		}
+		if fills[0] != fills[1] {
+			t.Fatalf("row %v: fallback fill %#x declared in order, %#x declared in reverse", tc.row, fills[0], fills[1])
+		}
+		if got := math.Float64frombits(fills[0]); math.Abs(got-tc.want) > 1e-15 {
+			t.Fatalf("row %v: fallback fill = %v, want row mean %v", tc.row, got, tc.want)
+		}
 	}
 }
 
@@ -450,35 +474,44 @@ func TestTickNothingMissingZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTickSkipDiagnosticsZeroAllocs pins the throughput mode end to end:
-// with SkipDiagnostics set, even a tick that imputes missing values through
-// the incremental profiler stays allocation-free once the scratch buffers
-// are warm (jobs run inline; on the worker pool they additionally pay only
-// channel traffic).
-func TestTickSkipDiagnosticsZeroAllocs(t *testing.T) {
-	cfg := Config{K: 3, PatternLength: 6, D: 2, WindowLength: 144, Profiler: ProfilerIncremental, SkipDiagnostics: true}
-	eng, row := warmEngine(t, cfg, 8)
-	defer eng.Close()
-	missingRow := append([]float64(nil), row...)
-	missingRow[0] = math.NaN()
-	missingRow[2] = math.NaN()
-	// One warm run to grow every scratch buffer.
-	if _, _, err := eng.Tick(missingRow); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		out, results, err := eng.Tick(missingRow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.IsNaN(out[0]) || math.IsNaN(out[2]) {
-			t.Fatal("missing values left unfilled")
-		}
-		if results[0] != nil {
-			t.Fatal("diagnostics allocated despite SkipDiagnostics")
-		}
-	}); allocs != 0 {
-		t.Fatalf("SkipDiagnostics Tick performed %v allocations, want 0", allocs)
+// TestTickImputingZeroAllocs pins the imputing tick end to end under the
+// default config: once the scratch buffers and the engine's Result pool are
+// warm, a tick that imputes two streams through the incremental profiler
+// performs no allocations and hands out a Result for each, inline and on the
+// worker pool (which adds only channel traffic).
+func TestTickImputingZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"inline", 0}, {"workers2", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{K: 3, PatternLength: 6, D: 2, WindowLength: 144, Workers: tc.workers}
+			eng, row := warmEngine(t, cfg, 8)
+			defer eng.Close()
+			missingRow := append([]float64(nil), row...)
+			missingRow[0] = math.NaN()
+			missingRow[2] = math.NaN()
+			// One warm run to grow every scratch buffer.
+			if _, _, err := eng.Tick(missingRow); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(200, func() {
+				out, results, err := eng.Tick(missingRow)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, i := range []int{0, 2} {
+					if math.IsNaN(out[i]) {
+						t.Fatalf("stream %d left unfilled", i)
+					}
+					if results[i] == nil || results[i].Value != out[i] || len(results[i].Anchors) != cfg.K {
+						t.Fatalf("stream %d: result %+v for imputed value %v", i, results[i], out[i])
+					}
+				}
+			}); allocs != 0 {
+				t.Fatalf("imputing Tick performed %v allocations, want 0", allocs)
+			}
+		})
 	}
 }
 

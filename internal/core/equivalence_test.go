@@ -293,10 +293,8 @@ func TestEngineSerialPoolEquivalence(t *testing.T) {
 	base := Config{K: 3, PatternLength: 7, D: 2, WindowLength: 3 * 48, Norm: L2, Profiler: ProfilerIncremental}
 	pool := base
 	pool.Workers = 4
-	poolLean := pool
-	poolLean.SkipDiagnostics = true
 	f := func(seed uint64) bool {
-		vals := wideScenario(t, []Config{base, pool, poolLean}, []string{"serial", "pool", "pool-lean"}, seed)
+		vals := wideScenario(t, []Config{base, pool}, []string{"serial", "pool"}, seed)
 		for x := 1; x < len(vals); x++ {
 			if len(vals[x]) != len(vals[0]) {
 				return false

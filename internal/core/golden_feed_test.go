@@ -220,9 +220,7 @@ func runGolden(t *testing.T, g goldenShape, rows [][]float64, mode string, capac
 // benchmark's impute and ingest shapes, a small one with gaps from the second
 // tick under the default and the naive profiler, and the small one at 35%
 // missing ("heavy"), where a stream often lacks d present candidates and is
-// cold-filled while other streams of its tick are imputed. Every feed's first
-// row is complete, so no cold fill falls back to the row mean, which sums in
-// declaration order.
+// cold-filled while other streams of its tick are imputed.
 var goldenShapes = []goldenShape{
 	{
 		name: "impute", seed: 1, width: 16, ticks: 2*4032 + 600, missFrom: 4032, missing: 0.05, run: 8,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"tkcm/internal/window"
 )
@@ -65,10 +66,13 @@ func Impute(cfg Config, s []float64, refs [][]float64) (*Result, error) {
 	if !sel.fill(cfg, d, nil) {
 		return nil, ErrInsufficientHistory
 	}
-	_, res, err := aggregateAnchors(cfg, &sel, func(candidate int) float64 {
+	res := &Result{}
+	if err := aggregateAnchors(cfg, &sel, func(candidate int) float64 {
 		return s[candidate+l-1]
-	}, false)
-	return res, err
+	}, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // ImputeWindow recovers the missing value of the stream at index sIdx of w at
@@ -77,8 +81,6 @@ func Impute(cfg Config, s []float64, refs [][]float64) (*Result, error) {
 // line 26). It mirrors the paper's Algorithm 1 on a sliding window.
 // The dissimilarity profile is computed by the profiler Config.Profiler
 // selects (the incremental profiler has no state here and degrades to FFT).
-// It always builds full diagnostics; Config.SkipDiagnostics only applies to
-// the engine tick path.
 func ImputeWindow(cfg Config, w *window.Window, sIdx int, refIdx []int) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -87,8 +89,11 @@ func ImputeWindow(cfg Config, w *window.Window, sIdx int, refIdx []int) (*Result
 	if err := profileSelectWindow(cfg, w, refIdx, cfg.sliceProfiler(), &imputeScratch{}, &sel); err != nil {
 		return nil, err
 	}
-	_, res, err := aggregateWindow(cfg, w, sIdx, &sel, false)
-	return res, err
+	res := &Result{}
+	if err := aggregateWindow(cfg, w, sIdx, &sel, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // imputeScratch holds the per-caller reusable buffers of profileSelectWindow:
@@ -183,37 +188,29 @@ func profileSelectWindow(cfg Config, w *window.Window, refIdx []int, prof Profil
 	return nil
 }
 
-// aggregateWindow finishes one imputation from a prior selection: it
-// averages the target stream's values at the selected anchors (Def. 4,
+// aggregateWindow finishes one imputation from a prior selection into res:
+// it averages the target stream's values at the selected anchors (Def. 4,
 // optionally similarity-weighted) and stores the imputed value back into
-// the window (Algorithm 1 line 26). Diagnostics are skipped (nil Result)
-// when skipDiag is set.
-func aggregateWindow(cfg Config, w *window.Window, sIdx int, sel *anchorSelection, skipDiag bool) (float64, *Result, error) {
-	val, res, err := aggregateAnchors(cfg, sel, func(candidate int) float64 {
+// the window (Algorithm 1 line 26).
+func aggregateWindow(cfg Config, w *window.Window, sIdx int, sel *anchorSelection, res *Result) error {
+	if err := aggregateAnchors(cfg, sel, func(candidate int) float64 {
 		return w.At(sIdx, candidate+cfg.PatternLength-1)
-	}, skipDiag)
-	if err != nil {
-		return 0, nil, err
+	}, res); err != nil {
+		return err
 	}
-	w.SetCurrent(sIdx, val)
-	return val, res, nil
+	w.SetCurrent(sIdx, res.Value)
+	return nil
 }
 
-// aggregateAnchors computes the imputed value from the target's values at
-// the selected anchors. valueAt returns s's value for a candidate index
-// (anchor tick = candidate + l − 1). The imputed value is always returned;
-// the allocated *Result with its diagnostic slices is omitted (nil) when
-// skipDiag is set, keeping the throughput path allocation-free.
-func aggregateAnchors(cfg Config, sel *anchorSelection, valueAt func(candidate int) float64, skipDiag bool) (float64, *Result, error) {
-	var res *Result
-	if !skipDiag {
-		res = &Result{
-			Anchors:          make([]int, 0, len(sel.idx)),
-			AnchorValues:     make([]float64, 0, len(sel.idx)),
-			Dissimilarities:  make([]float64, 0, len(sel.idx)),
-			SumDissimilarity: sel.sum,
-		}
-	}
+// aggregateAnchors computes the imputed value and its diagnostics from the
+// target's values at the selected anchors into res, reusing its slices.
+// valueAt returns s's value for a candidate index (anchor tick = candidate +
+// l − 1).
+func aggregateAnchors(cfg Config, sel *anchorSelection, valueAt func(candidate int) float64, res *Result) error {
+	res.Anchors = slices.Grow(res.Anchors[:0], len(sel.idx))
+	res.AnchorValues = slices.Grow(res.AnchorValues[:0], len(sel.idx))
+	res.Dissimilarities = slices.Grow(res.Dissimilarities[:0], len(sel.idx))
+	res.SumDissimilarity = sel.sum
 	var (
 		plain          float64
 		weighted, wsum float64
@@ -223,11 +220,9 @@ func aggregateAnchors(cfg Config, sel *anchorSelection, valueAt func(candidate i
 	for x, j := range sel.idx {
 		v := valueAt(j)
 		dj := sel.dvals[x]
-		if res != nil {
-			res.Anchors = append(res.Anchors, j+cfg.PatternLength-1)
-			res.AnchorValues = append(res.AnchorValues, v)
-			res.Dissimilarities = append(res.Dissimilarities, dj)
-		}
+		res.Anchors = append(res.Anchors, j+cfg.PatternLength-1)
+		res.AnchorValues = append(res.AnchorValues, v)
+		res.Dissimilarities = append(res.Dissimilarities, dj)
 		if math.IsNaN(v) {
 			// The anchor value of s itself is missing (can happen offline
 			// when s has other gaps); skip it in the aggregate.
@@ -248,17 +243,13 @@ func aggregateAnchors(cfg Config, sel *anchorSelection, valueAt func(candidate i
 		}
 	}
 	if n == 0 {
-		return 0, nil, ErrInsufficientHistory
+		return ErrInsufficientHistory
 	}
-	var val float64
 	if cfg.WeightedMean {
-		val = weighted / wsum
+		res.Value = weighted / wsum
 	} else {
-		val = plain / float64(n)
+		res.Value = plain / float64(n)
 	}
-	if res != nil {
-		res.Value = val
-		res.Epsilon = hi - lo
-	}
-	return val, res, nil
+	res.Epsilon = hi - lo
+	return nil
 }

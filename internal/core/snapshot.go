@@ -37,11 +37,12 @@ import (
 // inlined after the retained count, under one trailing CRC; v1's config
 // lacks the last flag byte — still restore through the legacy decoder.
 //
-// The config encodes three retired engine flags (eager profiler
-// maintenance, the FFT alias for one-shot imputation, float32 profile
-// aggregates) as one byte each, so the layout stays that of every earlier
-// image. Snapshot writes them as zero; restore reads and ignores them, so an
-// image that had any of them set restores as the default engine.
+// The config encodes four retired engine flags (eager profiler
+// maintenance, skipped imputation diagnostics, the FFT alias for one-shot
+// imputation, float32 profile aggregates) as one byte each, so the layout
+// stays that of every earlier image. Snapshot writes them as zero; restore
+// reads and ignores them, so an image that had any of them set restores as
+// the default engine.
 //
 // The incremental profiler's aggregates are deliberately NOT serialized:
 // they are demand-driven derived state (see IncrementalProfiler), exactly
@@ -501,7 +502,7 @@ func (e *snapEncoder) encodeConfig(c Config) {
 	e.int(int64(c.Workers))
 	e.bool(c.WeightedMean)
 	e.bool(false) // retired: eager profiler
-	e.bool(c.SkipDiagnostics)
+	e.bool(false) // retired: skip diagnostics
 	e.bool(false) // retired: FFT alias
 	e.bool(false) // retired: float32 profiles (v2+)
 }
@@ -627,7 +628,7 @@ func (d *snapDecoder) decodeConfig(version uint32) Config {
 	c.Workers = int(d.int())
 	c.WeightedMean = d.bool()
 	d.bool() // retired: eager profiler
-	c.SkipDiagnostics = d.bool()
+	d.bool() // retired: skip diagnostics
 	d.bool() // retired: FFT alias
 	if version >= 2 {
 		d.bool() // retired: float32 profiles

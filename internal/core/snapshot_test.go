@@ -114,11 +114,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// retiredFlags are the config bytes of the three retired engine flags, as
-// older engines wrote them: eager profiler maintenance, the FFT alias for
-// one-shot imputation, and float32 profile aggregates (v2 and later).
+// retiredFlags are the config bytes of the four retired engine flags, as
+// older engines wrote them: eager profiler maintenance, skipped imputation
+// diagnostics (Config.SkipDiagnostics), the FFT alias for one-shot
+// imputation, and float32 profile aggregates (v2 and later).
 type retiredFlags struct {
-	eager, fftAlias, float32 bool
+	eager, skipDiagnostics, fftAlias, float32 bool
 }
 
 // encodeLegacyImage hand-encodes the given engine as a version 1 or 2 image
@@ -141,7 +142,7 @@ func encodeLegacyImage(t testing.TB, e *Engine, version uint32, retired retiredF
 	enc.int(int64(cfg.Workers))
 	enc.bool(cfg.WeightedMean)
 	enc.bool(retired.eager)
-	enc.bool(cfg.SkipDiagnostics)
+	enc.bool(retired.skipDiagnostics)
 	enc.bool(retired.fftAlias)
 	if version >= 2 {
 		enc.bool(retired.float32)
@@ -221,7 +222,7 @@ func TestRestoreAcceptsV1Image(t *testing.T) {
 	}
 }
 
-// setRetiredFlagsV3 returns a copy of a v3 image with the three retired
+// setRetiredFlagsV3 returns a copy of a v3 image with the four retired
 // config flag bytes set in its meta section and the meta CRC resealed. The
 // flags follow the config's eight varints and its WeightedMean byte.
 func setRetiredFlagsV3(img []byte, cfg Config) []byte {
@@ -232,7 +233,7 @@ func setRetiredFlagsV3(img []byte, cfg Config) []byte {
 		enc.int(int64(v))
 	}
 	flags := snapHeaderLen + enc.buf.Len() + 1
-	for _, off := range []int{0, 2, 3} { // eager, FFT alias, float32
+	for _, off := range []int{0, 1, 2, 3} { // eager, skip diagnostics, FFT alias, float32
 		cp[flags+off] = 1
 	}
 	metaLen := int(binary.LittleEndian.Uint64(cp[12:20]))
@@ -242,16 +243,16 @@ func setRetiredFlagsV3(img []byte, cfg Config) []byte {
 }
 
 // TestRestoreIgnoresRetiredFlags: images written by engines that had the
-// retired eager, FFT-alias or float32 flags set — a v2 image and a v3 image
-// with all three set — restore as the default engine and then tick
-// bit-identically to the same engine's image with the flags clear, over rows
-// with missing values.
+// retired eager, skip-diagnostics, FFT-alias or float32 flags set — a v2
+// image and a v3 image with all four set — restore as the default engine
+// and then tick bit-identically to the same engine's image with the flags
+// clear, over rows with missing values, with a Result on every imputation.
 func TestRestoreIgnoresRetiredFlags(t *testing.T) {
 	const width = 5
 	e := warmSnapEngine(t)
 	defer e.Close()
 	plain := snapImage(t, e)
-	set := retiredFlags{eager: true, fftAlias: true, float32: true}
+	set := retiredFlags{eager: true, skipDiagnostics: true, fftAlias: true, float32: true}
 	images := map[string][]byte{
 		"v2": encodeLegacyImage(t, e, 2, set),
 		"v3": setRetiredFlagsV3(plain, e.Config()),
@@ -278,11 +279,12 @@ func TestRestoreIgnoresRetiredFlags(t *testing.T) {
 				t.Fatalf("restored with the %s profiler, want incremental", got.Profiler().Name())
 			}
 			var row, row2 []float64
+			carried := 0
 			for tk := 150; tk < 300; tk++ {
 				row = snapTestRow(tk, width, row)
 				row2 = append(row2[:0], row...)
-				outW, _, errW := want.Tick(row)
-				outG, _, errG := got.Tick(row2)
+				outW, resW, errW := want.Tick(row)
+				outG, resG, errG := got.Tick(row2)
 				if errW != nil || errG != nil {
 					t.Fatalf("tick %d: %v, %v", tk, errW, errG)
 				}
@@ -290,10 +292,19 @@ func TestRestoreIgnoresRetiredFlags(t *testing.T) {
 					if math.Float64bits(outG[i]) != math.Float64bits(outW[i]) {
 						t.Fatalf("tick %d stream %d: %v, want %v (not bit-identical)", tk, i, outG[i], outW[i])
 					}
+					if !sameResult(resG[i], resW[i]) {
+						t.Fatalf("tick %d stream %d: result %+v, want %+v", tk, i, resG[i], resW[i])
+					}
+					if resG[i] != nil {
+						carried++
+					}
 				}
 			}
 			if want.Stats.Imputations == e.Stats.Imputations {
 				t.Fatal("no imputations after the restore")
+			}
+			if imputed := got.Stats.Imputations - e.Stats.Imputations; carried != imputed {
+				t.Fatalf("%d of %d imputations carried a Result", carried, imputed)
 			}
 			requireSameEngineState(t, got, want)
 		})

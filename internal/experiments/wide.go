@@ -9,40 +9,20 @@ import (
 	"tkcm/internal/core"
 )
 
-// WideRow reports one wide-engine throughput measurement: a configuration
-// of the streaming engine driven over a very wide stream set with sparse
-// missingness — the production-scale workload the demand-driven profiler
-// state targets. NsPerTick and AllocsPerTick are the steady-state per-tick
-// cost over the measured ticks (warm-up excluded).
+// WideRow reports one wide-engine throughput measurement: the streaming
+// engine driven over a very wide stream set with sparse missingness — the
+// production-scale workload the demand-driven profiler state targets.
+// NsPerTick and AllocsPerTick are the steady-state per-tick cost over the
+// measured ticks (warm-up excluded).
 type WideRow struct {
-	Mode            string  `json:"mode"`
-	Width           int     `json:"width"`
-	WindowLength    int     `json:"window_length"`
-	MissingPerTick  int     `json:"missing_per_tick"`
-	Workers         int     `json:"workers"`
-	SkipDiagnostics bool    `json:"skip_diagnostics"`
-	Ticks           int     `json:"ticks"`
-	Imputations     int     `json:"imputations"`
-	TicksPerSec     float64 `json:"ticks_per_sec"`
-	NsPerTick       float64 `json:"ns_per_tick"`
-	AllocsPerTick   float64 `json:"allocs_per_tick"`
-}
-
-// WideCase selects one engine configuration for the wide scenario.
-type WideCase struct {
-	Mode            string // label, e.g. "lazy" or "lazy+lean"
-	SkipDiagnostics bool
-	Workers         int
-}
-
-// WideCases returns the standard sweep: the demand-driven engine with full
-// diagnostics, and the same engine in throughput mode (diagnostics
-// skipped).
-func WideCases() []WideCase {
-	return []WideCase{
-		{Mode: "lazy"},
-		{Mode: "lazy+lean", SkipDiagnostics: true},
-	}
+	Width          int     `json:"width"`
+	WindowLength   int     `json:"window_length"`
+	MissingPerTick int     `json:"missing_per_tick"`
+	Ticks          int     `json:"ticks"`
+	Imputations    int     `json:"imputations"`
+	TicksPerSec    float64 `json:"ticks_per_sec"`
+	NsPerTick      float64 `json:"ns_per_tick"`
+	AllocsPerTick  float64 `json:"allocs_per_tick"`
 }
 
 // wideRefPool is the number of always-present reference streams the targets
@@ -139,21 +119,19 @@ func (s *WideScenario) MarkMissing(t int, row []float64) {
 // continuous engine: the window is warmed completely, then measureTicks
 // steady-state ticks run with missingFrac of the streams missing per tick.
 // It reports wall-clock and allocator cost per tick.
-func WideEngineThroughput(width, winLen, measureTicks int, missingFrac float64, wc WideCase) (WideRow, error) {
+func WideEngineThroughput(width, winLen, measureTicks int, missingFrac float64) (WideRow, error) {
 	s, err := NewWideScenario(width, missingFrac)
 	if err != nil {
 		return WideRow{}, err
 	}
 	cfg := core.Config{
-		K:               5,
-		PatternLength:   72,
-		D:               3,
-		WindowLength:    winLen,
-		Norm:            core.L2,
-		Selection:       core.SelectDP,
-		Profiler:        core.ProfilerIncremental,
-		SkipDiagnostics: wc.SkipDiagnostics,
-		Workers:         wc.Workers,
+		K:             5,
+		PatternLength: 72,
+		D:             3,
+		WindowLength:  winLen,
+		Norm:          core.L2,
+		Selection:     core.SelectDP,
+		Profiler:      core.ProfilerIncremental,
 	}
 	eng, err := core.NewEngine(cfg, s.Names(), s.Refs())
 	if err != nil {
@@ -181,16 +159,13 @@ func WideEngineThroughput(width, winLen, measureTicks int, missingFrac float64, 
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	return WideRow{
-		Mode:            wc.Mode,
-		Width:           width,
-		WindowLength:    winLen,
-		MissingPerTick:  s.MissingPerTick,
-		Workers:         cfg.Workers,
-		SkipDiagnostics: wc.SkipDiagnostics,
-		Ticks:           measureTicks,
-		Imputations:     eng.Stats.Imputations - impBefore,
-		TicksPerSec:     float64(measureTicks) / elapsed.Seconds(),
-		NsPerTick:       float64(elapsed.Nanoseconds()) / float64(measureTicks),
-		AllocsPerTick:   float64(ms1.Mallocs-ms0.Mallocs) / float64(measureTicks),
+		Width:          width,
+		WindowLength:   winLen,
+		MissingPerTick: s.MissingPerTick,
+		Ticks:          measureTicks,
+		Imputations:    eng.Stats.Imputations - impBefore,
+		TicksPerSec:    float64(measureTicks) / elapsed.Seconds(),
+		NsPerTick:      float64(elapsed.Nanoseconds()) / float64(measureTicks),
+		AllocsPerTick:  float64(ms1.Mallocs-ms0.Mallocs) / float64(measureTicks),
 	}, nil
 }

@@ -2,53 +2,37 @@ package experiments
 
 import "testing"
 
-// TestWideEngineThroughputSmoke runs one small wide-engine measurement per
-// mode and sanity-checks the reported rows: the configuration must round-
-// trip, every tick must impute the missing 5%, and the lean mode must not
-// report more allocations than the diagnostic mode.
+// TestWideEngineThroughputSmoke runs one small wide-engine measurement and
+// sanity-checks the reported row: the dimensions must round-trip, every tick
+// must impute the missing 5%, and the engine's Result pool must keep the
+// steady state below one allocation per imputation.
 func TestWideEngineThroughputSmoke(t *testing.T) {
 	const (
 		width  = 48
 		winLen = 512 // smallest round size hosting k=5 patterns of l=72
 		ticks  = 40
 	)
-	var lean, lazy WideRow
-	for _, wc := range WideCases() {
-		row, err := WideEngineThroughput(width, winLen, ticks, 0.05, wc)
-		if err != nil {
-			t.Fatalf("%s: %v", wc.Mode, err)
-		}
-		if row.Mode != wc.Mode || row.SkipDiagnostics != wc.SkipDiagnostics {
-			t.Fatalf("row misreports configuration: %+v", row)
-		}
-		if row.Width != width || row.Ticks != ticks {
-			t.Fatalf("row misreports dimensions: %+v", row)
-		}
-		wantMiss := width * 5 / 100
-		if row.MissingPerTick != wantMiss {
-			t.Fatalf("missing per tick = %d, want %d", row.MissingPerTick, wantMiss)
-		}
-		if row.Imputations != wantMiss*ticks {
-			t.Fatalf("imputations = %d, want %d (every missing value imputed)", row.Imputations, wantMiss*ticks)
-		}
-		if row.TicksPerSec <= 0 || row.NsPerTick <= 0 {
-			t.Fatalf("non-positive rates: %+v", row)
-		}
-		switch wc.Mode {
-		case "lazy":
-			lazy = row
-		case "lazy+lean":
-			lean = row
-		}
+	row, err := WideEngineThroughput(width, winLen, ticks, 0.05)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if lean.AllocsPerTick > lazy.AllocsPerTick {
-		t.Fatalf("lean mode allocates more than the diagnostic mode: %v > %v",
-			lean.AllocsPerTick, lazy.AllocsPerTick)
+	if row.Width != width || row.Ticks != ticks {
+		t.Fatalf("row misreports dimensions: %+v", row)
 	}
-	if err := func() error {
-		_, err := WideEngineThroughput(wideRefPool, winLen, ticks, 0.05, WideCases()[0])
-		return err
-	}(); err == nil {
+	wantMiss := width * 5 / 100
+	if row.MissingPerTick != wantMiss {
+		t.Fatalf("missing per tick = %d, want %d", row.MissingPerTick, wantMiss)
+	}
+	if row.Imputations != wantMiss*ticks {
+		t.Fatalf("imputations = %d, want %d (every missing value imputed)", row.Imputations, wantMiss*ticks)
+	}
+	if row.TicksPerSec <= 0 || row.NsPerTick <= 0 {
+		t.Fatalf("non-positive rates: %+v", row)
+	}
+	if perTick := float64(row.Imputations) / float64(ticks); row.AllocsPerTick >= perTick {
+		t.Fatalf("%.1f allocations per tick, want fewer than the %.1f imputations per tick", row.AllocsPerTick, perTick)
+	}
+	if _, err := WideEngineThroughput(wideRefPool, winLen, ticks, 0.05); err == nil {
 		t.Fatal("width ≤ reference pool accepted")
 	}
 }

@@ -14,9 +14,10 @@
 //
 // Create body: {"streams": ["s","r1","r2","r3"], "config": {"k":5,
 // "pattern_length":72, "d":3, "window_length":4032, "workers":0,
-// "profiler":"auto", "skip_diagnostics":false}, "refs": {"s":["r1","r2",
-// "r3"]}}. Omitted config fields take the paper's defaults; refs is
-// optional (reference sets are correlation-ranked from the data otherwise).
+// "profiler":"auto", "weighted_mean":false}, "refs": {"s":["r1","r2",
+// "r3"]}}. Omitted config fields take the paper's defaults and unknown ones
+// are ignored; refs is optional (reference sets are correlation-ranked from
+// the data otherwise).
 //
 // # Streaming ticks
 //

@@ -432,14 +432,13 @@ func (s *Server) handleGetTenant(w http.ResponseWriter, r *http.Request) {
 // apiConfig is the JSON shape of a tenant's TKCM configuration. Zero fields
 // keep the paper's calibrated defaults (core.DefaultConfig).
 type apiConfig struct {
-	K               int    `json:"k"`
-	PatternLength   int    `json:"pattern_length"`
-	D               int    `json:"d"`
-	WindowLength    int    `json:"window_length"`
-	Workers         int    `json:"workers"`
-	Profiler        string `json:"profiler"`
-	WeightedMean    bool   `json:"weighted_mean"`
-	SkipDiagnostics bool   `json:"skip_diagnostics"`
+	K             int    `json:"k"`
+	PatternLength int    `json:"pattern_length"`
+	D             int    `json:"d"`
+	WindowLength  int    `json:"window_length"`
+	Workers       int    `json:"workers"`
+	Profiler      string `json:"profiler"`
+	WeightedMean  bool   `json:"weighted_mean"`
 }
 
 // toCore overlays the request config onto the defaults.
@@ -471,7 +470,6 @@ func (a *apiConfig) toCore() (core.Config, error) {
 		cfg.Profiler = k
 	}
 	cfg.WeightedMean = a.WeightedMean
-	cfg.SkipDiagnostics = a.SkipDiagnostics
 	return cfg, nil
 }
 

@@ -656,9 +656,9 @@ func TestAPIValidation(t *testing.T) {
 		t.Errorf("recreate after delete: %d", resp.StatusCode)
 	}
 	// Unknown config fields are ignored, so an older client that still sends
-	// the retired float32_profiles flag creates its tenant.
+	// the retired float32_profiles or skip_diagnostics flag creates its tenant.
 	if resp := createTenant(t, ts.URL, "legacy", `{"streams": ["s","r1","r2","r3"],
-		"config": {"k": 2, "pattern_length": 3, "d": 2, "window_length": 24, "float32_profiles": true}}`); resp.StatusCode != http.StatusCreated {
+		"config": {"k": 2, "pattern_length": 3, "d": 2, "window_length": 24, "float32_profiles": true, "skip_diagnostics": true}}`); resp.StatusCode != http.StatusCreated {
 		t.Errorf("create with a retired config field: %d", resp.StatusCode)
 	}
 }

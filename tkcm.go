@@ -52,12 +52,11 @@
 // DP once (one job) and only aggregate their own anchor values.
 // Config.Workers > 1 fans a tick's jobs out across a persistent worker pool
 // (call Engine.Close when discarding such an engine); the output is the
-// same either way, and, but for the row-mean cold fill of a stream that has
-// never had a value, whatever order the streams were declared in.
-// Engine.Tick returns engine-owned buffers (valid until the next
-// tick) and performs zero allocations when nothing is missing;
-// Config.SkipDiagnostics additionally skips per-imputation Result
-// diagnostics for allocation-free throughput ingest.
+// same either way, and whatever order the streams were declared in.
+// Engine.Tick returns engine-owned buffers (valid until the next tick),
+// among them a Result with the anchors, δ and ε of every TKCM imputation,
+// and a steady-state tick performs zero allocations, whether or not it
+// imputes.
 //
 // TKCM's key property: imputation quality does not depend on linear
 // correlation between streams. By matching a two-dimensional pattern of the
