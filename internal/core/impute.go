@@ -41,38 +41,35 @@ func (r *Result) PatternDetermining(eps float64) bool { return r.Epsilon <= eps 
 // This is the slice-based form used by the experiment harness; ImputeWindow
 // is the streaming-window form of Algorithm 1.
 func Impute(cfg Config, s []float64, refs [][]float64) (*Result, error) {
+	res, _, err := ImputeProfiled(cfg, s, refs)
+	return res, err
+}
+
+// sliceInputs checks Impute's inputs — a valid config, at least one
+// reference, enough aligned history for k anchors, and a complete query
+// pattern in every reference — and returns the histories aligned at the
+// newest tick with the number of candidate anchors.
+func sliceInputs(cfg Config, s []float64, refs [][]float64) ([]float64, [][]float64, int, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	if len(refs) == 0 {
-		return nil, ErrInsufficientHistory
+		return nil, nil, 0, ErrInsufficientHistory
 	}
 	l, k := cfg.PatternLength, cfg.K
 	s, refs, filled := alignNewest(s, refs)
 	nCand := filled - 2*l + 1
 	if nCand < 1 || nCand < (k-1)*l+1 && cfg.Selection != SelectOverlapping || nCand < k && cfg.Selection == SelectOverlapping {
-		return nil, ErrInsufficientHistory
+		return nil, nil, 0, ErrInsufficientHistory
 	}
-	// Query pattern must be complete in every reference series.
 	for _, r := range refs {
 		for x := filled - l; x < filled; x++ {
 			if math.IsNaN(r[x]) {
-				return nil, ErrMissingInQueryPattern
+				return nil, nil, 0, ErrMissingInQueryPattern
 			}
 		}
 	}
-	d := cfg.sliceProfiler().Profile(refs, l, cfg.Norm, nil)
-	var sel anchorSelection
-	if !sel.fill(cfg, d, nil) {
-		return nil, ErrInsufficientHistory
-	}
-	res := &Result{}
-	if err := aggregateAnchors(cfg, &sel, func(candidate int) float64 {
-		return s[candidate+l-1]
-	}, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return s, refs, nCand, nil
 }
 
 // ImputeWindow recovers the missing value of the stream at index sIdx of w at

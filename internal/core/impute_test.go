@@ -269,25 +269,50 @@ func TestWeightedMean(t *testing.T) {
 	}
 }
 
+// TestImputeProfiledAgrees: the timed one-shot imputation must return
+// Impute's Result bit for bit — value, anchors, anchor values, δs, Σδ and ε —
+// under every selection and both means.
 func TestImputeProfiledAgrees(t *testing.T) {
 	s := append([]float64(nil), table2S...)
 	s[11] = math.NaN()
-	plain, err := Impute(table2Config(), s, [][]float64{table2R1, table2R2})
-	if err != nil {
-		t.Fatal(err)
+	bitsEqual := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
 	}
-	profiled, timings, err := ImputeProfiled(table2Config(), s, [][]float64{table2R1, table2R2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Value != profiled.Value || !reflect.DeepEqual(plain.Anchors, profiled.Anchors) {
-		t.Fatalf("profiled result differs: %+v vs %+v", plain, profiled)
-	}
-	if timings.Total() <= 0 {
-		t.Fatal("profiled timings must be positive")
-	}
-	if f := timings.ExtractionFraction(); f < 0 || f > 1 {
-		t.Fatalf("extraction fraction %v out of [0,1]", f)
+	for _, sel := range []Selection{SelectDP, SelectGreedy, SelectOverlapping} {
+		for _, weighted := range []bool{false, true} {
+			cfg := table2Config()
+			cfg.Selection, cfg.WeightedMean = sel, weighted
+			plain, err := Impute(cfg, s, [][]float64{table2R1, table2R2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			profiled, timings, err := ImputeProfiled(cfg, s, [][]float64{table2R1, table2R2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(plain.Value) != math.Float64bits(profiled.Value) ||
+				!reflect.DeepEqual(plain.Anchors, profiled.Anchors) ||
+				!bitsEqual(plain.AnchorValues, profiled.AnchorValues) ||
+				!bitsEqual(plain.Dissimilarities, profiled.Dissimilarities) ||
+				math.Float64bits(plain.SumDissimilarity) != math.Float64bits(profiled.SumDissimilarity) ||
+				math.Float64bits(plain.Epsilon) != math.Float64bits(profiled.Epsilon) {
+				t.Fatalf("%v weighted=%v: profiled result differs: %+v vs %+v", sel, weighted, plain, profiled)
+			}
+			if timings.Total() <= 0 {
+				t.Fatal("profiled timings must be positive")
+			}
+			if f := timings.ExtractionFraction(); f < 0 || f > 1 {
+				t.Fatalf("extraction fraction %v out of [0,1]", f)
+			}
+		}
 	}
 }
 

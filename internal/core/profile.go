@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // PhaseTimings records where one imputation spent its time, mirroring the
 // performance breakdown of Sec. 7.4 (pattern extraction vs pattern
@@ -39,77 +36,35 @@ func (p PhaseTimings) ExtractionFraction() float64 {
 }
 
 // ImputeProfiled is Impute with per-phase wall-clock timing, used by the
-// perf-breakdown experiment. Semantics are identical to Impute.
+// perf-breakdown experiment: the same input checks, profile, selection and
+// Def. 4 aggregation, so its Result is Impute's bit for bit.
 func ImputeProfiled(cfg Config, s []float64, refs [][]float64) (*Result, PhaseTimings, error) {
 	var pt PhaseTimings
-	if err := cfg.Validate(); err != nil {
+	s, refs, nCand, err := sliceInputs(cfg, s, refs)
+	if err != nil {
 		return nil, pt, err
 	}
-	l, k := cfg.PatternLength, cfg.K
-	s, refs, filled := alignNewest(s, refs)
-	nCand := filled - 2*l + 1
-	if nCand < 1 || nCand < (k-1)*l+1 && cfg.Selection != SelectOverlapping || nCand < k && cfg.Selection == SelectOverlapping {
-		return nil, pt, ErrInsufficientHistory
-	}
-	for _, r := range refs {
-		for x := filled - l; x < filled; x++ {
-			if math.IsNaN(r[x]) {
-				return nil, pt, ErrMissingInQueryPattern
-			}
-		}
-	}
+	l := cfg.PatternLength
 	t0 := time.Now()
-	d := dissimilarityProfile(refs, l, cfg.Norm, nil)
+	d := cfg.sliceProfiler().Profile(refs, l, cfg.Norm, nil)
 	pt.PatternExtraction = time.Since(t0)
 	pt.ExtractionOps = int64(len(refs)) * int64(l) * int64(nCand)
-	pt.SelectionOps = int64(k) * int64(nCand)
+	pt.SelectionOps = int64(cfg.K) * int64(nCand)
 
 	t1 := time.Now()
-	idx, sum, ok := selectAnchors(d, cfg.K, cfg.PatternLength, cfg.Selection, nil)
+	var sel anchorSelection
+	ok := sel.fill(cfg, d, nil)
 	pt.PatternSelection = time.Since(t1)
 	if !ok {
 		return nil, pt, ErrInsufficientHistory
 	}
 
 	t2 := time.Now()
-	res := &Result{SumDissimilarity: sum}
-	var plain, weighted, wsum float64
-	n := 0
-	for _, j := range idx {
-		v := s[j+l-1]
-		res.Anchors = append(res.Anchors, j+l-1)
-		res.AnchorValues = append(res.AnchorValues, v)
-		res.Dissimilarities = append(res.Dissimilarities, d[j])
-		if math.IsNaN(v) {
-			continue
-		}
-		plain += v
-		w := 1.0 / (d[j] + 1e-9)
-		weighted += w * v
-		wsum += w
-		n++
-	}
-	if n == 0 {
-		return nil, pt, ErrInsufficientHistory
-	}
-	if cfg.WeightedMean {
-		res.Value = weighted / wsum
-	} else {
-		res.Value = plain / float64(n)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range res.AnchorValues {
-		if math.IsNaN(v) {
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	res.Epsilon = hi - lo
+	res := &Result{}
+	err = aggregateAnchors(cfg, &sel, func(candidate int) float64 { return s[candidate+l-1] }, res)
 	pt.ValueImputation = time.Since(t2)
+	if err != nil {
+		return nil, pt, err
+	}
 	return res, pt, nil
 }

@@ -538,6 +538,9 @@ func PerfBreakdown(scale Scale) ([]BreakdownRow, error) {
 	for _, k := range ks {
 		cfg := sp.Cfg
 		cfg.K = k
+		// Sec. 7.4 times the naive Def. 2 extraction, not the FFT one a
+		// one-shot imputation defaults to.
+		cfg.Profiler = core.ProfilerNaive
 		t := sp.BlockStart
 		lo := t - cfg.WindowLength + 1
 		if lo < 0 {

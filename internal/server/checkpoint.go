@@ -236,21 +236,16 @@ func (s *Server) RestoreFromCheckpoints(ctx context.Context) (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("server: restoring tenant %q: %w", id, err)
 		}
-		replayed, err := s.replayWAL(id, eng)
-		if err != nil {
-			eng.Close()
-			return n, fmt.Errorf("server: replaying WAL of tenant %q: %w", id, err)
-		}
+		imageSeq := eng.Seq()
 		if err := s.m.Attach(ctx, id, eng); err != nil {
+			eng.Close()
 			if errors.Is(err, shard.ErrTenantExists) {
-				eng.Close()
 				continue
 			}
-			eng.Close()
-			return n, err
+			return n, fmt.Errorf("server: restoring tenant %q: %w", id, err)
 		}
 		restored[id] = true
-		s.log.Info("tenant restored", "tenant", id, "ticks", eng.Stats.Ticks, "wal_replayed", replayed)
+		s.log.Info("tenant restored", "tenant", id, "ticks", eng.Stats.Ticks, "wal_replayed", eng.Seq()-imageSeq)
 		n++
 	}
 	// A log directory without a checkpoint should be impossible (tenant
@@ -269,24 +264,6 @@ func (s *Server) RestoreFromCheckpoints(ctx context.Context) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// replayWAL feeds every logged row newer than the restored engine's
-// sequence number back through the engine. Rows were validated before they
-// were logged, so a replay error means real corruption, not a bad row.
-func (s *Server) replayWAL(id string, eng *core.Engine) (uint64, error) {
-	if s.wal == nil {
-		return 0, nil
-	}
-	var replayed uint64
-	_, err := s.wal.ReplayTenant(id, eng.Seq()+1, func(seq uint64, values []float64) error {
-		if _, _, err := eng.Tick(values); err != nil {
-			return fmt.Errorf("row %d: %w", seq, err)
-		}
-		replayed++
-		return nil
-	})
-	return replayed, err
 }
 
 // CheckpointHydrator adapts a checkpoint directory into the restore hook the

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -224,5 +225,58 @@ func TestDeleteRemovesWAL(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(ckDir, "bye.tkcm")); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint survived delete: %v", err)
+	}
+}
+
+// TestRestoreRefusesImageOlderThanLog: a tenant checkpointed at seq 10 has
+// its log truncated to records 11..; putting its seq-0 base image back must
+// not tick records 11.. into an engine at seq 0 (a window with ten ticks
+// missing). The replay refuses the first record that does not follow the
+// engine's seq, and names both.
+func TestRestoreRefusesImageOlderThanLog(t *testing.T) {
+	ckDir, walDir := t.TempDir(), t.TempDir()
+	// Five one-row records per segment (8 B magic + 5 × (52 B record + 84 B
+	// commit)), so the checkpoint at seq 10 retires exactly seqs 1..10.
+	walOpts := wal.Options{SegmentBytes: 8 + 5*(52+84)}
+	s1, m1, wal1 := newWALServer(t, ckDir, walDir, walOpts)
+	ts1 := newHTTPServer(t, s1)
+	if resp := createTenant(t, ts1.URL, "hole", testTenantBody); resp.StatusCode != 201 {
+		t.Fatalf("create: %d", resp.StatusCode)
+	}
+	image := filepath.Join(ckDir, "hole.tkcm")
+	base, err := os.ReadFile(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openTickStream(t, ts1.URL, "hole")
+	send := func(from, to int) {
+		for n := from; n <= to; n++ {
+			if _, err := st.send([]float64{20 + float64(n%3), 19, 21, 20.5}); err != nil {
+				t.Fatalf("row %d: %v", n, err)
+			}
+		}
+	}
+	send(1, 10)
+	if _, err := s1.CheckpointAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	send(11, 30)
+	st.close()
+	ts1.Close()
+	m1.Close()
+	wal1.Close()
+	if _, err := os.Stat(filepath.Join(walDir, "hole", "seg-00000000000000000001.wal")); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint at seq 10 left the log untruncated: %v", err)
+	}
+	if err := os.WriteFile(image, base, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, m2, wal2 := newWALServer(t, ckDir, walDir, walOpts)
+	defer m2.Close()
+	defer wal2.Close()
+	_, err = s2.RestoreFromCheckpoints(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "record 11") || !strings.Contains(err.Error(), "engine seq 0") {
+		t.Fatalf("restore of an image older than the log's base: %v, want an error naming record 11 and engine seq 0", err)
 	}
 }

@@ -134,21 +134,9 @@ func (m *Manager) hydrateParked(sh *shard, id string, p *parked) (*core.Engine, 
 	if err != nil {
 		return nil, m.latchFailed(id, p, err)
 	}
-	if m.wal != nil {
-		// ReplayTail syncs first, so records that were still in the
-		// group-commit buffer when the tenant parked are on stable storage
-		// before the scan — the eviction/ack race closes here.
-		_, err = m.wal.ReplayTenantTail(id, eng.Seq()+1, func(seq uint64, values []float64) error {
-			if seq != eng.Seq()+1 {
-				return fmt.Errorf("wal record %d does not follow engine seq %d", seq, eng.Seq())
-			}
-			_, _, terr := eng.Tick(values)
-			return terr
-		})
-		if err != nil {
-			eng.Close()
-			return nil, m.latchFailed(id, p, err)
-		}
+	if err := m.replayLog(id, eng); err != nil {
+		eng.Close()
+		return nil, m.latchFailed(id, p, err)
 	}
 	if eng.Seq() != p.seq {
 		err := fmt.Errorf("checkpoint + log rebuild reaches seq %d, tenant was parked at seq %d", eng.Seq(), p.seq)
@@ -162,6 +150,30 @@ func (m *Manager) hydrateParked(sh *shard, id string, p *parked) (*core.Engine, 
 	m.hydrationHist.Observe(obs.Now() - t0)
 	m.maybeEvict(sh)
 	return eng, nil
+}
+
+// replayLog ticks tenant id's logged records past eng's sequence number into
+// eng: the one WAL-tail replay of restore-on-start (Attach) and hydration.
+// It refuses a record that does not follow the engine's seq — records the
+// engine needs that the log no longer holds (an image older than the log's
+// base, for one) — rather than tick a window with a hole in it. ReplayTail
+// syncs first, so records that were still in the group-commit buffer when a
+// tenant parked are on stable storage before the scan: the eviction/ack race
+// closes here.
+func (m *Manager) replayLog(id string, eng *core.Engine) error {
+	if m.wal == nil {
+		return nil
+	}
+	_, err := m.wal.ReplayTenantTail(id, eng.Seq()+1, func(seq uint64, values []float64) error {
+		if seq != eng.Seq()+1 {
+			return fmt.Errorf("wal record %d does not follow engine seq %d", seq, eng.Seq())
+		}
+		if _, _, err := eng.Tick(values); err != nil {
+			return fmt.Errorf("wal record %d: %w", seq, err)
+		}
+		return nil
+	})
+	return err
 }
 
 // latchFailed fail-stops tenant id: the parked entry keeps the wrapped

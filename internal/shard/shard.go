@@ -418,10 +418,12 @@ func (m *Manager) Create(ctx context.Context, tenantID string, cfg core.Config, 
 }
 
 // Attach hosts an existing engine — typically one restored from a snapshot
-// (+ WAL replay) — as tenant tenantID. The manager takes ownership (it will
-// Close the engine). With a WAL configured, the tenant's log is opened and
-// fast-forwarded past the engine's sequence number, so the next tick
-// appends contiguously even when the checkpoint is newer than the log.
+// — as tenant tenantID. The manager takes ownership (it will Close the
+// engine); on an error the caller still owns it. With a WAL configured, the
+// tenant's log is opened, its records past the engine's sequence number are
+// replayed into the engine the way hydration replays them, and the log is
+// fast-forwarded past the engine's sequence number, so the next tick appends
+// contiguously even when the checkpoint is newer than the log.
 func (m *Manager) Attach(ctx context.Context, tenantID string, eng *core.Engine) error {
 	return m.do(ctx, tenantID, func(sh *shard) error {
 		if _, ok := sh.tenants[tenantID]; ok {
@@ -437,6 +439,9 @@ func (m *Manager) Attach(ctx context.Context, tenantID string, eng *core.Engine)
 			l, err := m.wal.Open(tenantID)
 			if err != nil {
 				return err
+			}
+			if err := m.replayLog(tenantID, eng); err != nil {
+				return fmt.Errorf("replaying the WAL of tenant %q: %w", tenantID, err)
 			}
 			if err := l.SetNextSeq(eng.Seq() + 1); err != nil {
 				return err

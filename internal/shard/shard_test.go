@@ -427,7 +427,7 @@ func TestAttachCheckpointNewerThanLog(t *testing.T) {
 	walMgr3 := wal.NewManager(walDir, wal.Options{})
 	defer walMgr3.Close()
 	var seqs []uint64
-	last, err := walMgr3.ReplayTenant("t", 6, func(seq uint64, values []float64) error {
+	last, err := walMgr3.ReplayTenantTail("t", 6, func(seq uint64, values []float64) error {
 		seqs = append(seqs, seq)
 		return nil
 	})
@@ -766,7 +766,7 @@ func TestTickBatchWALReplayAfterCrash(t *testing.T) {
 	}
 	walMgr2 := wal.NewManager(walDir, wal.Options{})
 	defer walMgr2.Close()
-	last, err := walMgr2.ReplayTenant("t", 1, func(seq uint64, values []float64) error {
+	last, err := walMgr2.ReplayTenantTail("t", 1, func(seq uint64, values []float64) error {
 		if seq != recovered.Seq()+1 {
 			t.Fatalf("replay seq %d, engine expects %d", seq, recovered.Seq()+1)
 		}

@@ -32,8 +32,32 @@
 // A crash can tear at most the tail of the final segment — records that
 // were appended but whose group commit never completed, hence were never
 // acknowledged. Open detects the torn tail via the CRC framing, truncates
-// it, and continues appending after the last complete record. Damage
-// anywhere else (a CRC mismatch in a non-final segment) means acknowledged
-// data is unreadable; Replay surfaces that as ErrCorrupt instead of
-// silently dropping rows.
+// it back to the last commit frame, and continues appending after it.
+// Damage anywhere else — in a sealed segment, or before a commit frame —
+// means acknowledged data is unreadable or rewritten; the readers surface
+// that as ErrCorrupt instead of silently dropping or delivering rows.
+//
+// # Reading a log
+//
+// Every reader of a tenant directory is one walk (walk.go): load the head
+// and check its identity, reconcile its sealed inventory against the
+// directory listing, hold each segment it reads to one segment rule
+// (frozen segments scan clean, end at a commit frame and match their pinned
+// root and range; only the final one may end in a healable torn tail), and
+// hold the head's durable claim to what the segments prove. A record reaches
+// a caller only once a commit frame has proven it. The readers differ in
+// what they read and with which key:
+//
+//   - VerifyTenant (tkcm-verify) walks every segment with the key and
+//     reports, gaps and crash artifacts included.
+//   - Replay walks the directory without the key, from the first segment
+//     that can hold fromSeq.
+//   - Open reconciles, reads the active segment and any replicated
+//     successors with the key, and acts: it removes truncation leftovers,
+//     creates a missing active segment, adopts successors and cuts the torn
+//     tail. It reads no sealed segment.
+//   - ReplayTail (restore-on-start and hydration, on an open log) walks the
+//     log's in-memory inventory with the key, proving every sealed segment
+//     it reads against its pinned root and the active one against the tree
+//     the log wrote.
 package wal

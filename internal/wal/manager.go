@@ -108,12 +108,6 @@ func (m *Manager) Remove(tenant string) error {
 	return nil
 }
 
-// ReplayTenant replays tenant's log from fromSeq (see Replay). A tenant
-// without a log directory replays nothing.
-func (m *Manager) ReplayTenant(tenant string, fromSeq uint64, fn func(seq uint64, values []float64) error) (uint64, error) {
-	return Replay(m.dir(tenant), fromSeq, fn)
-}
-
 // Tenants lists the tenant ids that have a log directory on disk (open or
 // not) — the restore path walks this to find WALs to replay.
 func (m *Manager) Tenants() ([]string, error) {

@@ -46,7 +46,7 @@ func TestManagerAppendRequiresOpen(t *testing.T) {
 		t.Fatalf("truncate without open: %v", err)
 	}
 	// Replay of a tenant with no directory replays nothing.
-	n, err := m.ReplayTenant("nope", 1, func(uint64, []float64) error {
+	n, err := m.ReplayTenantTail("nope", 1, func(uint64, []float64) error {
 		t.Fatal("callback ran for a tenant with no log")
 		return nil
 	})
@@ -201,7 +201,7 @@ func TestManagerReplayTenantRoundtrip(t *testing.T) {
 		}
 	}
 	var got []uint64
-	last, err := m.ReplayTenant("rt", 4, func(seq uint64, values []float64) error {
+	last, err := m.ReplayTenantTail("rt", 4, func(seq uint64, values []float64) error {
 		if values[0] != float64(seq) || values[1] != -float64(seq) {
 			t.Fatalf("seq %d: values %v", seq, values)
 		}

@@ -409,9 +409,10 @@ func syncDirFS(dir string) error {
 
 // chainScan verifies one segment's frames as they stream past: record
 // frames feed the Merkle accumulator, commit frames are checked against the
-// recomputed root, the cross-segment chain value, and (when a key is held)
-// the HMAC. It is shared by Open (active-segment rebuild), Replay (restore-
-// path verification), and VerifyTenant (the offline audit).
+// recomputed root, the cross-segment chain value, and (with checkMAC) the
+// HMAC. Every read of a log directory scans with one — the walk behind Open,
+// Replay, ReplayTail and VerifyTenant (walk.go) — as do the write path's
+// commit bookkeeping and the replica's delta verification.
 type chainScan struct {
 	identity    string
 	key         []byte
@@ -426,10 +427,9 @@ type chainScan struct {
 	commits       int
 	records       uint64 // record frames seen (batch rows counted per frame)
 	sawCommit     bool
-
-	// onCommitHook, when set, runs after each successfully validated commit
-	// frame — Open uses it to snapshot the accumulator at the commit boundary.
-	onCommitHook func()
+	// atCommit is the tree as of the last valid commit frame: a writer that
+	// cuts an uncommitted tail resumes the segment's tree from it.
+	atCommit merkleAcc
 }
 
 // onRecord feeds one record frame (header + payload) into the tree.
@@ -458,25 +458,14 @@ func (cs *chainScan) onCommit(payload []byte, seq uint64, endOff int64) error {
 	cs.lastCommitOff = endOff
 	cs.commits++
 	cs.sawCommit = true
-	if cs.onCommitHook != nil {
-		cs.onCommitHook()
-	}
+	cs.atCommit.peaks = append(cs.atCommit.peaks[:0], cs.acc.peaks...)
+	cs.atCommit.heights = append(cs.atCommit.heights[:0], cs.acc.heights...)
+	cs.atCommit.leaves = cs.acc.leaves
 	return nil
 }
 
 // sealRoot returns the segment's final Merkle root.
 func (cs *chainScan) sealRoot() [hashSize]byte { return cs.acc.root() }
-
-// snapshotAcc copies the accumulator's current peaks — taken at each commit
-// frame so a scan can hand back the tree state AT the last commit even when
-// uncommitted record frames follow it.
-func (cs *chainScan) snapshotAcc() merkleAcc {
-	return merkleAcc{
-		peaks:   append([][hashSize]byte(nil), cs.acc.peaks...),
-		heights: append([]uint8(nil), cs.acc.heights...),
-		leaves:  cs.acc.leaves,
-	}
-}
 
 // hasCommitBeyond reports whether data contains a structurally valid,
 // CRC-correct commit frame at ANY byte offset. It is the tamper/torn-tail
@@ -520,9 +509,9 @@ func walkFrames(data []byte, cs *chainScan, lastSeq uint64) (uint64, error) {
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:8]) {
 			return lastSeq, fmt.Errorf("%w: frame checksum mismatch at offset %d", ErrCorrupt, off)
 		}
+		seq := binary.LittleEndian.Uint64(payload[0:8])
 		n := binary.LittleEndian.Uint32(payload[8:12])
 		if n&batchCountFlag == 0 && n&commitFlag != 0 {
-			seq := binary.LittleEndian.Uint64(payload[0:8])
 			if n != commitFlag || payloadLen != commitPayloadLen || seq != lastSeq || lastSeq == 0 {
 				return lastSeq, fmt.Errorf("%w: malformed commit frame at offset %d", ErrCorrupt, off)
 			}
@@ -530,19 +519,12 @@ func walkFrames(data []byte, cs *chainScan, lastSeq uint64) (uint64, error) {
 				return lastSeq, err
 			}
 		} else {
-			seq := binary.LittleEndian.Uint64(payload[0:8])
-			rows := uint64(1)
-			if n&batchCountFlag != 0 {
-				if payloadLen < 16 {
-					return lastSeq, fmt.Errorf("%w: short batch frame at offset %d", ErrCorrupt, off)
-				}
-				rows = uint64(binary.LittleEndian.Uint32(payload[12:16]))
-				if rows == 0 {
-					return lastSeq, fmt.Errorf("%w: empty batch frame at offset %d", ErrCorrupt, off)
-				}
+			_, rows, _ := recordShape(payload)
+			if rows == 0 {
+				return lastSeq, fmt.Errorf("%w: short or empty batch frame at offset %d", ErrCorrupt, off)
 			}
 			cs.onRecord(frame[:recHeader], payload)
-			lastSeq = seq + rows - 1
+			lastSeq = seq + uint64(rows) - 1
 		}
 		off += len(frame)
 	}

@@ -279,8 +279,6 @@ func (r *Replica) syncSegment(seg SegmentInfo, entry *sealedSegment, prevChain [
 func (r *Replica) rescanLocal(path string, firstSeq uint64, prevChain [hashSize]byte) (*replicaSeg, error) {
 	state := &replicaSeg{}
 	cs := &chainScan{identity: r.identity, key: r.key, checkMAC: true, segFirstSeq: firstSeq, prevChain: prevChain}
-	var accAtCommit merkleAcc
-	cs.onCommitHook = func() { accAtCommit = cs.snapshotAcc() }
 	_, end, err := scanSegment(path, firstSeq, nil, cs)
 	if errors.Is(err, os.ErrNotExist) {
 		return state, nil
@@ -298,7 +296,7 @@ func (r *Replica) rescanLocal(path string, firstSeq uint64, prevChain [hashSize]
 		}
 	}
 	state.size = cs.lastCommitOff
-	state.acc = accAtCommit
+	state.acc = cs.atCommit
 	state.lastRec = cs.lastCommitSeq
 	return state, nil
 }

@@ -1,20 +1,17 @@
 package wal
 
-import (
-	"errors"
-	"fmt"
-	"path/filepath"
-)
+import "fmt"
 
 // ReplayTail streams every commit-covered record with sequence number ≥
 // fromSeq from the OPEN log to fn, in order, and returns the last sequence
-// number delivered (0 if none). It is the hydration fast path: where Replay
-// re-loads the head, re-lists the directory and re-proves every sealed
-// segment against its pinned Merkle root, ReplayTail trusts the in-memory
-// inventory that Open already verified and this log has maintained since —
-// one pass over only the segments that can hold records ≥ fromSeq, with the
-// active segment's commit boundary known up front instead of re-discovered
-// by a structure pass.
+// number delivered (0 if none). It is the replay of restore-on-start and
+// hydration: the same walk as Replay, with the key, over the inventory this
+// log holds in memory instead of a re-loaded head and a re-listed directory. Every segment it reads is
+// held to the segment rule: a sealed one must match the root and range its
+// head entry pins, and the active one, frozen for the scan, must match the
+// tree this log wrote into it — so a rewritten record is ErrCorrupt here,
+// never an imputation input. Open reads no sealed segment; this is where
+// they are proven. A sealed segment wholly below fromSeq is not read.
 //
 // Durability first: the pending group-commit batch is synced before the scan,
 // so every record whose ack a caller may have observed is on stable storage
@@ -22,8 +19,9 @@ import (
 // batch could hydrate an engine missing acked ticks.
 //
 // The scan runs under the sync lock, pausing group commits of THIS log only.
-// The intended caller hydrates a parked tenant, which has no engine and so
-// cannot be appending concurrently; other tenants' logs are untouched.
+// The intended callers rebuild a tenant that is not hosted yet (restore) or
+// is parked (hydration), so nothing appends to it concurrently; other
+// tenants' logs are untouched.
 func (l *Log) ReplayTail(fromSeq uint64, fn func(seq uint64, values []float64) error) (uint64, error) {
 	// Sync outside syncMu (Sync takes it itself); it also surfaces a latched
 	// fail-stop error before we bother scanning.
@@ -33,86 +31,33 @@ func (l *Log) ReplayTail(fromSeq uint64, fn func(seq uint64, values []float64) e
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	closed, failed := l.closed, l.failed
+	l.mu.Unlock()
+	if closed {
 		return 0, ErrClosed
 	}
-	if f := l.failed; f != nil {
-		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: log failed, refusing replay: %w", f)
+	if failed != nil {
+		return 0, fmt.Errorf("wal: log failed, refusing replay: %w", failed)
 	}
-	l.mu.Unlock()
-
-	var last uint64
-	// next tracks contiguity across segments, restarting (0) after a segment
-	// skip — the skipped range is covered by the checkpoint replay starts from.
-	var next uint64
-	deliver := func(seq uint64, values []float64) error {
-		if next != 0 && seq != next {
-			return fmt.Errorf("%w: %s: records %d..%d missing", ErrCorrupt, l.identity, next, seq-1)
-		}
-		next = seq + 1
-		if seq < fromSeq {
-			return nil
-		}
-		if err := fn(seq, values); err != nil {
-			return err
-		}
-		last = seq
-		return nil
+	d := &logDir{path: l.dir, identity: l.identity, key: l.opts.Key, checkMAC: true, head: l.head}
+	for i := range l.head.sealed {
+		s := &l.head.sealed[i]
+		d.segs = append(d.segs, segment{name: segmentName(s.firstSeq), firstSeq: s.firstSeq, sealed: s})
 	}
-
-	for _, s := range l.head.sealed {
-		if s.lastSeq < fromSeq {
-			next = 0
-			continue
-		}
-		path := filepath.Join(l.dir, segmentName(s.firstSeq))
-		lastInSeg, _, err := scanSegment(path, s.firstSeq, deliver, nil)
-		if err != nil {
-			var torn *tornError
-			if errors.As(err, &torn) {
-				return last, fmt.Errorf("%w: %s: %v", ErrCorrupt, segmentName(s.firstSeq), torn.cause)
-			}
-			return last, err
-		}
-		if lastInSeg != s.lastSeq {
-			return last, fmt.Errorf("%w: %s: content does not match its sealed head entry", ErrCorrupt, segmentName(s.firstSeq))
-		}
+	// Under syncMu, with no failed sync, the active segment ends at its last
+	// commit frame.
+	active := segment{name: segmentName(l.segStart), firstSeq: l.segStart}
+	if l.cs.sawCommit {
+		active.sealed = &sealedSegment{firstSeq: l.segStart, lastSeq: l.cs.lastCommitSeq, root: l.cs.acc.root()}
 	}
-
-	// Active segment: the in-memory scan state already knows its last commit
-	// boundary — deliver up to it and stop, skipping the structure pass
-	// Replay needs on an unverified directory.
-	if !l.cs.sawCommit || l.cs.lastCommitSeq < fromSeq {
-		return last, nil
-	}
-	stop := l.cs.lastCommitSeq
-	path := filepath.Join(l.dir, segmentName(l.segStart))
-	_, _, err := scanSegment(path, l.segStart, func(seq uint64, values []float64) error {
-		if seq > stop {
-			return errStopScan
-		}
-		return deliver(seq, values)
-	}, nil)
-	if err != nil && !errors.Is(err, errStopScan) {
-		var torn *tornError
-		if errors.As(err, &torn) {
-			// Everything through the commit boundary was fsynced; an
-			// unreadable frame below it is corruption, not a healable tail.
-			if torn.off < l.cs.lastCommitOff {
-				return last, fmt.Errorf("%w: %s: %v", ErrCorrupt, segmentName(l.segStart), torn.cause)
-			}
-			return last, nil
-		}
-		return last, err
-	}
-	return last, nil
+	d.segs = append(d.segs, active)
+	return d.walk(fromSeq, fn, nil)
 }
 
 // ReplayTenantTail replays tenant's OPEN log from fromSeq via Log.ReplayTail
-// — the hydration fast path. A tenant whose log is not open falls back to the
-// full offline Replay over its directory.
+// — the replay of restore-on-start and hydration. A tenant whose log is not
+// open falls back to the offline Replay over its directory; a tenant without
+// a log directory replays nothing.
 func (m *Manager) ReplayTenantTail(tenant string, fromSeq uint64, fn func(seq uint64, values []float64) error) (uint64, error) {
 	l := m.Get(tenant)
 	if l == nil {

@@ -1,7 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -124,5 +129,58 @@ func TestManagerReplayTenantTail(t *testing.T) {
 	}
 	if _, err := m.ReplayTenantTail("ghost", 1, func(uint64, []float64) error { return nil }); err != nil {
 		t.Fatalf("fallback replay of absent tenant: %v", err)
+	}
+}
+
+// TestReplayTailProvesSealedSegments: a value rewritten in a sealed segment,
+// with its record CRC fixed up, passes every framing check. Open reads no
+// sealed segment, so hydration's ReplayTail is where the pinned Merkle root
+// must catch it — the rewritten value must never reach fn.
+func TestReplayTailProvesSealedSegments(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "t")
+	l, err := Open(dir, Options{SegmentBytes: 64}) // one record per segment
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 4; seq++ {
+		if _, err := appendRow(l, seq, []float64{float64(seq), -float64(seq)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// seg-1's only record: magic(8) | len(4) crc(4) | seq(8) count(4) values.
+	path := filepath.Join(dir, segmentName(1))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := raw[16 : 16+12+16]
+	binary.LittleEndian.PutUint64(payload[12:], math.Float64bits(999))
+	binary.LittleEndian.PutUint32(raw[12:16], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer l.Close()
+	_, err = l.ReplayTail(1, func(seq uint64, values []float64) error {
+		if values[0] == 999 {
+			t.Fatalf("seq %d: hydration delivered the rewritten value", seq)
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReplayTail over a rewritten sealed segment: %v, want ErrCorrupt", err)
+	}
+	if _, err := Replay(dir, 1, func(uint64, []float64) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Replay: %v, want ErrCorrupt", err)
+	}
+	if _, err := VerifyTenant(dir, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("VerifyTenant: %v, want ErrCorrupt", err)
 	}
 }

@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 )
 
@@ -61,171 +59,26 @@ type VerifyReport struct {
 	Warnings []string
 }
 
-// VerifyTenant audits dir's full history offline with the integrity key:
-// head HMAC, segment inventory, every record frame's CRC and sequence
-// contiguity, every commit frame's Merkle root, chain position and HMAC,
-// sealed roots against the head's pinned entries, and the head's durable
-// claim against what the segments actually prove. Any mismatch returns
-// ErrCorrupt; crash artifacts that lose nothing acknowledged (an un-fsynced
-// torn tail, a truncation leftover, a rotation that never created its
-// segment) pass with a warning.
+// VerifyTenant audits dir's full history offline with the integrity key. It
+// is the walk with the key and a report: head HMAC, segment inventory, every
+// record frame's CRC and sequence contiguity, every commit frame's Merkle
+// root, chain position and HMAC, sealed roots against the head's pinned
+// entries, and the head's durable claim against what the segments actually
+// prove. Any mismatch returns ErrCorrupt; crash artifacts that lose nothing
+// acknowledged (an un-fsynced torn tail, a truncation leftover, a rotation
+// that never created its segment) pass with a warning, and sequence gaps pass
+// as Gaps for the caller's checkpoint cross-check.
 func VerifyTenant(dir string, key []byte) (*VerifyReport, error) {
-	identity := filepath.Base(filepath.Clean(dir))
-	rep := &VerifyReport{Tenant: identity}
-	head, headRaw, err := loadHead(dir)
+	d, err := readLogDir(dir, key, true)
 	if err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		segs = nil
-	} else if err != nil {
-		return nil, err
-	}
-	if head == nil {
-		if len(segs) > 0 {
-			return nil, fmt.Errorf("%w: %s: segments exist but %s is missing (deleted, or a pre-integrity log — see docs/OPERATIONS.md)",
-				ErrCorrupt, identity, HeadFileName)
-		}
+	rep := &VerifyReport{Tenant: d.identity}
+	if d.head == nil {
 		return rep, nil // no log at all: nothing claimed, nothing proven
 	}
-	if err := verifyHeadMAC(headRaw, key); err != nil {
+	if _, err := d.walk(0, nil, rep); err != nil {
 		return nil, err
 	}
-	if head.identity != identity {
-		return nil, fmt.Errorf("%w: head identity %q does not match directory %q (log directory copied or renamed?)",
-			ErrCorrupt, head.identity, identity)
-	}
-	rep.HeadDurable = head.durableSeq
-	rep.Retired = head.baseSeq
-
-	sealedAt := make(map[uint64]*sealedSegment, len(head.sealed))
-	for i := range head.sealed {
-		sealedAt[head.sealed[i].firstSeq] = &head.sealed[i]
-	}
-	present := make(map[uint64]bool, len(segs))
-	var kept []segment
-	activeFound := false
-	for _, seg := range segs {
-		switch {
-		case seg.firstSeq == head.activeFirstSeq:
-			activeFound = true
-			kept = append(kept, seg)
-		case seg.firstSeq > head.activeFirstSeq:
-			kept = append(kept, seg)
-		default:
-			if _, ok := sealedAt[seg.firstSeq]; ok {
-				present[seg.firstSeq] = true
-				kept = append(kept, seg)
-				break
-			}
-			if seg.firstSeq <= head.baseSeq {
-				rep.Warnings = append(rep.Warnings,
-					fmt.Sprintf("segment %s is a truncation leftover below the chain base (crash between head save and unlink; ignorable)", seg.name))
-				continue
-			}
-			return nil, fmt.Errorf("%w: %s: segment %s is not in the signed head inventory", ErrCorrupt, identity, seg.name)
-		}
-	}
-	for _, s := range head.sealed {
-		if !present[s.firstSeq] {
-			return nil, fmt.Errorf("%w: %s: sealed segment %s (seqs %d..%d) is missing",
-				ErrCorrupt, identity, segmentName(s.firstSeq), s.firstSeq, s.lastSeq)
-		}
-	}
-	if !activeFound {
-		if len(kept) > 0 && kept[len(kept)-1].firstSeq > head.activeFirstSeq {
-			return nil, fmt.Errorf("%w: %s: active segment %s is missing but later segments exist",
-				ErrCorrupt, identity, segmentName(head.activeFirstSeq))
-		}
-		if head.durableSeq > head.activeFirstSeq-1 {
-			return nil, fmt.Errorf("%w: %s: active segment %s is missing and the head proves records durable through seq %d",
-				ErrCorrupt, identity, segmentName(head.activeFirstSeq), head.durableSeq)
-		}
-		rep.Warnings = append(rep.Warnings,
-			fmt.Sprintf("active segment %s not yet created (crash between rotation's head save and segment create; recreated empty on next open)",
-				segmentName(head.activeFirstSeq)))
-	}
-
-	proven := head.activeFirstSeq - 1
-	prevChain := head.baseChain
-	prevLast := head.baseSeq // last seq accounted for, for gap detection
-	for i, seg := range kept {
-		entry := sealedAt[seg.firstSeq]
-		final := i == len(kept)-1
-		cs := &chainScan{identity: identity, key: key, checkMAC: true, segFirstSeq: seg.firstSeq, prevChain: prevChain}
-		var firstRec, lastRec uint64
-		fn := func(seq uint64, _ []float64) error {
-			if firstRec == 0 {
-				firstRec = seq
-			}
-			lastRec = seq
-			return nil
-		}
-		lastInSeg, end, serr := scanSegment(filepath.Join(dir, seg.name), seg.firstSeq, fn, cs)
-		if entry != nil || !final {
-			// Frozen segment: clean scan, commit-terminated, and (when
-			// sealed) byte-for-byte the history the head pinned.
-			if serr != nil {
-				var torn *tornError
-				if errors.As(serr, &torn) {
-					return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, seg.name, torn.cause)
-				}
-				return nil, serr
-			}
-			if !cs.sawCommit || cs.lastCommitOff != end {
-				return nil, fmt.Errorf("%w: %s: frozen segment is not commit-terminated", ErrCorrupt, identity+"/"+seg.name)
-			}
-			if entry != nil && (lastInSeg != entry.lastSeq || cs.sealRoot() != entry.root) {
-				return nil, fmt.Errorf("%w: %s: content does not match its sealed head entry", ErrCorrupt, identity+"/"+seg.name)
-			}
-		} else if serr != nil {
-			var torn *tornError
-			if !errors.As(serr, &torn) {
-				return nil, serr
-			}
-			raw, rerr := os.ReadFile(filepath.Join(dir, seg.name))
-			if rerr != nil {
-				return nil, fmt.Errorf("wal: %w", rerr)
-			}
-			if int64(len(raw)) > end && hasCommitBeyond(raw[end:]) {
-				return nil, fmt.Errorf("%w: %s: unreadable frame at offset %d with committed records beyond it (segment tampered)",
-					ErrCorrupt, seg.name, end)
-			}
-			rep.Warnings = append(rep.Warnings,
-				fmt.Sprintf("%s: unreadable tail at offset %d (un-fsynced crash tail; healed on next open)", seg.name, end))
-		}
-		if final && entry == nil && lastRec > cs.lastCommitSeq {
-			rep.Warnings = append(rep.Warnings,
-				fmt.Sprintf("%s: records %d..%d past the last commit were never acknowledged and will be dropped on next open",
-					seg.name, cs.lastCommitSeq+1, lastRec))
-		}
-		if firstRec != 0 && firstRec > prevLast+1 {
-			rep.Gaps = append(rep.Gaps, SeqRange{From: prevLast + 1, To: firstRec - 1})
-		}
-		rep.Records += cs.records
-		rep.Commits += cs.commits
-		rep.Segments++
-		if entry != nil {
-			rep.Sealed++
-			prevChain = chainNext(prevChain, entry.root)
-			prevLast = entry.lastSeq
-		} else {
-			if !final {
-				prevChain = chainNext(prevChain, cs.sealRoot())
-			}
-			if cs.sawCommit {
-				prevLast = cs.lastCommitSeq
-			}
-		}
-		if cs.sawCommit && cs.lastCommitSeq > proven {
-			proven = cs.lastCommitSeq
-		}
-	}
-	if head.durableSeq > proven {
-		return nil, fmt.Errorf("%w: %s: head proves records durable through seq %d but the segments only prove %d (active segment truncated or substituted)",
-			ErrCorrupt, identity, head.durableSeq, proven)
-	}
-	rep.DurableThrough = proven
 	return rep, nil
 }

@@ -263,148 +263,107 @@ func open(dir string, opts Options, ctr *counters) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	identity := filepath.Base(filepath.Clean(dir))
-	head, headRaw, err := loadHead(dir)
+	d, err := readLogDir(dir, opts.Key, true)
 	if err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
+	if d.head == nil {
+		// Fresh log: anchor the chain before the first segment exists — a
+		// crash between the two is the provably-empty state Open recreates.
+		d.head = &headState{identity: d.identity, baseChain: chainGenesis(d.identity), activeFirstSeq: 1}
+		if err := saveHead(dir, d.head, opts.Key); err != nil {
+			return nil, err
+		}
+		d.activeMissing = true
 	}
 	l := &Log{
 		dir:      dir,
 		opts:     opts,
 		ctr:      ctr,
-		identity: identity,
+		identity: d.identity,
 		wake:     make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	l.cs = chainScan{identity: identity, key: opts.Key, checkMAC: true}
-	if head == nil {
-		if len(segs) > 0 {
-			return nil, fmt.Errorf("%w: %s: segments exist but %s is missing (deleted, or a pre-integrity log — see docs/OPERATIONS.md)",
-				ErrCorrupt, identity, HeadFileName)
-		}
-		// Fresh log: anchor the chain before the first segment exists — a
-		// crash between the two is the provably-empty state Open recreates.
-		head = &headState{identity: identity, baseChain: chainGenesis(identity), activeFirstSeq: 1}
-		if err := saveHead(dir, head, opts.Key); err != nil {
-			return nil, err
-		}
-		l.head = head
-		l.cs.prevChain = head.baseChain
-		l.nextSeq = 1
-		if err := l.createSegment(1); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := verifyHeadMAC(headRaw, opts.Key); err != nil {
-			return nil, err
-		}
-		if head.identity != identity {
-			return nil, fmt.Errorf("%w: head identity %q does not match directory %q (log directory copied or renamed?)",
-				ErrCorrupt, head.identity, identity)
-		}
-		if err := l.adoptExisting(head, segs); err != nil {
-			return nil, err
-		}
+	if err := l.adopt(d); err != nil {
+		return nil, err
 	}
 	l.durable.Store(l.nextSeq - 1) // everything commit-covered on disk is durable
 	go l.flusher()
 	return l, nil
 }
 
-// adoptExisting reconciles a verified head against the directory's segment
-// inventory and rebuilds the in-memory chain state. It handles every
-// one-step-behind crash window the write orderings can leave — a truncation
-// leftover below the chain base, a rotation that saved the head but never
-// created the new segment, and replicated successor segments a follower
-// fetched before its head update — and reports everything else as
-// ErrCorrupt.
-func (l *Log) adoptExisting(head *headState, segs []segment) error {
-	sealedAt := make(map[uint64]int, len(head.sealed))
-	for i, s := range head.sealed {
-		sealedAt[s.firstSeq] = i
+// adopt takes over the reconciled directory d and acts on what the reconcile
+// found: it removes truncation leftovers, creates an active segment a
+// rotation anchored but never created, seals the predecessors of replicated
+// successors (re-anchoring the head so the adoption is durable), and cuts the
+// final segment back to its last commit frame — a crash-torn write, or
+// records whose covering fsync never returned; neither was acknowledged. It
+// reads the active segment and any successors through the segment rule with
+// the key, and no sealed segment: a replay proves those it reads.
+func (l *Log) adopt(d *logDir) error {
+	for _, seg := range d.leftovers {
+		os.Remove(filepath.Join(l.dir, seg.name))
 	}
-	present := make(map[uint64]bool, len(segs))
-	var extras []segment
-	activeFound := false
-	for _, seg := range segs {
-		switch {
-		case seg.firstSeq == head.activeFirstSeq:
-			activeFound = true
-		case seg.firstSeq > head.activeFirstSeq:
-			extras = append(extras, seg)
-		default:
-			if _, ok := sealedAt[seg.firstSeq]; ok {
-				present[seg.firstSeq] = true
-				break
-			}
-			if seg.firstSeq <= head.baseSeq {
-				// Truncation leftover: the head's base was raised past this
-				// segment before its unlink landed. Finish the job.
-				os.Remove(filepath.Join(l.dir, seg.name))
-				break
-			}
-			return fmt.Errorf("%w: %s: segment %s is not in the signed head inventory", ErrCorrupt, l.identity, seg.name)
-		}
+	l.head = d.head
+	w := d.startWalk()
+	nsealed := len(d.head.sealed)
+	for _, seg := range d.segs[:nsealed] {
+		w.skip(seg)
 	}
-	for _, s := range head.sealed {
-		if !present[s.firstSeq] {
-			return fmt.Errorf("%w: %s: sealed segment %s (seqs %d..%d) is missing",
-				ErrCorrupt, l.identity, segmentName(s.firstSeq), s.firstSeq, s.lastSeq)
-		}
+	if d.activeMissing {
+		l.cs = chainScan{identity: l.identity, key: l.opts.Key, checkMAC: true, segFirstSeq: d.head.activeFirstSeq, prevChain: w.chain}
+		l.nextSeq = d.head.activeFirstSeq
+		return l.createSegment(d.head.activeFirstSeq)
 	}
-	l.head = head
-	l.cs.prevChain = head.chainThroughSealed()
-	if !activeFound {
-		if len(extras) > 0 {
-			return fmt.Errorf("%w: %s: active segment %s is missing but later segments exist",
-				ErrCorrupt, l.identity, segmentName(head.activeFirstSeq))
-		}
-		if head.durableSeq > head.activeFirstSeq-1 {
-			return fmt.Errorf("%w: %s: active segment %s is missing and the head proves records durable through seq %d",
-				ErrCorrupt, l.identity, segmentName(head.activeFirstSeq), head.durableSeq)
-		}
-		// Rotation crash window: the head was anchored, the new segment was
-		// never created, and nothing durable could have entered it.
-		l.nextSeq = head.activeFirstSeq
-		return l.createSegment(head.activeFirstSeq)
-	}
-	if err := l.openActive(head.activeFirstSeq, len(extras) > 0); err != nil {
-		return err
-	}
-	if len(extras) == 0 {
-		if head.durableSeq > l.durableOnDisk() {
-			return fmt.Errorf("%w: %s: head proves records durable through seq %d but the segments only prove %d (active segment truncated or substituted)",
-				ErrCorrupt, l.identity, head.durableSeq, l.durableOnDisk())
-		}
-		return nil
-	}
-	// Replicated successors beyond the head's active segment (a follower
-	// fetched segments before its head update, then crashed): verify each
-	// against the chain, seal its predecessor, and adopt the last as the new
-	// active segment — then re-anchor the head so the adoption is durable.
-	for i, seg := range extras {
-		if l.lastRec == 0 || seg.firstSeq <= l.lastRec {
-			return fmt.Errorf("%w: %s: segment %s overlaps its predecessor (last seq %d)",
-				ErrCorrupt, l.identity, seg.name, l.lastRec)
-		}
-		root := l.cs.sealRoot()
-		l.head.sealed = append(l.head.sealed, sealedSegment{firstSeq: l.segStart, lastSeq: l.lastRec, root: root})
-		l.cs.prevChain = chainNext(l.cs.prevChain, root)
-		l.cs.acc.reset()
-		l.f.Close()
-		l.f = nil
-		if err := l.openActive(seg.firstSeq, i < len(extras)-1); err != nil {
+	live := d.segs[nsealed:] // the active segment, then any replicated successors
+	var adopted []sealedSegment
+	var c segCheck
+	for i, seg := range live {
+		var err error
+		if c, err = w.next(seg, i == len(live)-1, nil); err != nil {
 			return err
 		}
+		if i < len(live)-1 {
+			adopted = append(adopted, sealedSegment{firstSeq: seg.firstSeq, lastSeq: c.last, root: w.cs.sealRoot()})
+		}
 	}
+	if err := w.holdClaim(); err != nil {
+		return err
+	}
+	seg := live[len(live)-1]
+	l.cs = w.cs
+	l.cs.acc, l.cs.atCommit = w.cs.atCommit, merkleAcc{}
+	l.segStart, l.segSize, l.nextSeq = seg.firstSeq, int64(len(segMagic)), seg.firstSeq
+	if l.cs.sawCommit {
+		l.segSize, l.lastRec, l.nextSeq = l.cs.lastCommitOff, l.cs.lastCommitSeq, l.cs.lastCommitSeq+1
+	}
+	f, err := os.OpenFile(filepath.Join(l.dir, seg.name), os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	err = f.Truncate(l.segSize)
+	if err == nil && c.end < int64(len(segMagic)) {
+		// The crash tore the magic itself (segment created, header not yet
+		// durable): rewrite it — the segment provably has no records.
+		_, err = f.WriteAt([]byte(segMagic), 0)
+	}
+	if err == nil {
+		_, err = f.Seek(l.segSize, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("wal: cutting uncommitted tail: %w", err)
+	}
+	l.f = f
+	if len(adopted) == 0 {
+		return nil
+	}
+	l.head.sealed = append(l.head.sealed, adopted...)
 	l.head.activeFirstSeq = l.segStart
 	l.head.durableSeq = l.durableOnDisk()
 	if err := saveHead(l.dir, l.head, l.opts.Key); err != nil {
+		f.Close()
 		return err
 	}
 	return nil
@@ -419,83 +378,6 @@ func (l *Log) durableOnDisk() uint64 {
 		return l.cs.lastCommitSeq
 	}
 	return l.segStart - 1
-}
-
-// openActive opens the segment starting at firstSeq as the active segment:
-// it chain-scans the content (verifying every commit frame's root and MAC),
-// truncates anything past the last commit frame — a crash-torn write, or
-// complete records whose covering fsync never returned; neither was ever
-// acknowledged — and positions the log to append. With mustSeal the segment
-// is a replicated predecessor that must be commit-terminated exactly at EOF.
-// The damage/tail disambiguation: an unreadable frame followed anywhere by a
-// surviving commit frame cannot be crash damage (fsynced bytes don't tear),
-// so it is ErrCorrupt rather than a healable tail.
-func (l *Log) openActive(firstSeq uint64, mustSeal bool) error {
-	path := filepath.Join(l.dir, segmentName(firstSeq))
-	l.cs.segFirstSeq = firstSeq
-	l.cs.acc.reset()
-	l.cs.lastCommitSeq, l.cs.lastCommitOff, l.cs.commits, l.cs.records, l.cs.sawCommit = 0, 0, 0, 0, false
-	var accAtCommit merkleAcc
-	prevOnCommit := l.cs.onCommitHook
-	l.cs.onCommitHook = func() { accAtCommit = l.cs.snapshotAcc() }
-	_, end, err := scanSegment(path, firstSeq, nil, &l.cs)
-	l.cs.onCommitHook = prevOnCommit
-	var torn *tornError
-	if err != nil && !errors.As(err, &torn) {
-		return err
-	}
-	if err != nil {
-		// Unreadable frame: healable only if nothing commit-covered follows.
-		raw, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return fmt.Errorf("wal: %w", rerr)
-		}
-		if int64(len(raw)) > end && hasCommitBeyond(raw[end:]) {
-			return fmt.Errorf("%w: %s: unreadable frame at offset %d with committed records beyond it (segment tampered)",
-				ErrCorrupt, filepath.Base(path), end)
-		}
-	}
-	cut := l.cs.lastCommitOff
-	if !l.cs.sawCommit {
-		cut = int64(len(segMagic))
-	}
-	f, ferr := os.OpenFile(path, os.O_RDWR, 0o644)
-	if ferr != nil {
-		return fmt.Errorf("wal: %w", ferr)
-	}
-	if mustSeal && (err != nil || end != cut) {
-		f.Close()
-		return fmt.Errorf("%w: %s: replicated segment is not commit-terminated", ErrCorrupt, filepath.Base(path))
-	}
-	if err := f.Truncate(cut); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: truncating uncommitted tail: %w", err)
-	}
-	if cut < int64(len(segMagic)) {
-		// The crash tore the magic itself (segment created, header not yet
-		// durable): rewrite it — the segment provably has no records.
-		if _, err := f.WriteString(segMagic); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: %w", err)
-		}
-		cut = int64(len(segMagic))
-	} else if _, err := f.Seek(cut, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.f = f
-	l.segStart = firstSeq
-	l.segSize = cut
-	if l.cs.sawCommit {
-		l.cs.acc = accAtCommit
-		l.lastRec = l.cs.lastCommitSeq
-		l.nextSeq = l.cs.lastCommitSeq + 1
-	} else {
-		l.cs.acc.reset()
-		l.lastRec = 0
-		l.nextSeq = firstSeq
-	}
-	return nil
 }
 
 // NextSeq returns the sequence number the next AppendBatch must carry.
@@ -808,7 +690,7 @@ func recycle(data []byte) []byte {
 // firstSeq. Write ordering: the head — now carrying the sealed segment's
 // Merkle root and the new active name — is anchored BEFORE the new segment
 // exists, so a crash between the two leaves the provably-empty state
-// adoptExisting recreates, never an unanchored segment. Caller holds syncMu;
+// Open recreates, never an unanchored segment. Caller holds syncMu;
 // on failure the caller must latch l.failed (under its own mu discipline) so
 // appends fail fast.
 func (l *Log) rotate(firstSeq uint64) error {
@@ -937,7 +819,7 @@ func (l *Log) Truncate(uptoSeq uint64) error {
 		h.baseChain = chainNext(h.baseChain, s.root)
 	}
 	h.sealed = append([]sealedSegment(nil), h.sealed[n:]...)
-	h.durableSeq = l.durable.Load()
+	h.durableSeq = l.durableOnDisk()
 	if l.opts.failHead != nil {
 		if err := l.opts.failHead(); err != nil {
 			return fmt.Errorf("wal: truncate: %w", err)
@@ -1013,7 +895,7 @@ func (l *Log) ReplState() (ReplState, error) {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	h := l.head.clone()
-	h.durableSeq = l.durable.Load()
+	h.durableSeq = l.durableOnDisk()
 	st := ReplState{Head: encodeHead(h, l.opts.Key), DurableSeq: h.durableSeq}
 	for _, s := range l.head.sealed {
 		fi, err := os.Stat(filepath.Join(l.dir, segmentName(s.firstSeq)))
@@ -1072,7 +954,7 @@ func (l *Log) Close() error {
 		// cannot cause — is detectable on the next Open, not just a flipped
 		// byte inside it.
 		h := l.head.clone()
-		h.durableSeq = l.durable.Load()
+		h.durableSeq = l.durableOnDisk()
 		if herr := saveHead(l.dir, h, l.opts.Key); herr != nil {
 			if err == nil {
 				err = herr
@@ -1088,197 +970,26 @@ func (l *Log) Close() error {
 	return err
 }
 
-// errStopScan aborts a segment scan early from inside its fn callback;
-// Replay uses it to stop delivering at the final segment's commit boundary.
-var errStopScan = errors.New("wal: stop scan")
-
 // Replay streams every commit-covered record with sequence number ≥ fromSeq,
 // in order, to fn, and returns the last sequence number delivered (0 if
-// none). The head's segment inventory is verified structurally — every
-// sealed segment must be present, commit-terminated, and match its pinned
-// Merkle root and sequence range — so a deleted, truncated, or substituted
-// segment surfaces as ErrCorrupt, never as a silent hole. Records past the
-// final segment's last commit frame are NOT delivered: their covering fsync
-// never completed, so they were never acknowledged (the client re-sends
-// them), and delivering them would let an attacker forge appends by writing
-// record frames without the key. fn's error aborts the replay. The head MAC
-// is not checked here (the restore path does not hold the key); Open and
-// VerifyTenant do.
+// none). It is the walk over dir without the key: the head's inventory is
+// reconciled against the directory, every segment read is held to the
+// segment rule — a sealed one must match its pinned Merkle root and range —
+// and the head's durable claim to what the segments prove, so a deleted,
+// truncated, or substituted segment surfaces as ErrCorrupt, never as a
+// silent hole. A sealed segment wholly below fromSeq is not read. Records
+// past the final segment's last commit frame are not delivered: their
+// covering fsync never completed, so they were never acknowledged (the
+// client re-sends them). fn's error aborts the replay. Replay holds no key,
+// so the head and commit MACs are not checked; it is the offline reader
+// (ReplayTenantTail's fallback for a log that is not open), while Open,
+// ReplayTail and VerifyTenant check them.
 func Replay(dir string, fromSeq uint64, fn func(seq uint64, values []float64) error) (uint64, error) {
-	identity := filepath.Base(filepath.Clean(dir))
-	head, _, err := loadHead(dir)
-	if err != nil {
+	d, err := readLogDir(dir, nil, false)
+	if err != nil || d.head == nil {
 		return 0, err
 	}
-	segs, err := listSegments(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	if head == nil {
-		if len(segs) > 0 {
-			return 0, fmt.Errorf("%w: %s: segments exist but %s is missing (deleted, or a pre-integrity log — see docs/OPERATIONS.md)",
-				ErrCorrupt, identity, HeadFileName)
-		}
-		return 0, nil
-	}
-	if head.identity != identity {
-		return 0, fmt.Errorf("%w: head identity %q does not match directory %q (log directory copied or renamed?)",
-			ErrCorrupt, head.identity, identity)
-	}
-	sealedAt := make(map[uint64]*sealedSegment, len(head.sealed))
-	for i := range head.sealed {
-		sealedAt[head.sealed[i].firstSeq] = &head.sealed[i]
-	}
-	present := make(map[uint64]bool, len(segs))
-	var kept []segment
-	activeFound := false
-	for _, seg := range segs {
-		switch {
-		case seg.firstSeq == head.activeFirstSeq:
-			activeFound = true
-			kept = append(kept, seg)
-		case seg.firstSeq > head.activeFirstSeq:
-			// Replicated successor a follower fetched before its head update.
-			kept = append(kept, seg)
-		default:
-			if _, ok := sealedAt[seg.firstSeq]; ok {
-				present[seg.firstSeq] = true
-				kept = append(kept, seg)
-				break
-			}
-			if seg.firstSeq <= head.baseSeq {
-				continue // truncation leftover below the chain base — ignorable
-			}
-			return 0, fmt.Errorf("%w: %s: segment %s is not in the signed head inventory", ErrCorrupt, identity, seg.name)
-		}
-	}
-	for _, s := range head.sealed {
-		if !present[s.firstSeq] {
-			return 0, fmt.Errorf("%w: %s: sealed segment %s (seqs %d..%d) is missing",
-				ErrCorrupt, identity, segmentName(s.firstSeq), s.firstSeq, s.lastSeq)
-		}
-	}
-	if !activeFound {
-		if len(kept) > 0 && kept[len(kept)-1].firstSeq > head.activeFirstSeq {
-			return 0, fmt.Errorf("%w: %s: active segment %s is missing but later segments exist",
-				ErrCorrupt, identity, segmentName(head.activeFirstSeq))
-		}
-		if head.durableSeq > head.activeFirstSeq-1 {
-			return 0, fmt.Errorf("%w: %s: active segment %s is missing and the head proves records durable through seq %d",
-				ErrCorrupt, identity, segmentName(head.activeFirstSeq), head.durableSeq)
-		}
-	}
-	var last uint64
-	// next tracks contiguity ACROSS segments (scanSegment enforces it
-	// within one). 0 = no record seen yet; the chain restarts after a skip
-	// (the skipped range is covered by the checkpoint replay starts from).
-	var next uint64
-	// proven is the highest seq the on-disk segments demonstrably made
-	// durable; a head claiming more has lost data (rolled-back or truncated
-	// active segment). Sealed ranges and SetNextSeq gaps sit below the
-	// active segment's base, and every segment beyond the active one proves
-	// its predecessors were committed in full.
-	proven := head.activeFirstSeq - 1
-	for i, seg := range kept {
-		seg := seg
-		if p := seg.firstSeq - 1; seg.firstSeq > head.activeFirstSeq && p > proven {
-			proven = p
-		}
-		// Skip segments wholly below fromSeq: the next segment's first seq
-		// bounds this one's records.
-		if i+1 < len(kept) && kept[i+1].firstSeq <= fromSeq {
-			next = 0
-			continue
-		}
-		path := filepath.Join(dir, seg.name)
-		entry := sealedAt[seg.firstSeq]
-		final := i == len(kept)-1
-		cs := &chainScan{identity: identity, segFirstSeq: seg.firstSeq}
-		deliver := func(seq uint64, values []float64) error {
-			if next != 0 && seq != next {
-				return fmt.Errorf("%w: %s: records %d..%d missing (segment deleted, or range covered only by a checkpoint?)", ErrCorrupt, seg.name, next, seq-1)
-			}
-			next = seq + 1
-			if seq < fromSeq {
-				return nil
-			}
-			if err := fn(seq, values); err != nil {
-				return err
-			}
-			last = seq
-			return nil
-		}
-		if entry != nil || !final {
-			// Frozen segment — sealed in the head, or followed by a later
-			// segment: it must scan clean and end exactly at a commit frame.
-			lastInSeg, end, serr := scanSegment(path, seg.firstSeq, deliver, cs)
-			if serr != nil {
-				var torn *tornError
-				if errors.As(serr, &torn) {
-					return last, fmt.Errorf("%w: %s: %v", ErrCorrupt, seg.name, torn.cause)
-				}
-				return last, serr
-			}
-			if !cs.sawCommit || cs.lastCommitOff != end {
-				return last, fmt.Errorf("%w: %s: frozen segment is not commit-terminated", ErrCorrupt, seg.name)
-			}
-			if entry != nil && (lastInSeg != entry.lastSeq || cs.sealRoot() != entry.root) {
-				return last, fmt.Errorf("%w: %s: content does not match its sealed head entry", ErrCorrupt, seg.name)
-			}
-			if cs.lastCommitSeq > proven {
-				proven = cs.lastCommitSeq
-			}
-			continue
-		}
-		// Final, unsealed segment (the active one, or a successor a follower
-		// adopted late). Pass 1 verifies structure and finds the last commit;
-		// an unreadable tail is fine ONLY if nothing commit-covered follows it
-		// (fsynced bytes don't tear — damage beyond a commit is tampering).
-		_, end, serr := scanSegment(path, seg.firstSeq, nil, cs)
-		if serr != nil {
-			var torn *tornError
-			if !errors.As(serr, &torn) {
-				return last, serr
-			}
-			raw, rerr := os.ReadFile(path)
-			if rerr != nil {
-				return last, fmt.Errorf("wal: %w", rerr)
-			}
-			if int64(len(raw)) > end && hasCommitBeyond(raw[end:]) {
-				return last, fmt.Errorf("%w: %s: unreadable frame at offset %d with committed records beyond it (segment tampered)",
-					ErrCorrupt, seg.name, end)
-			}
-		}
-		if !cs.sawCommit {
-			continue
-		}
-		if cs.lastCommitSeq > proven {
-			proven = cs.lastCommitSeq
-		}
-		stop := cs.lastCommitSeq
-		_, _, serr = scanSegment(path, seg.firstSeq, func(seq uint64, values []float64) error {
-			if seq > stop {
-				return errStopScan
-			}
-			return deliver(seq, values)
-		}, nil)
-		if serr != nil && !errors.Is(serr, errStopScan) {
-			var torn *tornError
-			if !errors.As(serr, &torn) {
-				return last, serr
-			}
-			// Pass 1 vetted everything up to the commit cut; damage past it
-			// was already cleared as a healable crash tail.
-		}
-	}
-	if head.durableSeq > proven {
-		return last, fmt.Errorf("%w: %s: head proves records durable through seq %d but the segments only prove %d (active segment truncated or substituted)",
-			ErrCorrupt, identity, head.durableSeq, proven)
-	}
-	return last, nil
+	return d.walk(fromSeq, fn, nil)
 }
 
 // tornError marks a record that could not be decoded — a torn tail when it
@@ -1292,13 +1003,14 @@ func (e *tornError) Error() string {
 	return fmt.Sprintf("wal: unreadable record at offset %d: %v", e.off, e.cause)
 }
 
-// scanSegment reads one segment sequentially, calling fn (when non-nil) for
-// every complete record and feeding cs (when non-nil) every record frame and
-// commit frame — the integrity verification rides the same pass. It returns
-// the last valid record seq (0 if none) and the file offset just past the
-// last valid frame. Decode failures are returned as *tornError so callers
-// can distinguish tail damage from mid-log corruption; fn and cs errors
-// abort the scan verbatim.
+// scanSegment reads one segment sequentially, feeding cs every record frame
+// and commit frame — the integrity verification rides the same pass — and
+// handing fn (when non-nil) each record a commit frame has proven, once that
+// frame validates: records past the last commit are read and hashed but
+// never delivered. It returns the last valid record seq (0 if none) and the
+// file offset just past the last valid frame. Decode failures are returned
+// as *tornError so callers can distinguish tail damage from mid-log
+// corruption; fn and cs errors abort the scan verbatim.
 func scanSegment(path string, firstSeq uint64, fn func(seq uint64, values []float64) error, cs *chainScan) (uint64, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -1323,8 +1035,11 @@ func scanSegment(path string, firstSeq uint64, fn func(seq uint64, values []floa
 		off     = int64(len(segMagic))
 		hdr     [recHeader]byte
 		buf     []byte
-		values  []float64
 		wantSeq uint64
+		// pending holds the payloads of the records read since the last
+		// commit frame, back to back, until a commit proves them.
+		pending []byte
+		values  []float64
 	)
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -1351,32 +1066,26 @@ func scanSegment(path string, firstSeq uint64, fn func(seq uint64, values []floa
 		seq := binary.LittleEndian.Uint64(buf[0:8])
 		n := binary.LittleEndian.Uint32(buf[8:12])
 		if n&batchCountFlag == 0 && n&commitFlag != 0 {
-			// Commit frame: it validates the records before it and carries no
-			// rows, so it is invisible to fn and to sequence contiguity.
+			// Commit frame: it proves the records before it and carries no
+			// rows, so it is invisible to sequence contiguity.
 			if n != commitFlag || payloadLen != commitPayloadLen || lastSeq == 0 || seq != lastSeq {
 				return lastSeq, off, &tornError{off: off, cause: fmt.Errorf("malformed commit frame")}
 			}
-			if cs != nil {
-				if err := cs.onCommit(buf, seq, off+int64(recHeader)+int64(payloadLen)); err != nil {
-					return lastSeq, off, err
-				}
+			if err := cs.onCommit(buf, seq, off+int64(recHeader)+int64(payloadLen)); err != nil {
+				return lastSeq, off, err
 			}
+			if values, err = deliverRecords(pending, values, fn); err != nil {
+				return lastSeq, off, err
+			}
+			pending = pending[:0]
 			off += int64(recHeader) + int64(payloadLen)
 			continue
 		}
 		// Batch records (bit 31 of the count field) carry rows × width values
 		// for seqs seq..seq+rows-1; plain records are a 1-row batch of width n.
-		width, nrows, base := int(n), 1, 12
-		if n&batchCountFlag != 0 {
-			if len(buf) < 16 {
-				return lastSeq, off, &tornError{off: off, cause: fmt.Errorf("batch record shorter than its header")}
-			}
-			width = int(n &^ batchCountFlag)
-			nrows = int(binary.LittleEndian.Uint32(buf[12:16]))
-			base = 16
-			if nrows == 0 {
-				return lastSeq, off, &tornError{off: off, cause: fmt.Errorf("batch record with zero rows")}
-			}
+		width, nrows, base := recordShape(buf)
+		if nrows == 0 {
+			return lastSeq, off, &tornError{off: off, cause: fmt.Errorf("batch record with zero rows, or shorter than its header")}
 		}
 		if uint64(len(buf)) != uint64(base)+8*uint64(width)*uint64(nrows) {
 			return lastSeq, off, &tornError{off: off, cause: fmt.Errorf("value count %d×%d disagrees with payload length %d", nrows, width, payloadLen)}
@@ -1388,23 +1097,9 @@ func scanSegment(path string, firstSeq uint64, fn func(seq uint64, values []floa
 		} else if seq != wantSeq {
 			return lastSeq, off, &tornError{off: off, cause: fmt.Errorf("sequence jump: got %d, want %d", seq, wantSeq)}
 		}
-		if cs != nil {
-			cs.onRecord(hdr[:], buf)
-		}
+		cs.onRecord(hdr[:], buf)
 		if fn != nil {
-			if cap(values) < width {
-				values = make([]float64, width)
-			}
-			values = values[:width]
-			for r := 0; r < nrows; r++ {
-				at := base + 8*width*r
-				for i := range values {
-					values[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[at+8*i:]))
-				}
-				if err := fn(seq+uint64(r), values); err != nil {
-					return lastSeq, off, err
-				}
-			}
+			pending = append(pending, buf...)
 		}
 		lastSeq = seq + uint64(nrows) - 1
 		wantSeq = lastSeq + 1
@@ -1412,10 +1107,51 @@ func scanSegment(path string, firstSeq uint64, fn func(seq uint64, values []floa
 	}
 }
 
+// recordShape returns a record payload's per-row width, row count and the
+// offset of its first value: a batch record (bit 31 of the count field)
+// carries its row count after the count, a plain record is one row of count
+// values. A batch payload too short for its row count, or one declaring no
+// rows, reports zero rows.
+func recordShape(payload []byte) (width, nrows, base int) {
+	n := binary.LittleEndian.Uint32(payload[8:12])
+	if n&batchCountFlag == 0 {
+		return int(n), 1, 12
+	}
+	if len(payload) < 16 {
+		return 0, 0, 16
+	}
+	return int(n &^ batchCountFlag), int(binary.LittleEndian.Uint32(payload[12:16])), 16
+}
+
+// deliverRecords hands fn every row of the back-to-back record payloads in
+// pending, reusing values for the decoded row (and returning it for reuse).
+func deliverRecords(pending []byte, values []float64, fn func(seq uint64, values []float64) error) ([]float64, error) {
+	for len(pending) > 0 {
+		seq := binary.LittleEndian.Uint64(pending[0:8])
+		width, nrows, at := recordShape(pending)
+		if cap(values) < width {
+			values = make([]float64, width)
+		}
+		values = values[:width]
+		for r := 0; r < nrows; r++ {
+			for i := range values {
+				values[i] = math.Float64frombits(binary.LittleEndian.Uint64(pending[at:]))
+				at += 8
+			}
+			if err := fn(seq+uint64(r), values); err != nil {
+				return values, err
+			}
+		}
+		pending = pending[at:]
+	}
+	return values, nil
+}
+
 // segment is one on-disk segment file, identified by its first seq.
 type segment struct {
 	name     string
 	firstSeq uint64
+	sealed   *sealedSegment // the head entry pinning the segment (nil: unsealed)
 }
 
 // listSegments returns the directory's segments sorted by first seq.

@@ -864,3 +864,90 @@ func TestAppendBatchDurability(t *testing.T) {
 		t.Fatalf("replayed %d rows, want 200", len(seqs))
 	}
 }
+
+// TestSetNextSeqOnEmptySegmentSurvivesClose: a raise inside an empty active
+// segment is checkpoint-covered, not something the segments prove, so the
+// head anchored at close must not claim it — a head claiming it reads as a
+// truncated active segment, and every reader refuses the log.
+func TestSetNextSeqOnEmptySegmentSurvivesClose(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "t")
+	l, err := Open(dir, Options{SegmentBytes: 64}) // rotates after every record
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if _, err := appendRow(l, seq, []float64{float64(seq)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.SetNextSeq(20); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Truncate(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyTenant(dir, nil); err != nil {
+		t.Fatalf("audit after close: %v", err)
+	}
+	if seqs, _ := collect(t, dir, 1); len(seqs) != 1 || seqs[0] != 3 {
+		t.Fatalf("replay after close: %v, want [3]", seqs)
+	}
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if err := l.SetNextSeq(20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := appendRow(l, 20, []float64{20}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if seqs, _ := collect(t, dir, 20); len(seqs) != 1 || seqs[0] != 20 {
+		t.Fatalf("replay from 20: %v, want [20]", seqs)
+	}
+}
+
+// TestTornMagicIsHealed: a crash right after a rotation created the new
+// active segment can tear its magic. Open must rewrite the magic, not
+// extend the torn bytes with zeros, or every record appended after it is
+// unreadable on the next open.
+func TestTornMagicIsHealed(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "t")
+	l, err := Open(dir, Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := appendRow(l, 1, []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, segmentName(2)), 3); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open over a torn magic: %v", err)
+	}
+	if _, err := appendRow(l, 2, []float64{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if seqs, _ := collect(t, dir, 1); len(seqs) != 2 || seqs[1] != 2 {
+		t.Fatalf("replay after healing: %v, want [1 2]", seqs)
+	}
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	l.Close()
+}
