@@ -175,8 +175,8 @@ func BenchmarkPerfBreakdown(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGreedyVsDP — DESIGN.md §4: DP vs greedy vs overlapping
-// anchor selection on SBR-1d.
+// BenchmarkAblationGreedyVsDP — PAPER-MAP.md's Sec. 4.1 row: DP vs greedy
+// vs overlapping anchor selection on SBR-1d.
 func BenchmarkAblationGreedyVsDP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.AblationSelection(benchScale, experiments.DSSBR1d)
@@ -192,7 +192,8 @@ func BenchmarkAblationGreedyVsDP(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNorms — DESIGN.md §4: L2 vs L1 vs L∞ dissimilarity.
+// BenchmarkAblationNorms — PAPER-MAP.md's L1/L∞ norms row: L2 vs L1 vs L∞
+// dissimilarity.
 func BenchmarkAblationNorms(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.AblationNorms(benchScale, experiments.DSSBR1d)
@@ -207,8 +208,8 @@ func BenchmarkAblationNorms(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWeighting — DESIGN.md §4: plain vs similarity-weighted
-// anchor mean.
+// BenchmarkAblationWeighting — PAPER-MAP.md's Def. 4 row: plain vs
+// similarity-weighted anchor mean.
 func BenchmarkAblationWeighting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.AblationWeighting(benchScale, experiments.DSSBR1d)

@@ -1,6 +1,7 @@
 // Command tkcm-bench regenerates the tables and figures of the paper's
 // evaluation (Sec. 7). Each experiment prints the same rows/series the paper
-// reports; see EXPERIMENTS.md for the paper-vs-measured record.
+// reports; paper_runs/summary.md records the measured accuracy grid, cell by
+// cell against the baselines.
 //
 // Usage:
 //
@@ -198,7 +199,7 @@ func allExperiments() []experiment {
 		{"engine", "streaming-engine throughput: naive vs FFT vs incremental extraction, serial vs parallel ticks", runEngine},
 		{"pinned", "pinned hot-path micro-benchmarks (engine tick, columnar batch, WAL append) — CI's regression gate via -baseline", runPinned},
 		{"wide", "wide-engine throughput: demand-driven engine over 256+ streams with sparse missingness", runWide},
-		{"ablation", "DESIGN.md §4: DP vs greedy vs overlapping, norms, weighting", runAblation},
+		{"ablation", "Sec. 4.1 and Sec. 8 ablations (PAPER-MAP.md): DP vs greedy vs overlapping, norms, weighting", runAblation},
 		{"alignment", "Sec. 8 future work: DTW-aligned series + l=1 vs shifted series + l>1", runAlignment},
 	}
 }
@@ -566,7 +567,7 @@ func runAblation(scale experiments.Scale) error {
 		}
 		all = append(all, rows...)
 	}
-	tbl := experiments.NewTable("Ablations on SBR-1d (DESIGN.md §4)", "variant", "RMSE", "mean Σδ")
+	tbl := experiments.NewTable("Ablations on SBR-1d (see PAPER-MAP.md)", "variant", "RMSE", "mean Σδ")
 	for _, r := range all {
 		sum := "—"
 		if r.SumDissimilarity != 0 {

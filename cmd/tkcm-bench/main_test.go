@@ -17,7 +17,7 @@ func TestExperimentIDsUnique(t *testing.T) {
 		}
 		seen[e.id] = true
 	}
-	// Every paper artifact of DESIGN.md §3 must be present.
+	// Every paper artifact PAPER-MAP.md maps to tkcm-bench must be present.
 	for _, want := range []string{"analysis", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "perf", "ablation", "alignment"} {
 		if !seen[want] {
 			t.Fatalf("experiment %q missing from the table", want)

@@ -19,6 +19,7 @@ var (
 	internalPackages = []string{
 		"internal/audit", "internal/baseline", "internal/benchcases",
 		"internal/cd", "internal/core", "internal/dataset", "internal/dtw",
+		"internal/durable",
 		"internal/experiments", "internal/fft", "internal/linalg", "internal/muscles",
 		"internal/obs", "internal/server", "internal/shard",
 		"internal/spirit", "internal/stats", "internal/timeseries", "internal/wal",

@@ -3,60 +3,7 @@ package baseline
 import (
 	"math"
 	"sort"
-
-	"tkcm/internal/stats"
 )
-
-// MeanImpute returns a copy of xs with every missing value replaced by the
-// mean of the present values (0 when all values are missing).
-func MeanImpute(xs []float64) []float64 {
-	m := stats.Mean(xs)
-	if math.IsNaN(m) {
-		m = 0
-	}
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		if math.IsNaN(v) {
-			out[i] = m
-		} else {
-			out[i] = v
-		}
-	}
-	return out
-}
-
-// LOCF returns a copy of xs with every missing value replaced by the most
-// recent present value (and leading missing values by the first present
-// value; 0 when all values are missing).
-func LOCF(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	last := math.NaN()
-	for i, v := range out {
-		if math.IsNaN(v) {
-			out[i] = last
-		} else {
-			last = v
-		}
-	}
-	// Back-fill a leading gap.
-	first := math.NaN()
-	for _, v := range out {
-		if !math.IsNaN(v) {
-			first = v
-			break
-		}
-	}
-	if math.IsNaN(first) {
-		first = 0
-	}
-	for i := range out {
-		if math.IsNaN(out[i]) {
-			out[i] = first
-		}
-	}
-	return out
-}
 
 // Interpolate returns a copy of xs with every gap filled by linear
 // interpolation between the nearest present neighbours, extending flat at

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,28 +10,6 @@ import (
 )
 
 var nan = math.NaN()
-
-func TestMeanImpute(t *testing.T) {
-	got := MeanImpute([]float64{1, nan, 3})
-	if !reflect.DeepEqual(got, []float64{1, 2, 3}) {
-		t.Fatalf("got %v", got)
-	}
-	got = MeanImpute([]float64{nan, nan})
-	if !reflect.DeepEqual(got, []float64{0, 0}) {
-		t.Fatalf("all-missing got %v, want zeros", got)
-	}
-}
-
-func TestLOCF(t *testing.T) {
-	got := LOCF([]float64{nan, 2, nan, nan, 5, nan})
-	if !reflect.DeepEqual(got, []float64{2, 2, 2, 2, 5, 5}) {
-		t.Fatalf("got %v", got)
-	}
-	got = LOCF([]float64{nan, nan})
-	if !reflect.DeepEqual(got, []float64{0, 0}) {
-		t.Fatalf("all-missing got %v", got)
-	}
-}
 
 func TestInterpolate(t *testing.T) {
 	got := Interpolate([]float64{nan, 1, nan, nan, 4, nan})
@@ -179,8 +156,6 @@ func TestRowDistanceNormalizes(t *testing.T) {
 func TestBaselinesLeaveInputUntouched(t *testing.T) {
 	orig := []float64{1, nan, 3}
 	in := append([]float64(nil), orig...)
-	MeanImpute(in)
-	LOCF(in)
 	Interpolate(in)
 	if !timeseries.IsMissing(in[1]) || in[0] != 1 || in[2] != 3 {
 		t.Fatal("baseline imputers must not mutate their input")

@@ -101,35 +101,6 @@ func Recover(cfg Config, data [][]float64) ([][]float64, error) {
 	return toRows(x), nil
 }
 
-// RecoverSeries is a convenience wrapper: it assembles the matrix from the
-// target series and its references (columns: target first), recovers, and
-// returns the completed target series.
-func RecoverSeries(cfg Config, target []float64, refs [][]float64) ([]float64, error) {
-	n := len(target)
-	rows := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, 1+len(refs))
-		row[0] = target[i]
-		for j, r := range refs {
-			if i < len(r) {
-				row[j+1] = r[i]
-			} else {
-				row[j+1] = math.NaN()
-			}
-		}
-		rows[i] = row
-	}
-	out, err := Recover(cfg, rows)
-	if err != nil {
-		return nil, err
-	}
-	rec := make([]float64, n)
-	for i := 0; i < n; i++ {
-		rec[i] = out[i][0]
-	}
-	return rec, nil
-}
-
 // autoRank picks the truncation rank: the smallest r whose leading centroid
 // components capture `threshold` of the total squared centroid values of a
 // full decomposition of the initialized matrix, capped at m−1 so at least

@@ -71,35 +71,6 @@ func TestRecoverEmpty(t *testing.T) {
 	}
 }
 
-func TestRecoverSeries(t *testing.T) {
-	const n = 1200
-	target := make([]float64, n)
-	ref1 := make([]float64, n)
-	ref2 := make([]float64, n)
-	var truth []float64
-	for i := 0; i < n; i++ {
-		x := float64(i) * 2 * math.Pi / 144
-		target[i] = 2 * math.Sin(x)
-		ref1[i] = math.Sin(x) + 3
-		ref2[i] = -math.Sin(x)
-	}
-	for i := 600; i < 744; i++ {
-		truth = append(truth, target[i])
-		target[i] = math.NaN()
-	}
-	rec, err := RecoverSeries(DefaultConfig(), target, [][]float64{ref1, ref2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmse := stats.RMSE(truth, rec[600:744]); rmse > 1e-3 {
-		t.Fatalf("RecoverSeries RMSE = %v", rmse)
-	}
-	// The observed region must pass through unchanged.
-	if rec[0] != 0 {
-		t.Fatalf("observed tick altered: %v", rec[0])
-	}
-}
-
 func TestInterpolateColumn(t *testing.T) {
 	col := []float64{math.NaN(), 1, math.NaN(), math.NaN(), 4, math.NaN()}
 	interpolateColumn(col)

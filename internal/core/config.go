@@ -15,7 +15,7 @@
 // The package exposes both a slice-based imputation primitive (Impute) and a
 // streaming-window form mirroring the paper's Algorithm 1 (ImputeWindow), plus diagnostics for the pattern-determining property of
 // Sec. 5.3 and ablation variants (greedy selection, overlapping anchors,
-// alternative norms, weighted means) referenced by DESIGN.md.
+// alternative norms, weighted means) that PAPER-MAP.md maps to the paper.
 package core
 
 import (

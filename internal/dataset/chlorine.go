@@ -88,7 +88,8 @@ func Chlorine(cfg ChlorineConfig) *timeseries.Frame {
 		// reference is a near-instantaneous copy of its target — the
 		// phase-shift property of the real EPANET data. A uniform draw
 		// occasionally places two junctions within minutes of each other,
-		// which would silently restore the linear correlation (DESIGN.md §2).
+		// which would silently restore the linear correlation (see
+		// ChlorineConfig).
 		dist := 0.05 + 0.95*math.Mod(float64(j)*0.6180339887498949+r.float64()*0.01, 1)
 		delay := int(dist * float64(cfg.MaxDelayTicks))
 		atten := 1 - 0.5*dist // farther junctions see weaker residual

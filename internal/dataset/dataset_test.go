@@ -210,32 +210,6 @@ func TestInjectBlock(t *testing.T) {
 	}
 }
 
-func TestInjectRandomValues(t *testing.T) {
-	f := SBR(SBRConfig{Stations: 2, Ticks: 600, Seed: 1, NoiseSD: 0.1})
-	blocks, err := InjectRandomValues(f, "s1", 100, 500, 25, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 25 {
-		t.Fatalf("injected %d, want 25", len(blocks))
-	}
-	s := f.ByName("s1")
-	if s.CountMissing() != 25 {
-		t.Fatalf("missing = %d, want 25", s.CountMissing())
-	}
-	for _, b := range blocks {
-		if b.Start < 100 || b.Start >= 500 || b.Len() != 1 {
-			t.Fatalf("bad block %+v", b)
-		}
-	}
-	if _, err := InjectRandomValues(f, "zz", 0, 10, 1, 1); err == nil {
-		t.Fatal("unknown series accepted")
-	}
-	if _, err := InjectRandomValues(f, "s1", 50, 10, 1, 1); err == nil {
-		t.Fatal("inverted range accepted")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	f := timeseries.NewFrame(
 		timeseries.New("a", []float64{1.5, timeseries.Missing, -3}),

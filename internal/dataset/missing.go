@@ -35,34 +35,3 @@ func InjectBlock(f *timeseries.Frame, series string, start, length int) (Block, 
 	truth := s.EraseBlock(start, length)
 	return Block{Series: series, Start: start, Truth: truth}, nil
 }
-
-// InjectRandomValues erases `count` individual values of the named series at
-// deterministic pseudo-random positions within [from, to), returning one
-// Block per erased tick. Used by tests that need scattered (non-block)
-// missingness.
-func InjectRandomValues(f *timeseries.Frame, series string, from, to, count int, seed uint64) ([]Block, error) {
-	s := f.ByName(series)
-	if s == nil {
-		return nil, fmt.Errorf("dataset: unknown series %q", series)
-	}
-	if from < 0 || to > s.Len() || from >= to {
-		return nil, fmt.Errorf("dataset: range [%d,%d) invalid for series of length %d", from, to, s.Len())
-	}
-	r := newRNG(seed)
-	seen := make(map[int]bool)
-	var blocks []Block
-	for len(blocks) < count {
-		pos := from + r.intn(to-from)
-		if seen[pos] || s.MissingAt(pos) {
-			if len(seen) >= to-from {
-				break
-			}
-			seen[pos] = true
-			continue
-		}
-		seen[pos] = true
-		truth := s.EraseBlock(pos, 1)
-		blocks = append(blocks, Block{Series: series, Start: pos, Truth: truth})
-	}
-	return blocks, nil
-}

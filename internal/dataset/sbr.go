@@ -10,7 +10,8 @@ import (
 
 // SBRConfig parameterizes the synthetic SBR weather-station dataset: 5-minute
 // temperature measurements from a network of stations in the same valley
-// (see DESIGN.md §2 for the substitution rationale). Stations share a daily
+// (this comment is the substitution rationale; PAPER-MAP.md's Sec. 7.1
+// datasets row lists every generator). Stations share a daily
 // cycle, an annual cycle, and a smooth weather-front component; each station
 // adds its own amplitude, offset, and small idiosyncratic noise, so stations
 // are strongly linearly correlated — the paper's non-shifted regime.
@@ -139,7 +140,7 @@ func SBR(cfg SBRConfig) *timeseries.Frame {
 			// A plain uniform draw occasionally puts two stations within
 			// minutes of each other, which silently restores the linear
 			// correlation the SBR-1d construction is meant to destroy (see
-			// DESIGN.md §2).
+			// SBR1d).
 			shiftRNG := newRNG(cfg.Seed ^ 0xdead ^ (uint64(st)+1)*0x51ab)
 			stride := cfg.MaxShiftTicks / cfg.Stations
 			if stride < 1 {

@@ -1,9 +1,6 @@
 package dtw
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Distance returns the dynamic time warping distance between a and b with
 // squared-difference local cost, taking the square root of the accumulated
@@ -70,25 +67,6 @@ func Distance(a, b []float64, band int) float64 {
 		prev, curr = curr, prev
 	}
 	return math.Sqrt(prev[m])
-}
-
-// PatternDistance compares two equally shaped multi-row patterns (one row
-// per reference series, as in the paper's Def. 1) by summing the squared DTW
-// distances of corresponding rows and taking the square root, mirroring how
-// the L2 pattern dissimilarity aggregates rows.
-func PatternDistance(a, b [][]float64, band int) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("dtw: pattern row counts differ: %d != %d", len(a), len(b)))
-	}
-	sum := 0.0
-	for i := range a {
-		d := Distance(a[i], b[i], band)
-		if math.IsInf(d, 1) {
-			return d
-		}
-		sum += d * d
-	}
-	return math.Sqrt(sum)
 }
 
 // BestLag estimates the alignment between series s and r: the circular lag

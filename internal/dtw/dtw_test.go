@@ -103,24 +103,6 @@ func TestBandMonotonicity(t *testing.T) {
 	}
 }
 
-func TestPatternDistance(t *testing.T) {
-	a := [][]float64{{1, 2, 3}, {0, 0, 0}}
-	b := [][]float64{{1, 2, 3}, {0, 0, 0}}
-	if d := PatternDistance(a, b, -1); d != 0 {
-		t.Fatalf("identical pattern DTW = %v", d)
-	}
-	c := [][]float64{{1, 2, 4}, {0, 1, 0}}
-	if d := PatternDistance(a, c, -1); d <= 0 {
-		t.Fatalf("distinct pattern DTW = %v, want > 0", d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("row-count mismatch accepted")
-		}
-	}()
-	PatternDistance(a, [][]float64{{1}}, -1)
-}
-
 func TestBestLagRecoversShift(t *testing.T) {
 	n := 400
 	s := make([]float64, n)

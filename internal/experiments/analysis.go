@@ -105,8 +105,8 @@ func profileAgainst(ref []float64, l int) []float64 {
 	return out
 }
 
-// AblationRow compares TKCM design variants on one dataset (the DESIGN.md §4
-// ablations).
+// AblationRow compares TKCM design variants on one dataset (the ablations of
+// PAPER-MAP.md's Sec. 4.1, Def. 4 and L1/L∞ norms rows).
 type AblationRow struct {
 	Dataset string
 	Variant string

@@ -1,6 +1,6 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Sec. 7). Each fig* function returns typed rows that the
-// tkcm-bench CLI and the root bench suite render; DESIGN.md §3 maps paper
+// tkcm-bench CLI and the root bench suite render; PAPER-MAP.md maps paper
 // artifacts to the functions here.
 //
 // The harness follows the paper's protocol: generate a dataset, erase a

@@ -78,28 +78,6 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Mul returns m * other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic(fmt.Sprintf("linalg: dimension mismatch %dx%d * %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			row := other.Data[k*other.Cols : (k+1)*other.Cols]
-			outRow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, b := range row {
-				outRow[j] += a * b
-			}
-		}
-	}
-	return out
-}
-
 // MulVec returns m * v as a new slice.
 func (m *Matrix) MulVec(v []float64) []float64 {
 	if m.Cols != len(v) {

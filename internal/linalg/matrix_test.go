@@ -47,26 +47,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want.At(i, j) {
-				t.Fatalf("Mul wrong at (%d,%d): %v", i, j, c.At(i, j))
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dimension mismatch accepted")
-		}
-	}()
-	a.Mul(FromRows([][]float64{{1, 2}}))
-}
-
 func TestMulVecAndTMulVec(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if got := m.MulVec([]float64{1, 1}); got[0] != 3 || got[1] != 7 || got[2] != 11 {

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"tkcm/internal/core"
+	"tkcm/internal/durable"
 	"tkcm/internal/shard"
 )
 
@@ -81,8 +83,7 @@ func (s *Server) pruneCheckpoints(infos []shard.TenantInfo) {
 			continue
 		}
 		// Real checkpoints first: ".tmp-" may legally appear inside a tenant
-		// id, but checkpointTenant's temp names end in random digits, never
-		// in the .tkcm suffix.
+		// id, but temp names end in random digits, never in the .tkcm suffix.
 		if strings.HasSuffix(name, checkpointExt) {
 			if id := strings.TrimSuffix(name, checkpointExt); !hosted[id] {
 				if rerr := os.Remove(filepath.Join(s.dir, name)); rerr == nil {
@@ -91,24 +92,22 @@ func (s *Server) pruneCheckpoints(infos []shard.TenantInfo) {
 			}
 			continue
 		}
+		// Routing-table temps ("routing.tkcmrt.tmp-*", or "routing-*.tmp"
+		// from older builds) go only once an hour old, so they are told apart
+		// before the checkpoint-temp rule below: Manager.Delete saves the
+		// table outside ckMu, and unlinking the temp of a save in flight
+		// would fail its rename and silently drop the route change.
+		if strings.HasPrefix(name, "routing.tkcmrt.tmp-") || strings.HasPrefix(name, "routing-") && strings.HasSuffix(name, ".tmp") {
+			if info, err := ent.Info(); err == nil && time.Since(info.ModTime()) > time.Hour {
+				os.Remove(filepath.Join(s.dir, name))
+			}
+			continue
+		}
 		// Temp files from a checkpointTenant that crashed mid-write are stale
 		// by construction here: only CheckpointAll creates them, and it holds
 		// ckMu.
 		if strings.Contains(name, ".tmp-") {
 			os.Remove(filepath.Join(s.dir, name))
-			continue
-		}
-		// Routing-table temp files ("routing-*.tmp") are reaped only once
-		// they are old: unlike checkpoint temps, not every table save is
-		// serialized with CheckpointAll by ckMu (Manager.Delete flushes the
-		// table after its shard op, outside any server lock), so a fresh
-		// temp may belong to a save in flight — unlinking it would make the
-		// rename fail and silently drop the save. A live save completes in
-		// milliseconds; an hour-old temp is a crash leftover.
-		if strings.HasPrefix(name, "routing-") && strings.HasSuffix(name, ".tmp") {
-			if info, err := ent.Info(); err == nil && time.Since(info.ModTime()) > time.Hour {
-				os.Remove(filepath.Join(s.dir, name))
-			}
 		}
 	}
 	// Same backstop for write-ahead logs: a log whose tenant is no longer
@@ -144,39 +143,19 @@ func (s *Server) removeCheckpoint(id string) error {
 	return nil
 }
 
-// checkpointTenant writes one tenant's snapshot via temp file + rename, so a
-// crash mid-write never clobbers the previous good checkpoint. Once the
-// rename lands, the tenant's write-ahead log is truncated up to the sequence
-// number the snapshot covers: recovery never needs those records again.
+// checkpointTenant writes one tenant's snapshot with durable.Replace, so a
+// crash mid-write never clobbers the previous good checkpoint. Only once the
+// replace is durable is the tenant's write-ahead log truncated up to the
+// sequence number the snapshot covers: otherwise a power loss could persist
+// the truncation's unlinks but not the rename, leaving the old checkpoint
+// with the records between the two checkpoints deleted.
 func (s *Server) checkpointTenant(ctx context.Context, id string) error {
-	f, err := os.CreateTemp(s.dir, id+".tmp-*")
-	if err != nil {
+	var seq uint64
+	if err := durable.Replace(durable.OS{}, s.dir, id+checkpointExt, func(w io.Writer) error {
+		var err error
+		seq, err = s.m.Snapshot(ctx, id, w)
 		return err
-	}
-	tmp := f.Name()
-	seq, err := s.m.Snapshot(ctx, id, f)
-	if err == nil {
-		// Flush to stable storage before the rename: without the fsync a
-		// power loss could materialize the rename but not the data, tearing
-		// the previous good checkpoint.
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, id+checkpointExt)); err != nil {
-		return err
-	}
-	// Make the rename itself durable before reclaiming the log it
-	// supersedes: without the directory fsync a power loss could persist
-	// the truncation's unlinks but not the rename, leaving the OLD
-	// checkpoint on disk with the records between the two checkpoints
-	// already deleted.
-	if err := syncDir(s.dir); err != nil {
+	}); err != nil {
 		return err
 	}
 	if s.wal != nil {
@@ -187,19 +166,6 @@ func (s *Server) checkpointTenant(ctx context.Context, id string) error {
 		}
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory, making renames and unlinks inside it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // RestoreFromCheckpoints scans the checkpoint directory and re-hosts every

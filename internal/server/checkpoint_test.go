@@ -35,8 +35,9 @@ func newWALTestServer(t *testing.T, dir string) (*Server, *shard.Manager, *wal.M
 // TestPruneRemovesOrphanArtifacts covers the prune backstops one by one:
 // a checkpoint with no tenant, a stale checkpoint temp file, a stale
 // routing-table temp file, and a write-ahead log with no tenant all vanish
-// on the next CheckpointAll; the routing table itself and files of hosted
-// tenants stay.
+// on the next CheckpointAll; the routing table itself, a fresh routing-table
+// temp and files of hosted tenants stay. Temps are planted under the names
+// before and after durable.Replace named them after their target.
 func TestPruneRemovesOrphanArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	s, m, wm := newWALTestServer(t, dir)
@@ -76,6 +77,22 @@ func TestPruneRemovesOrphanArtifacts(t *testing.T) {
 	if err := os.WriteFile(routingPath, []byte("placeholder"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The same species under the temp names durable.Replace gives
+	// (<target>.tmp-<random>): the checkpoint temp goes at once, the
+	// routing temps only once they are an hour old.
+	replaceTemps := map[string]bool{ // name → survives
+		"alive.tkcm.tmp-12345":     false,
+		"routing.tkcmrt.tmp-99999": false,
+		"routing.tkcmrt.tmp-11111": true,
+	}
+	for name := range replaceTemps {
+		if err := os.WriteFile(filepath.Join(ckDir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Chtimes(filepath.Join(ckDir, "routing.tkcmrt.tmp-99999"), old, old); err != nil {
+		t.Fatal(err)
+	}
 	// An orphan WAL directory: a tenant with logs but no checkpoint/engine.
 	if _, err := wm.Open("wal-ghost"); err != nil {
 		t.Fatal(err)
@@ -112,6 +129,15 @@ func TestPruneRemovesOrphanArtifacts(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(ckDir, "alive.tkcm")); err != nil {
 		t.Errorf("live checkpoint was pruned: %v", err)
+	}
+	for name, survives := range replaceTemps {
+		_, err := os.Stat(filepath.Join(ckDir, name))
+		if survives && err != nil {
+			t.Errorf("fresh temp %s (possible save in flight) was pruned: %v", name, err)
+		}
+		if !survives && !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("stale temp %s survived pruning (err=%v)", name, err)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, "wal", "wal-ghost")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("orphan WAL directory survived pruning (err=%v)", err)

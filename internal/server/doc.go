@@ -38,9 +38,12 @@
 // # Checkpoints
 //
 // With a checkpoint directory configured, a background loop periodically
-// writes every tenant's engine snapshot (core snapshot format v3, written
-// atomically via rename) to <dir>/<tenant>.tkcm; Server.Shutdown takes a
-// final checkpoint after in-flight ticks drain, and RestoreFromCheckpoints
-// re-hosts every saved tenant on startup — the recoverable-service loop of
-// the ROADMAP's production north star.
+// writes every tenant's engine snapshot (core snapshot format v3) to
+// <dir>/<tenant>.tkcm; Server.Shutdown takes a final checkpoint after
+// in-flight ticks drain, and RestoreFromCheckpoints re-hosts every saved
+// tenant on startup — the recoverable-service loop of the ROADMAP's
+// production north star.
+//
+// Every checkpoint write goes through durable.Replace, and the write-ahead
+// log reaches the disk through wal.Options.FS.
 package server

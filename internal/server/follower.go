@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"tkcm/internal/durable"
 	"tkcm/internal/wal"
 )
 
@@ -188,8 +189,8 @@ func (s *Server) syncTenant(t replTenant) error {
 }
 
 // syncCheckpointFile fetches the tenant's checkpoint when the local copy's
-// digest differs, verifying the digest while spooling and installing via
-// temp + fsync + rename + dir sync, like every checkpoint write.
+// digest differs, verifying the digest while spooling and installing with
+// durable.Replace, like every checkpoint write.
 func (s *Server) syncCheckpointFile(id string, want *replFile) error {
 	name := id + checkpointExt
 	path := filepath.Join(s.dir, name)
@@ -221,32 +222,18 @@ func (s *Server) syncCheckpointFile(id string, want *replFile) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("fetching checkpoint: %s", replErrorOf(resp))
 	}
-	f, err := os.CreateTemp(s.dir, id+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	h := sha256.New()
-	_, err = io.Copy(io.MultiWriter(f, h), io.LimitReader(resp.Body, maxReplFetch))
-	if err == nil && hex.EncodeToString(h.Sum(nil)) != want.SHA256 {
-		// The primary checkpointed between manifest and fetch; the next
-		// round's manifest will carry the digest of what we just saw.
-		err = fmt.Errorf("checkpoint of %q changed mid-fetch (digest mismatch)", id)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err := durable.Replace(durable.OS{}, s.dir, name, func(w io.Writer) error {
+		h := sha256.New()
+		if _, err := io.Copy(io.MultiWriter(w, h), io.LimitReader(resp.Body, maxReplFetch)); err != nil {
+			return err
+		}
+		if hex.EncodeToString(h.Sum(nil)) != want.SHA256 {
+			// The primary checkpointed between manifest and fetch; the next
+			// round's manifest will carry the digest of what we just saw.
+			return fmt.Errorf("checkpoint of %q changed mid-fetch (digest mismatch)", id)
+		}
+		return nil
+	}); err != nil {
 		return err
 	}
 	if fi, serr := os.Stat(path); serr == nil {

@@ -998,12 +998,12 @@ func TestRefusedTickStreamsEndCleanly(t *testing.T) {
 // client gave up.
 func TestRefusalEndsResponseWhileBodyOpen(t *testing.T) {
 	var failSync atomic.Bool
-	walOpts := wal.Options{SyncInterval: time.Millisecond}.WithFailSync(func() error {
+	walOpts := wal.Options{SyncInterval: time.Millisecond, FS: segmentSyncFS{hook: func() error {
 		if failSync.Load() {
 			return errors.New("injected fsync failure")
 		}
 		return nil
-	})
+	}}}
 	s, _, _ := newWALServer(t, t.TempDir(), t.TempDir(), walOpts)
 	ts := newHTTPServer(t, s)
 	for _, id := range []string{"mid", "pre"} {
@@ -1060,12 +1060,12 @@ func TestRefusalEndsResponseWhileBodyOpen(t *testing.T) {
 // /healthz reports as degraded for the same tenant — not a 400.
 func TestLatchedLogAnswers503(t *testing.T) {
 	var failSync atomic.Bool
-	walOpts := wal.Options{SyncInterval: time.Millisecond}.WithFailSync(func() error {
+	walOpts := wal.Options{SyncInterval: time.Millisecond, FS: segmentSyncFS{hook: func() error {
 		if failSync.Load() {
 			return errors.New("injected fsync failure")
 		}
 		return nil
-	})
+	}}}
 	s, _, _ := newWALServer(t, t.TempDir(), t.TempDir(), walOpts)
 	ts := newHTTPServer(t, s)
 	resp := createTenant(t, ts.URL, "latched", testTenantBody)

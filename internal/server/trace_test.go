@@ -102,12 +102,12 @@ func dur(t *testing.T, rec map[string]any, key string) time.Duration {
 func TestSlowTickTrace(t *testing.T) {
 	var lb logBuffer
 	var slowSync atomic.Bool
-	walOpts := wal.Options{SyncInterval: time.Millisecond}.WithFailSync(func() error {
+	walOpts := wal.Options{SyncInterval: time.Millisecond, FS: segmentSyncFS{hook: func() error {
 		if slowSync.Load() {
 			time.Sleep(30 * time.Millisecond)
 		}
 		return nil
-	})
+	}}}
 	walMgr := wal.NewManager(t.TempDir(), walOpts)
 	m := shard.New(shard.Options{Shards: 2, QueueLen: 16, WAL: walMgr})
 	s := New(Options{
@@ -205,12 +205,12 @@ func TestTraceSamplerDeterministic(t *testing.T) {
 // full bodies for triage.
 func TestDegradedEndpointsConsistent(t *testing.T) {
 	var failSync atomic.Bool
-	walOpts := wal.Options{SyncInterval: time.Millisecond}.WithFailSync(func() error {
+	walOpts := wal.Options{SyncInterval: time.Millisecond, FS: segmentSyncFS{hook: func() error {
 		if failSync.Load() {
 			return errors.New("injected fsync failure")
 		}
 		return nil
-	})
+	}}}
 	walMgr := wal.NewManager(t.TempDir(), walOpts)
 	m := shard.New(shard.Options{Shards: 2, QueueLen: 16, WAL: walMgr})
 	s := New(Options{Manager: m, CheckpointDir: t.TempDir(), WAL: walMgr, Log: quietLog()})

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tkcm/internal/core"
+	"tkcm/internal/durable"
 	"tkcm/internal/shard"
 	"tkcm/internal/wal"
 )
@@ -23,6 +24,34 @@ func newHTTPServer(t *testing.T, s *Server) *httptest.Server {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// segmentSyncFS is the host FS whose WAL segment fsyncs first run hook: a
+// sleeping hook stretches the group-commit window, an erroring one fails
+// the fsync and latches the log fail-stopped.
+type segmentSyncFS struct {
+	durable.OS
+	hook func() error
+}
+
+func (fs segmentSyncFS) OpenFile(name string, flag int, perm os.FileMode) (durable.File, error) {
+	f, err := fs.OS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasSuffix(name, ".wal") {
+		return f, err
+	}
+	return hookedSync{f, fs.hook}, nil
+}
+
+type hookedSync struct {
+	durable.File
+	hook func() error
+}
+
+func (f hookedSync) Sync() error {
+	if err := f.hook(); err != nil {
+		return err
+	}
+	return f.File.Sync()
 }
 
 func newWALServer(t *testing.T, ckDir, walDir string, walOpts wal.Options) (*Server, *shard.Manager, *wal.Manager) {

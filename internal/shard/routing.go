@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"tkcm/internal/durable"
 )
 
 // Routing table file format — one self-verifying image:
@@ -233,16 +236,6 @@ func (t *Table) Assign(tenant string, shard int) error {
 	}
 }
 
-// Unassign drops tenant's explicit assignment (a deleted tenant should not
-// pin a stale route forever). Unassigning a tenant with no entry is a no-op
-// that does not bump the version or touch the disk.
-func (t *Table) Unassign(tenant string) error {
-	if !t.UnassignMem(tenant) {
-		return nil
-	}
-	return t.Flush()
-}
-
 // UnassignMem drops tenant's explicit assignment in memory only, reporting
 // whether anything changed; pair with Flush to persist. Tenant delete uses
 // the split because its route flip must happen inside the delete's shard
@@ -415,12 +408,11 @@ func decodeTable(data []byte) (*routeView, error) {
 	return v, nil
 }
 
-// save persists v atomically: temp file + fsync + rename + directory fsync,
-// the same discipline the checkpoint path uses. An ephemeral table (no
-// path) skips the disk entirely. saveMu serializes concurrent savers (an
-// Assign racing a Flush) so renames cannot interleave; it is never held
-// while the in-memory view swaps, so lookups and memory-only mutations
-// never wait on the disk.
+// save persists v atomically with durable.Replace, as the checkpoint path
+// does. An ephemeral table (no path) skips the disk entirely. saveMu
+// serializes concurrent savers (an Assign racing a Flush) so renames cannot
+// interleave; it is never held while the in-memory view swaps, so lookups
+// and memory-only mutations never wait on the disk.
 func (t *Table) save(v *routeView) error {
 	if t.path == "" {
 		return nil
@@ -438,38 +430,14 @@ func (t *Table) save(v *routeView) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: routing table dir: %w", err)
 	}
-	f, err := os.CreateTemp(dir, "routing-*.tmp")
-	if err != nil {
-		return fmt.Errorf("shard: saving routing table: %w", err)
-	}
-	tmp := f.Name()
-	_, err = f.Write(encodeTable(v))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, t.path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("shard: saving routing table: %w", err)
-	}
-	// The rename must be durable before the new route is acted on: a crash
+	// The replace is durable before the new route is acted on: a crash
 	// that kept the old table while ticks already flowed to the new shard
 	// would re-home the tenant on restart — harmless for durability (the WAL
 	// is shard-agnostic) but a silent routing rollback all the same.
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("shard: saving routing table: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := durable.Replace(durable.OS{}, dir, filepath.Base(t.path), func(w io.Writer) error {
+		_, err := w.Write(encodeTable(v))
+		return err
+	}); err != nil {
 		return fmt.Errorf("shard: saving routing table: %w", err)
 	}
 	t.savedVersion = v.version

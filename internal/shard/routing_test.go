@@ -74,7 +74,10 @@ func TestTableUnassign(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := tb.Version()
-	if err := tb.Unassign("x1"); err != nil {
+	if !tb.UnassignMem("x1") {
+		t.Fatal("unassign found no entry for x1")
+	}
+	if err := tb.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got := tb.ShardFor("x1"); got != def {
@@ -84,8 +87,8 @@ func TestTableUnassign(t *testing.T) {
 		t.Fatalf("unassign version %d, want %d", tb.Version(), v+1)
 	}
 	// Unassigning a tenant with no entry is a free no-op.
-	if err := tb.Unassign("never-assigned"); err != nil {
-		t.Fatal(err)
+	if tb.UnassignMem("never-assigned") {
+		t.Fatal("unassigning a tenant with no entry changed the table")
 	}
 	if tb.Version() != v+1 {
 		t.Fatalf("no-op unassign bumped version to %d", tb.Version())
@@ -179,7 +182,10 @@ func TestTableShrinkRefusedWhileOccupied(t *testing.T) {
 	if _, err := OpenTable(path, 4); err == nil {
 		t.Fatal("shrink below an explicit assignment was accepted")
 	}
-	if err := tb6.Unassign("pinned"); err != nil {
+	if !tb6.UnassignMem("pinned") {
+		t.Fatal("unassign found no entry for pinned")
+	}
+	if err := tb6.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenTable(path, 4); err != nil {

@@ -221,19 +221,6 @@ func (t *Tracker) Step(row []float64) []float64 {
 	return out
 }
 
-// HiddenValues returns the most recent value of every hidden variable
-// (useful for tests and diagnostics).
-func (t *Tracker) HiddenValues() []float64 {
-	out := make([]float64, t.cfg.HiddenVariables)
-	for i := range out {
-		h := t.hist[i]
-		if len(h) > 0 {
-			out[i] = h[len(h)-1]
-		}
-	}
-	return out
-}
-
 // Weights returns a copy of the current participation-weight vectors.
 func (t *Tracker) Weights() [][]float64 {
 	out := make([][]float64, len(t.w))

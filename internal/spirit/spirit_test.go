@@ -111,18 +111,6 @@ func TestWeightsStayNormalized(t *testing.T) {
 	}
 }
 
-func TestHiddenValuesExposed(t *testing.T) {
-	tr, err := NewTracker(DefaultConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Step([]float64{1, 2})
-	hv := tr.HiddenValues()
-	if len(hv) != 2 {
-		t.Fatalf("hidden values = %v", hv)
-	}
-}
-
 func TestPassThroughWhenPresent(t *testing.T) {
 	tr, err := NewTracker(DefaultConfig(), 2)
 	if err != nil {

@@ -214,27 +214,3 @@ func Quantile(xs []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return clean[lo]*(1-frac) + clean[hi]*frac
 }
-
-// Summary holds the descriptive statistics of a sample.
-type Summary struct {
-	Count   int
-	Missing int
-	Mean    float64
-	Std     float64
-	Min     float64
-	Max     float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{Count: len(xs)}
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			s.Missing++
-		}
-	}
-	s.Mean = Mean(xs)
-	s.Std = Std(xs)
-	s.Min, s.Max = MinMax(xs)
-	return s
-}

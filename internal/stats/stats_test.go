@@ -212,10 +212,3 @@ func TestQuantile(t *testing.T) {
 		t.Fatalf("NaN-skipping quantile = %v, want 5", got)
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, math.NaN(), 3})
-	if s.Count != 3 || s.Missing != 1 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Fatalf("summary = %+v", s)
-	}
-}

@@ -29,19 +29,6 @@ type Sampling struct {
 	Interval time.Duration
 }
 
-// TimeAt returns the wall-clock time of tick i.
-func (sp Sampling) TimeAt(i int) time.Time {
-	return sp.Start.Add(time.Duration(i) * sp.Interval)
-}
-
-// TickOf returns the tick index of time t, truncating toward zero.
-func (sp Sampling) TickOf(t time.Time) int {
-	if sp.Interval <= 0 {
-		return 0
-	}
-	return int(t.Sub(sp.Start) / sp.Interval)
-}
-
 // TicksPerDay returns the number of ticks covering 24 hours, or 0 if the
 // interval is non-positive.
 func (sp Sampling) TicksPerDay() int {
@@ -116,17 +103,6 @@ func (s *Series) CountMissing() int {
 // Complete reports whether the series has no missing values.
 func (s *Series) Complete() bool { return s.CountMissing() == 0 }
 
-// FirstMissing returns the index of the first missing value, or -1 if the
-// series is complete.
-func (s *Series) FirstMissing() int {
-	for i, v := range s.Values {
-		if IsMissing(v) {
-			return i
-		}
-	}
-	return -1
-}
-
 // Gap describes a maximal run of consecutive missing values:
 // ticks [Start, Start+Length).
 type Gap struct {
@@ -153,18 +129,6 @@ func (s *Series) Gaps() []Gap {
 		gaps = append(gaps, Gap{Start: start, Length: i - start})
 	}
 	return gaps
-}
-
-// LongestGap returns the longest gap, or a zero Gap if the series is
-// complete. Ties resolve to the earliest gap.
-func (s *Series) LongestGap() Gap {
-	var best Gap
-	for _, g := range s.Gaps() {
-		if g.Length > best.Length {
-			best = g
-		}
-	}
-	return best
 }
 
 // EraseBlock marks ticks [from, from+length) missing and returns the erased
@@ -285,17 +249,6 @@ func (f *Frame) Clone() *Frame {
 	for _, s := range f.Series {
 		out.index[s.Name] = len(out.Series)
 		out.Series = append(out.Series, s.Clone())
-	}
-	return out
-}
-
-// SliceTicks returns a frame over ticks [from, to); the underlying value
-// storage is shared with the receiver.
-func (f *Frame) SliceTicks(from, to int) *Frame {
-	out := &Frame{Sampling: f.Sampling, index: make(map[string]int, len(f.Series))}
-	for _, s := range f.Series {
-		out.index[s.Name] = len(out.Series)
-		out.Series = append(out.Series, s.Slice(from, to))
 	}
 	return out
 }

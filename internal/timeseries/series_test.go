@@ -19,20 +19,11 @@ func TestMissingMarker(t *testing.T) {
 
 func TestSamplingTimeMath(t *testing.T) {
 	sp := Sampling{Start: time.Date(2014, 3, 11, 0, 0, 0, 0, time.UTC), Interval: 5 * time.Minute}
-	if got := sp.TimeAt(0); !got.Equal(sp.Start) {
-		t.Fatalf("TimeAt(0) = %v", got)
-	}
-	if got := sp.TimeAt(12); !got.Equal(sp.Start.Add(time.Hour)) {
-		t.Fatalf("TimeAt(12) = %v, want +1h", got)
-	}
-	if got := sp.TickOf(sp.Start.Add(25 * time.Minute)); got != 5 {
-		t.Fatalf("TickOf(+25m) = %d, want 5", got)
-	}
 	if got := sp.TicksPerDay(); got != 288 {
 		t.Fatalf("TicksPerDay = %d, want 288", got)
 	}
 	var zero Sampling
-	if zero.TicksPerDay() != 0 || zero.TickOf(time.Now()) != 0 {
+	if zero.TicksPerDay() != 0 {
 		t.Fatal("zero sampling must degrade gracefully")
 	}
 }
@@ -50,14 +41,14 @@ func TestSeriesBasics(t *testing.T) {
 	if s.Len() != 4 || s.At(3) != 4 {
 		t.Fatal("Append failed")
 	}
-	if s.CountMissing() != 0 || !s.Complete() || s.FirstMissing() != -1 {
+	if s.CountMissing() != 0 || !s.Complete() {
 		t.Fatal("completeness accounting wrong")
 	}
 }
 
 func TestNewEmpty(t *testing.T) {
 	s := NewEmpty("e", 4)
-	if s.Len() != 4 || s.CountMissing() != 4 || s.FirstMissing() != 0 {
+	if s.Len() != 4 || s.CountMissing() != 4 {
 		t.Fatalf("NewEmpty wrong: %+v", s)
 	}
 }
@@ -89,9 +80,6 @@ func TestGaps(t *testing.T) {
 	want := []Gap{{0, 1}, {2, 2}, {5, 1}}
 	if !reflect.DeepEqual(gaps, want) {
 		t.Fatalf("gaps = %v, want %v", gaps, want)
-	}
-	if lg := s.LongestGap(); lg != (Gap{2, 2}) {
-		t.Fatalf("longest gap = %v, want {2 2}", lg)
 	}
 	if g := (Gap{Start: 2, Length: 2}); g.End() != 4 {
 		t.Fatalf("gap end = %d, want 4", g.End())
@@ -227,14 +215,6 @@ func TestFrameCloneAndSlice(t *testing.T) {
 	}
 	if f.ByName("a").At(0) == 99 {
 		t.Fatal("Clone shares storage")
-	}
-	sl := f.SliceTicks(1, 3)
-	if sl.Len() != 2 || sl.ByName("b").At(0) != 5 {
-		t.Fatalf("slice wrong: %+v", sl.ByName("b").Values)
-	}
-	sl.ByName("b").Set(0, 50)
-	if f.ByName("b").At(1) != 50 {
-		t.Fatal("SliceTicks must share storage")
 	}
 }
 

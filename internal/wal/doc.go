@@ -60,4 +60,8 @@
 //     log's in-memory inventory with the key, proving every sealed segment
 //     it reads against its pinned root and the active one against the tree
 //     the log wrote.
+//
+// A log and its Manager reach the disk only through Options.FS (Replay,
+// VerifyTenant and a Replica use the host's), and every head save goes
+// through durable.Replace; Open removes the temp a crash mid-save leaves.
 package wal

@@ -102,7 +102,7 @@ func (m *Manager) Remove(tenant string) error {
 	if l != nil {
 		l.Close()
 	}
-	if err := os.RemoveAll(m.dir(tenant)); err != nil {
+	if err := m.opts.fs().RemoveAll(m.dir(tenant)); err != nil {
 		return fmt.Errorf("wal: removing tenant %q: %w", tenant, err)
 	}
 	return nil
@@ -111,7 +111,7 @@ func (m *Manager) Remove(tenant string) error {
 // Tenants lists the tenant ids that have a log directory on disk (open or
 // not) — the restore path walks this to find WALs to replay.
 func (m *Manager) Tenants() ([]string, error) {
-	entries, err := os.ReadDir(m.root)
+	entries, err := m.opts.fs().ReadDir(m.root)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}

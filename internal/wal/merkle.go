@@ -7,8 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+
+	"tkcm/internal/durable"
 )
 
 // Tamper-evident integrity layer.
@@ -343,8 +346,8 @@ func verifyHeadMAC(raw, key []byte) error {
 
 // loadHead reads and decodes dir's head file. A missing file returns
 // (nil, nil): the caller decides whether that is a fresh log or corruption.
-func loadHead(dir string) (*headState, []byte, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, HeadFileName))
+func loadHead(fsys durable.FS, dir string) (*headState, []byte, error) {
+	raw, err := fsys.ReadFile(filepath.Join(dir, HeadFileName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil, nil
 	}
@@ -358,53 +361,18 @@ func loadHead(dir string) (*headState, []byte, error) {
 	return h, raw, nil
 }
 
-// saveHead writes dir's head atomically: temp file, fsync, rename, dir sync
-// — the same discipline as checkpoints and the routing table, so a crash at
-// any instant leaves either the old head or the new one, never a tear.
-func saveHead(dir string, h *headState, key []byte) error {
-	return installHeadImage(dir, encodeHead(h, key))
-}
-
-// installHeadImage atomically writes an already-encoded head image — the
-// replica installs the primary's verified image byte-for-byte, so the MACs
-// transfer without the follower ever re-signing anything.
-func installHeadImage(dir string, buf []byte) error {
-	f, err := os.CreateTemp(dir, HeadFileName+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("wal: head: %w", err)
-	}
-	tmp := f.Name()
-	_, err = f.Write(buf)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(dir, HeadFileName))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: head: %w", err)
-	}
-	if err := syncDirFS(dir); err != nil {
+// saveHead installs an encoded head image in dir atomically
+// (durable.Replace): a crash at any instant leaves the old head or the new
+// one, never a tear. The replica installs the primary's verified image
+// byte-for-byte, so the MACs transfer without the follower re-signing.
+func saveHead(fsys durable.FS, dir string, image []byte) error {
+	if err := durable.Replace(fsys, dir, HeadFileName, func(w io.Writer) error {
+		_, err := w.Write(image)
+		return err
+	}); err != nil {
 		return fmt.Errorf("wal: head: %w", err)
 	}
 	return nil
-}
-
-// syncDirFS fsyncs a directory, making renames inside it durable.
-func syncDirFS(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // chainScan verifies one segment's frames as they stream past: record

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"tkcm/internal/durable"
 )
 
 // Replica mirrors one tenant's log directory from a primary's replication
@@ -23,6 +25,7 @@ import (
 // signs anything: it installs the primary's head image byte-for-byte, so it
 // can run without the key (integrity only) and promotion needs no re-keying.
 type Replica struct {
+	fs       durable.FS
 	dir      string
 	key      []byte
 	identity string
@@ -46,6 +49,7 @@ type replicaSeg struct {
 // HMACs; nil still verifies roots, chains and CRCs.
 func NewReplica(dir string, key []byte) *Replica {
 	return &Replica{
+		fs:       durable.OS{},
 		dir:      dir,
 		key:      key,
 		identity: filepath.Base(filepath.Clean(dir)),
@@ -82,7 +86,7 @@ func (r *Replica) Sync(headRaw []byte, segs []SegmentInfo, fetch func(name strin
 			ErrCorrupt, head.identity, r.identity)
 	}
 	st.DurableSeq = head.durableSeq
-	if err := os.MkdirAll(r.dir, 0o755); err != nil {
+	if err := r.fs.MkdirAll(r.dir, 0o755); err != nil {
 		return st, fmt.Errorf("wal: replica: %w", err)
 	}
 
@@ -137,7 +141,7 @@ func (r *Replica) Sync(headRaw []byte, segs []SegmentInfo, fetch func(name strin
 
 	// Every byte the head can claim is fsynced; anchor the head itself.
 	headPath := filepath.Join(r.dir, HeadFileName)
-	cur, err := os.ReadFile(headPath)
+	cur, err := r.fs.ReadFile(headPath)
 	switch {
 	case err != nil && !errors.Is(err, os.ErrNotExist):
 		return st, fmt.Errorf("wal: replica: %w", err)
@@ -151,19 +155,19 @@ func (r *Replica) Sync(headRaw []byte, segs []SegmentInfo, fetch func(name strin
 				r.identity, head.durableSeq, local.durableSeq)
 		}
 	}
-	if err := installHeadImage(r.dir, headRaw); err != nil {
+	if err := saveHead(r.fs, r.dir, headRaw); err != nil {
 		return st, err
 	}
 	// Prune what the new head retired. Only below-base segments go: a local
 	// segment above the base that the manifest no longer lists is divergence
 	// the promotion-time audit must surface, not something to paper over.
-	local, err := listSegments(r.dir)
+	local, _, err := listLogDir(r.fs, r.dir)
 	if err != nil {
 		return st, fmt.Errorf("wal: replica: %w", err)
 	}
 	for _, ls := range local {
 		if !want[ls.name] && ls.firstSeq <= head.baseSeq {
-			os.Remove(filepath.Join(r.dir, ls.name))
+			r.fs.Remove(filepath.Join(r.dir, ls.name))
 			delete(r.segs, ls.name)
 		}
 	}
@@ -179,7 +183,7 @@ func (r *Replica) syncSegment(seg SegmentInfo, entry *sealedSegment, prevChain [
 	if state != nil {
 		// The cache vouches for bytes on disk; if the file moved under us
 		// (deleted, truncated, externally grown), rebuild from what's there.
-		fi, err := os.Stat(path)
+		fi, err := r.fs.Stat(path)
 		if err != nil || fi.Size() != state.size {
 			state = nil
 			delete(r.segs, seg.Name)
@@ -235,7 +239,7 @@ func (r *Replica) syncSegment(seg SegmentInfo, entry *sealedSegment, prevChain [
 			delete(r.segs, seg.Name)
 			return fmt.Errorf("%w: %s: replication delta is not commit-terminated", ErrCorrupt, r.identity+"/"+seg.Name)
 		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+		f, err := r.fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 		if err != nil {
 			return fmt.Errorf("wal: replica: %w", err)
 		}
@@ -279,19 +283,19 @@ func (r *Replica) syncSegment(seg SegmentInfo, entry *sealedSegment, prevChain [
 func (r *Replica) rescanLocal(path string, firstSeq uint64, prevChain [hashSize]byte) (*replicaSeg, error) {
 	state := &replicaSeg{}
 	cs := &chainScan{identity: r.identity, key: r.key, checkMAC: true, segFirstSeq: firstSeq, prevChain: prevChain}
-	_, end, err := scanSegment(path, firstSeq, nil, cs)
+	_, end, err := scanSegment(r.fs, path, firstSeq, nil, cs)
 	if errors.Is(err, os.ErrNotExist) {
 		return state, nil
 	}
 	var torn *tornError
 	if (err != nil && !errors.As(err, &torn)) || !cs.sawCommit {
-		if rerr := os.Remove(path); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+		if rerr := r.fs.Remove(path); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
 			return nil, fmt.Errorf("wal: replica: %w", rerr)
 		}
 		return state, nil
 	}
 	if err != nil || end != cs.lastCommitOff {
-		if terr := os.Truncate(path, cs.lastCommitOff); terr != nil {
+		if terr := r.fs.Truncate(path, cs.lastCommitOff); terr != nil {
 			return nil, fmt.Errorf("wal: replica: truncating %s: %w", filepath.Base(path), terr)
 		}
 	}

@@ -39,7 +39,7 @@ func (l *Log) ReplayTail(fromSeq uint64, fn func(seq uint64, values []float64) e
 	if failed != nil {
 		return 0, fmt.Errorf("wal: log failed, refusing replay: %w", failed)
 	}
-	d := &logDir{path: l.dir, identity: l.identity, key: l.opts.Key, checkMAC: true, head: l.head}
+	d := &logDir{fs: l.opts.fs(), path: l.dir, identity: l.identity, key: l.opts.Key, checkMAC: true, head: l.head}
 	for i := range l.head.sealed {
 		s := &l.head.sealed[i]
 		d.segs = append(d.segs, segment{name: segmentName(s.firstSeq), firstSeq: s.firstSeq, sealed: s})
@@ -61,7 +61,7 @@ func (l *Log) ReplayTail(fromSeq uint64, fn func(seq uint64, values []float64) e
 func (m *Manager) ReplayTenantTail(tenant string, fromSeq uint64, fn func(seq uint64, values []float64) error) (uint64, error) {
 	l := m.Get(tenant)
 	if l == nil {
-		return Replay(m.dir(tenant), fromSeq, fn)
+		return replay(m.opts.fs(), m.dir(tenant), fromSeq, fn)
 	}
 	return l.ReplayTail(fromSeq, fn)
 }

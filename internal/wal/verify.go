@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"tkcm/internal/durable"
 )
 
 // LoadKeyFile reads an integrity key from path: the file's bytes with
@@ -69,7 +71,7 @@ type VerifyReport struct {
 // that never created its segment) pass with a warning, and sequence gaps pass
 // as Gaps for the caller's checkpoint cross-check.
 func VerifyTenant(dir string, key []byte) (*VerifyReport, error) {
-	d, err := readLogDir(dir, key, true)
+	d, err := readLogDir(durable.OS{}, dir, key, true)
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tkcm/internal/durable"
 )
 
 // Record framing — every record is self-verifying:
@@ -93,28 +95,18 @@ type Options struct {
 	// still gets the full Merkle machinery — integrity without authenticity:
 	// accidental corruption is detected, a key-holding forger is not.
 	Key []byte
-
-	// Test-only fault injection seam: each hook, when non-nil, runs before
-	// the corresponding disk operation and its error is treated as that
-	// operation failing. Unexported — only in-package tests can set them —
-	// so the latch paths (fsync failure mid-batch, rotation failure, head
-	// save failure) are deterministically coverable.
-	failWrite  func() error       // before writing a batch to the segment
-	failSync   func() error       // before fsyncing the segment
-	failCreate func(string) error // before creating a segment file
-	failHead   func() error       // before saving the head file
+	// FS is the file system the log reaches the disk through; nil means the
+	// host's (durable.OS). Tests substitute one to fail or observe any
+	// single file operation.
+	FS durable.FS
 }
 
-// WithFailSync returns a copy of o whose sync path runs fn immediately
-// before every segment fsync; a non-nil error from fn is treated as the
-// fsync failing (latching the log fail-stopped like a real I/O error).
-// This is the one fault seam exposed outside the package: callers — the
-// serving layer's slow-tick-trace and degraded-mode tests — use a sleeping
-// fn to stretch the group-commit durability window deterministically, or an
-// erroring fn to latch fail-stop, without reaching into package internals.
-func (o Options) WithFailSync(fn func() error) Options {
-	o.failSync = fn
-	return o
+// fs returns the file system o names.
+func (o Options) fs() durable.FS {
+	if o.FS == nil {
+		return durable.OS{}
+	}
+	return o.FS
 }
 
 func (o Options) segmentBytes() int64 {
@@ -222,9 +214,9 @@ type Log struct {
 	failed error
 
 	syncMu   sync.Mutex
-	f        *os.File // active segment; touched only under syncMu
-	spare    []byte   // recycled buffer handed back to buf
-	segStart uint64   // first seq of the active segment
+	f        durable.File // active segment; touched only under syncMu
+	spare    []byte       // recycled buffer handed back to buf
+	segStart uint64       // first seq of the active segment
 	segSize  int64
 
 	// Integrity state, touched only under syncMu (hashing rides the sync
@@ -260,10 +252,10 @@ func Open(dir string, opts Options) (*Log, error) {
 }
 
 func open(dir string, opts Options, ctr *counters) (*Log, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := opts.fs().MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	d, err := readLogDir(dir, opts.Key, true)
+	d, err := readLogDir(opts.fs(), dir, opts.Key, true)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +263,7 @@ func open(dir string, opts Options, ctr *counters) (*Log, error) {
 		// Fresh log: anchor the chain before the first segment exists — a
 		// crash between the two is the provably-empty state Open recreates.
 		d.head = &headState{identity: d.identity, baseChain: chainGenesis(d.identity), activeFirstSeq: 1}
-		if err := saveHead(dir, d.head, opts.Key); err != nil {
+		if err := saveHead(opts.fs(), dir, encodeHead(d.head, opts.Key)); err != nil {
 			return nil, err
 		}
 		d.activeMissing = true
@@ -294,16 +286,25 @@ func open(dir string, opts Options, ctr *counters) (*Log, error) {
 }
 
 // adopt takes over the reconciled directory d and acts on what the reconcile
-// found: it removes truncation leftovers, creates an active segment a
-// rotation anchored but never created, seals the predecessors of replicated
-// successors (re-anchoring the head so the adoption is durable), and cuts the
-// final segment back to its last commit frame — a crash-torn write, or
-// records whose covering fsync never returned; neither was acknowledged. It
-// reads the active segment and any successors through the segment rule with
-// the key, and no sealed segment: a replay proves those it reads.
+// found: it removes truncation leftovers and head temps, creates an active
+// segment a rotation anchored but never created, seals the predecessors of
+// replicated successors (re-anchoring the head so the adoption is durable),
+// and cuts the final segment back to its last commit frame — a crash-torn
+// write, or records whose covering fsync never returned; neither was
+// acknowledged. It reads the active segment and any successors through the
+// segment rule with the key, and no sealed segment: a replay proves those it
+// reads.
 func (l *Log) adopt(d *logDir) error {
+	fsys := l.opts.fs()
 	for _, seg := range d.leftovers {
-		os.Remove(filepath.Join(l.dir, seg.name))
+		fsys.Remove(filepath.Join(l.dir, seg.name))
+	}
+	// A head temp is a crash leftover: the head's writers are this log,
+	// which is not open yet (a Manager opens a tenant's log once, under its
+	// lock), and a follower's Replica, which stops before promotion opens
+	// the logs it mirrored.
+	for _, name := range d.headTemps {
+		fsys.Remove(filepath.Join(l.dir, name))
 	}
 	l.head = d.head
 	w := d.startWalk()
@@ -338,7 +339,7 @@ func (l *Log) adopt(d *logDir) error {
 	if l.cs.sawCommit {
 		l.segSize, l.lastRec, l.nextSeq = l.cs.lastCommitOff, l.cs.lastCommitSeq, l.cs.lastCommitSeq+1
 	}
-	f, err := os.OpenFile(filepath.Join(l.dir, seg.name), os.O_RDWR, 0o644)
+	f, err := fsys.OpenFile(filepath.Join(l.dir, seg.name), os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -362,7 +363,7 @@ func (l *Log) adopt(d *logDir) error {
 	l.head.sealed = append(l.head.sealed, adopted...)
 	l.head.activeFirstSeq = l.segStart
 	l.head.durableSeq = l.durableOnDisk()
-	if err := saveHead(l.dir, l.head, l.opts.Key); err != nil {
+	if err := saveHead(fsys, l.dir, encodeHead(l.head, l.opts.Key)); err != nil {
 		f.Close()
 		return err
 	}
@@ -610,20 +611,12 @@ func (l *Log) syncLocked() error {
 			chain := chainNext(l.cs.prevChain, root)
 			data = appendCommitFrame(data, l.opts.Key, l.identity, l.segStart, commitSeq, root, chain)
 		}
-		if err == nil && l.opts.failWrite != nil {
-			err = l.opts.failWrite()
-		}
 		if err == nil {
 			_, err = l.f.Write(data)
 		}
 		if err == nil {
 			l.segSize += int64(len(data))
-			if l.opts.failSync != nil {
-				err = l.opts.failSync()
-			}
-			if err == nil {
-				err = l.f.Sync()
-			}
+			err = l.f.Sync()
 		}
 		if err == nil {
 			// The on-disk segment now ends at the commit frame just written.
@@ -699,13 +692,7 @@ func (l *Log) rotate(firstSeq uint64) error {
 	h.sealed = append(h.sealed, sealedSegment{firstSeq: l.segStart, lastSeq: l.lastRec, root: root})
 	h.activeFirstSeq = firstSeq
 	h.durableSeq = l.durable.Load()
-	var err error
-	if l.opts.failHead != nil {
-		err = l.opts.failHead()
-	}
-	if err == nil {
-		err = saveHead(l.dir, h, l.opts.Key)
-	}
+	err := saveHead(l.opts.fs(), l.dir, encodeHead(h, l.opts.Key))
 	if err == nil {
 		l.head = h
 		if cerr := l.f.Close(); cerr != nil {
@@ -758,17 +745,11 @@ func (l *Log) flusher() {
 // writes the magic. Called under syncMu (or from Open, before the flusher
 // starts).
 func (l *Log) createSegment(firstSeq uint64) error {
-	name := filepath.Join(l.dir, segmentName(firstSeq))
-	if l.opts.failCreate != nil {
-		if err := l.opts.failCreate(name); err != nil {
-			return fmt.Errorf("wal: creating segment: %w", err)
-		}
-	}
-	f, err := os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := l.opts.fs().OpenFile(filepath.Join(l.dir, segmentName(firstSeq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
-	if _, err := f.WriteString(segMagic); err != nil {
+	if _, err := io.WriteString(f, segMagic); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
@@ -820,17 +801,12 @@ func (l *Log) Truncate(uptoSeq uint64) error {
 	}
 	h.sealed = append([]sealedSegment(nil), h.sealed[n:]...)
 	h.durableSeq = l.durableOnDisk()
-	if l.opts.failHead != nil {
-		if err := l.opts.failHead(); err != nil {
-			return fmt.Errorf("wal: truncate: %w", err)
-		}
-	}
-	if err := saveHead(l.dir, h, l.opts.Key); err != nil {
+	if err := saveHead(l.opts.fs(), l.dir, encodeHead(h, l.opts.Key)); err != nil {
 		return err
 	}
 	l.head = h
 	for _, s := range removed {
-		if err := os.Remove(filepath.Join(l.dir, segmentName(s.firstSeq))); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := l.opts.fs().Remove(filepath.Join(l.dir, segmentName(s.firstSeq))); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("wal: truncate: %w", err)
 		}
 		l.ctr.truncates(1)
@@ -840,7 +816,7 @@ func (l *Log) Truncate(uptoSeq uint64) error {
 
 // Segments reports how many segment files the log currently holds.
 func (l *Log) Segments() int {
-	segs, err := listSegments(l.dir)
+	segs, _, err := listLogDir(l.opts.fs(), l.dir)
 	if err != nil {
 		return 0
 	}
@@ -898,7 +874,7 @@ func (l *Log) ReplState() (ReplState, error) {
 	h.durableSeq = l.durableOnDisk()
 	st := ReplState{Head: encodeHead(h, l.opts.Key), DurableSeq: h.durableSeq}
 	for _, s := range l.head.sealed {
-		fi, err := os.Stat(filepath.Join(l.dir, segmentName(s.firstSeq)))
+		fi, err := l.opts.fs().Stat(filepath.Join(l.dir, segmentName(s.firstSeq)))
 		if err != nil {
 			return ReplState{}, fmt.Errorf("wal: replication snapshot: %w", err)
 		}
@@ -948,14 +924,14 @@ func (l *Log) Close() error {
 	l.mu.Lock()
 	failed := l.failed
 	l.mu.Unlock()
-	if failed == nil {
+	if failed == nil && l.head.durableSeq != l.durableOnDisk() {
 		// Anchor the final durable watermark: with it, deleting or rolling
 		// back the active segment of a cleanly-closed log — damage a crash
 		// cannot cause — is detectable on the next Open, not just a flipped
-		// byte inside it.
+		// byte inside it. An unmoved watermark is on disk already (l.head).
 		h := l.head.clone()
 		h.durableSeq = l.durableOnDisk()
-		if herr := saveHead(l.dir, h, l.opts.Key); herr != nil {
+		if herr := saveHead(l.opts.fs(), l.dir, encodeHead(h, l.opts.Key)); herr != nil {
 			if err == nil {
 				err = herr
 			}
@@ -985,7 +961,12 @@ func (l *Log) Close() error {
 // (ReplayTenantTail's fallback for a log that is not open), while Open,
 // ReplayTail and VerifyTenant check them.
 func Replay(dir string, fromSeq uint64, fn func(seq uint64, values []float64) error) (uint64, error) {
-	d, err := readLogDir(dir, nil, false)
+	return replay(durable.OS{}, dir, fromSeq, fn)
+}
+
+// replay is Replay over fsys.
+func replay(fsys durable.FS, dir string, fromSeq uint64, fn func(seq uint64, values []float64) error) (uint64, error) {
+	d, err := readLogDir(fsys, dir, nil, false)
 	if err != nil || d.head == nil {
 		return 0, err
 	}
@@ -1011,8 +992,8 @@ func (e *tornError) Error() string {
 // file offset just past the last valid frame. Decode failures are returned
 // as *tornError so callers can distinguish tail damage from mid-log
 // corruption; fn and cs errors abort the scan verbatim.
-func scanSegment(path string, firstSeq uint64, fn func(seq uint64, values []float64) error, cs *chainScan) (uint64, int64, error) {
-	f, err := os.Open(path)
+func scanSegment(fsys durable.FS, path string, firstSeq uint64, fn func(seq uint64, values []float64) error, cs *chainScan) (uint64, int64, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
@@ -1154,27 +1135,28 @@ type segment struct {
 	sealed   *sealedSegment // the head entry pinning the segment (nil: unsealed)
 }
 
-// listSegments returns the directory's segments sorted by first seq.
-func listSegments(dir string) ([]segment, error) {
-	entries, err := os.ReadDir(dir)
+// listLogDir returns the directory's segments sorted by first seq, and the
+// names of the head temps a crash mid head save left in it.
+func listLogDir(fsys durable.FS, dir string) (segs []segment, headTemps []string, err error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var segs []segment
 	for _, ent := range entries {
 		name := ent.Name()
-		if ent.IsDir() || !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
+		switch {
+		case ent.IsDir():
+		case strings.HasPrefix(name, HeadFileName+".tmp-"):
+			headTemps = append(headTemps, name)
+		case strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix):
+			num := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
+			if seq, err := strconv.ParseUint(num, 10, 64); err == nil {
+				segs = append(segs, segment{name: name, firstSeq: seq})
+			}
 		}
-		num := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
-		seq, err := strconv.ParseUint(num, 10, 64)
-		if err != nil {
-			continue
-		}
-		segs = append(segs, segment{name: name, firstSeq: seq})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
-	return segs, nil
+	return segs, headTemps, nil
 }
 
 func segmentName(firstSeq uint64) string {

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"tkcm/internal/durable"
 )
 
 // collect replays dir from fromSeq into memory.
@@ -29,6 +31,12 @@ func collect(t *testing.T, dir string, fromSeq uint64) (seqs []uint64, rows [][]
 // appendRow appends one row as a one-row AppendBatch (a plain record).
 func appendRow(l *Log, seq uint64, values []float64) (Commit, error) {
 	return l.AppendBatch(seq, [][]float64{values})
+}
+
+// listSegments returns dir's segments on the host FS, sorted by first seq.
+func listSegments(dir string) ([]segment, error) {
+	segs, _, err := listLogDir(durable.OS{}, dir)
+	return segs, err
 }
 
 func TestAppendReplayRoundtrip(t *testing.T) {

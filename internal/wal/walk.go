@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"tkcm/internal/durable"
 )
 
 // Every read of a tenant's log directory — Open, Replay, ReplayTail and
@@ -21,6 +23,7 @@ import (
 // logDir is a tenant log directory whose head has been reconciled against
 // its segment listing.
 type logDir struct {
+	fs       durable.FS
 	path     string
 	identity string
 	// key and checkMAC are the reader's: with checkMAC the head's and every
@@ -37,6 +40,7 @@ type logDir struct {
 	// leftovers are truncation leftovers below the chain base: the head was
 	// anchored past them before their unlink landed.
 	leftovers []segment
+	headTemps []string // temps of head saves a crash cut short
 	// activeMissing: the head names an active segment that was never
 	// created, which only a crash between rotation's head save and the
 	// segment create can leave.
@@ -51,16 +55,17 @@ type logDir struct {
 // so neither a later segment nor a durable claim past its base may exist),
 // and replicated successors past the active segment that a follower fetched
 // before its head update.
-func readLogDir(dir string, key []byte, checkMAC bool) (*logDir, error) {
-	d := &logDir{path: dir, identity: filepath.Base(filepath.Clean(dir)), key: key, checkMAC: checkMAC}
-	head, raw, err := loadHead(dir)
+func readLogDir(fsys durable.FS, dir string, key []byte, checkMAC bool) (*logDir, error) {
+	d := &logDir{fs: fsys, path: dir, identity: filepath.Base(filepath.Clean(dir)), key: key, checkMAC: checkMAC}
+	head, raw, err := loadHead(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(dir)
+	segs, headTemps, err := listLogDir(fsys, dir)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
+	d.headTemps = headTemps
 	if head == nil {
 		if len(segs) > 0 {
 			return nil, fmt.Errorf("%w: %s: segments exist but %s is missing (deleted, or a pre-integrity log — see docs/OPERATIONS.md)",
@@ -133,11 +138,11 @@ type segCheck struct {
 // unsealed segment may end in an unreadable tail, but only when no commit
 // frame follows the damage: a crash tears only the one un-fsynced write at
 // the end, so damage with committed records beyond it is tampering.
-func checkSegment(dir string, seg segment, final bool, cs *chainScan, fn func(seq uint64, values []float64) error) (segCheck, error) {
+func checkSegment(fsys durable.FS, dir string, seg segment, final bool, cs *chainScan, fn func(seq uint64, values []float64) error) (segCheck, error) {
 	path := filepath.Join(dir, seg.name)
 	var c segCheck
 	var err error
-	c.last, c.end, err = scanSegment(path, seg.firstSeq, fn, cs)
+	c.last, c.end, err = scanSegment(fsys, path, seg.firstSeq, fn, cs)
 	var torn *tornError
 	if err != nil && !errors.As(err, &torn) {
 		return c, err
@@ -156,7 +161,7 @@ func checkSegment(dir string, seg segment, final bool, cs *chainScan, fn func(se
 		return c, nil
 	}
 	if c.torn {
-		raw, err := os.ReadFile(path)
+		raw, err := fsys.ReadFile(path)
 		if err != nil {
 			return c, fmt.Errorf("wal: %w", err)
 		}
@@ -204,7 +209,7 @@ func (w *segWalk) next(seg segment, final bool, fn func(seq uint64, values []flo
 		w.proven = max(w.proven, seg.firstSeq-1)
 	}
 	w.cs = chainScan{identity: w.d.identity, key: w.d.key, checkMAC: w.d.checkMAC, segFirstSeq: seg.firstSeq, prevChain: w.chain}
-	c, err := checkSegment(w.d.path, seg, final, &w.cs, fn)
+	c, err := checkSegment(w.d.fs, w.d.path, seg, final, &w.cs, fn)
 	if err != nil {
 		return c, err
 	}
